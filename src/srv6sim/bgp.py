@@ -11,6 +11,7 @@ priority and segment-list sub-TLVs. Segments are 16-byte SRv6 SIDs with a
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from ipaddress import IPv6Address
@@ -257,6 +258,7 @@ class SessionBus:
     def __init__(self):
         self.peers: set[str] = set()
         self.sessions: dict[tuple[str, str], deque] = {}
+        self._pending: list[tuple[str, str]] = []  # non-empty sessions, sorted
 
     def register(self, peer: str) -> None:
         self.peers.add(peer)
@@ -264,7 +266,10 @@ class SessionBus:
     def send(self, src: str, dst: str, message) -> None:
         if dst not in self.peers:
             raise SimError(f"unknown bus peer {dst}")
-        self.sessions.setdefault((src, dst), deque()).append(message)
+        queue = self.sessions.setdefault((src, dst), deque())
+        if not queue:
+            insort(self._pending, (src, dst))
+        queue.append(message)
 
     def broadcast(self, src: str, targets, message) -> int:
         count = 0
@@ -275,11 +280,16 @@ class SessionBus:
         return count
 
     def pending_sessions(self) -> list[tuple[str, str]]:
-        return sorted(key for key, q in self.sessions.items() if q)
+        """Sorted sessions with queued messages; a live view, do not mutate."""
+        return self._pending
 
     def pop(self, session: tuple[str, str]):
-        return self.sessions[session].popleft()
+        queue = self.sessions[session]
+        message = queue.popleft()
+        if not queue:
+            del self._pending[bisect_left(self._pending, session)]
+        return message
 
     @property
     def quiesced(self) -> bool:
-        return all(not q for q in self.sessions.values())
+        return not self._pending

@@ -7,6 +7,7 @@ state comparison across runs and control-plane modes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from ipaddress import IPv6Address
 from typing import Optional
@@ -23,7 +24,6 @@ from .net_types import (
     Srh,
     decode_inner,
     family_of,
-    prefix_contains,
 )
 
 OUTER_HOP_LIMIT = 64
@@ -110,16 +110,46 @@ class Disposition:
     reason: Optional[str] = None
 
 
-def _lpm(table: dict, addr: Addr):
-    """Longest-prefix match over a small prefix-keyed dict."""
-    best = None
-    for prefix, value in table.items():
-        if prefix.version != addr.version:
-            continue
-        if prefix_contains(prefix, addr):
-            if best is None or prefix.prefixlen > best[0].prefixlen:
-                best = (prefix, value)
-    return best
+class LpmIndex(Mapping):
+    """Read-only prefix -> value mapping with longest-prefix match.
+
+    One hash table per (family, prefix length), keyed by the masked network
+    as an int and probed longest first (Waldvogel et al., SIGCOMM 1997).
+    """
+
+    def __init__(self, table: Mapping):
+        by_len: dict[tuple[int, int], dict[int, tuple]] = {}
+        for prefix, value in table.items():
+            entries = by_len.setdefault((prefix.version, prefix.prefixlen), {})
+            entries[int(prefix.network_address)] = (prefix, value)
+        self._probes: dict[int, list] = {4: [], 6: []}  # longest length first
+        for (version, plen), entries in sorted(by_len.items(), reverse=True):
+            width = 32 if version == 4 else 128
+            mask = ((1 << plen) - 1) << (width - plen)
+            self._probes[version].append((plen, mask, entries))
+
+    def lookup(self, addr: Addr):
+        """``(prefix, value)`` of the longest prefix containing ``addr``, or None."""
+        bits = int(addr)
+        for _plen, mask, entries in self._probes[addr.version]:
+            hit = entries.get(bits & mask)
+            if hit is not None:
+                return hit
+        return None
+
+    def __getitem__(self, prefix: Prefix):
+        for plen, _mask, entries in self._probes[prefix.version]:
+            if plen == prefix.prefixlen and int(prefix.network_address) in entries:
+                return entries[int(prefix.network_address)][1]
+        raise KeyError(prefix)
+
+    def __iter__(self):
+        for probes in self._probes.values():
+            for _plen, _mask, entries in probes:
+                yield from (prefix for prefix, _value in entries.values())
+
+    def __len__(self) -> int:
+        return sum(len(e) for probes in self._probes.values() for _, _, e in probes)
 
 
 class NodeDataplane:
@@ -134,6 +164,7 @@ class NodeDataplane:
         self.fib: dict[Prefix, str] = {}
         self.tenant_tables: dict[int, dict[Prefix, str]] = {0: {}}
         self.version = 0  # bumped on every effective mutation
+        self._indexes: dict = {}  # table name -> (version, LpmIndex)
 
     # -- installation ------------------------------------------------------
 
@@ -200,16 +231,19 @@ class NodeDataplane:
         table[prefix] = target
         self.version += 1
 
-    def remove_tenant_route(self, prefix: Prefix, table_id: int = 0) -> None:
-        table = self.tenant_tables.get(table_id, {})
-        if table.pop(prefix, None) is not None:
-            self.version += 1
-
     # -- forwarding --------------------------------------------------------
+
+    def _lpm(self, name, table: dict, addr: Addr):
+        """LPM over one of this node's tables; its index is rebuilt lazily
+        after any mutation (every mutation bumps ``version``)."""
+        cached = self._indexes.get(name)
+        if cached is None or cached[0] != self.version:
+            cached = self._indexes[name] = (self.version, LpmIndex(table))
+        return cached[1].lookup(addr)
 
     def steer_lookup(self, dst: Addr) -> Optional[IPv6Address]:
         """Longest-prefix match of ``dst`` over the steering rules of its family."""
-        hit = _lpm(self.steering, dst)
+        hit = self._lpm("steering", self.steering, dst)
         return hit[1] if hit else None
 
     def h_encaps(self, inner: InnerPacket, bsid: IPv6Address) -> OuterPacket:
@@ -274,11 +308,11 @@ class NodeDataplane:
         """``"local"`` on an exact localSID hit, else LPM next hop, else None."""
         if dst in self.localsids:
             return "local"
-        hit = _lpm(self.fib, dst)
+        hit = self._lpm("fib", self.fib, dst)
         return hit[1] if hit else None
 
     def tenant_lookup(self, dst: Addr, table_id: int = 0) -> Optional[str]:
-        hit = _lpm(self.tenant_tables.get(table_id, {}), dst)
+        hit = self._lpm(table_id, self.tenant_tables.get(table_id, {}), dst)
         return hit[1] if hit else None
 
     # -- inspection --------------------------------------------------------

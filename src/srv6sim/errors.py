@@ -37,10 +37,6 @@ class GraphConfigError(SimError, ValueError):
     """Processing graph references a node that does not exist."""
 
 
-class RouteComputationError(SimError, ValueError):
-    """An advertised prefix is unreachable from some router."""
-
-
 class PoolExhaustedError(SimError, RuntimeError):
     """Address pool has no free addresses left."""
 

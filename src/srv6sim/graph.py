@@ -39,6 +39,7 @@ class GraphDisposition:
     next_hop: Optional[str] = None
     table_id: Optional[int] = None
     reason: Optional[str] = None
+    index: int = -1  # position in the packet vector
 
     def wire_bytes(self) -> bytes:
         if self.outer is not None:
@@ -104,13 +105,8 @@ def run_scalar(g: Graph, packet: PacketWork) -> GraphDisposition:
     return run_vector(g, [packet])[0]
 
 
-def _terminal(item: PacketWork, **kwargs) -> tuple[None, "IndexedDisposition"]:
-    return (None, IndexedDisposition(index=item.index, **kwargs))
-
-
-@dataclass(frozen=True)
-class IndexedDisposition(GraphDisposition):
-    index: int = -1
+def _terminal(item: PacketWork, **kwargs) -> tuple[None, GraphDisposition]:
+    return (None, GraphDisposition(index=item.index, **kwargs))
 
 
 def build_tx_pipeline(dp: NodeDataplane, steering_cache: bool = False) -> Graph:

@@ -57,7 +57,6 @@ class WatchHandle:
 
     keys: tuple[str, ...]
     last_seen: dict[str, int] = field(default_factory=dict)
-    poll_interval: float = 1.0
 
 
 def poll(store: KvStore, watch: WatchHandle) -> list[tuple[str, str, int]]:

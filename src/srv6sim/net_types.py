@@ -62,15 +62,6 @@ def family_of(addr_or_prefix) -> str:
     return "v4" if addr_or_prefix.version == 4 else "v6"
 
 
-def prefix_contains(prefix: Prefix, addr: Addr) -> bool:
-    """True iff the first prefixlen bits of ``addr`` equal the prefix base."""
-    if prefix.version != addr.version:
-        raise FamilyMismatchError(
-            f"prefix {prefix} and address {addr} are different families"
-        )
-    return addr in prefix
-
-
 @dataclass(frozen=True)
 class InnerPacket:
     """A pod-level packet as it exists before encapsulation.
@@ -279,9 +270,6 @@ class OuterPacket:
                 raise MalformedPacketError(
                     f"outer dst {self.dst} != active segment {self.srh.active_segment}"
                 )
-
-    def inner_packet(self) -> InnerPacket:
-        return decode_inner(self.inner)
 
 
 def encode_outer(p: OuterPacket) -> bytes:

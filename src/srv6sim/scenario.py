@@ -71,18 +71,6 @@ class Scenario:
     injector_registered: bool = True
     convergence_steps: int = 10000
 
-    def node(self, name: str) -> NodeConfig:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise ValidationError(f"unknown node {name}")
-
-    def pod(self, name: str) -> PodConfig:
-        for p in self.pods:
-            if p.name == name:
-                return p
-        raise ValidationError(f"unknown pod {name}")
-
 
 def _require(data: dict, key: str, where: str):
     if key not in data:
@@ -118,22 +106,25 @@ def load_scenario(source) -> Scenario:
     if not families <= {"v4", "v6"}:
         raise ValidationError(f"bad families {sorted(families)}", path=where)
 
-    routers = [
-        RouterConfig(name=str(r["name"]), end_sid=parse_v6(str(r["end_sid"])))
-        for r in data.get("routers", [])
-    ]
-    router_names = {r.name for r in routers}
+    routers, router_names = [], set()
+    for i, r in enumerate(data.get("routers", [])):
+        rpath = f"{where}.routers[{i}]"
+        name = str(_require(r, "name", rpath))
+        if name in router_names:
+            raise ValidationError(f"duplicate router name {name!r}", path=rpath)
+        router_names.add(name)
+        routers.append(RouterConfig(name, parse_v6(str(_require(r, "end_sid", rpath)))))
     links = []
     for i, l in enumerate(data.get("links", [])):
-        a, b = str(l["a"]), str(l["b"])
+        lpath = f"{where}.links[{i}]"
+        a, b = str(_require(l, "a", lpath)), str(_require(l, "b", lpath))
         for end in (a, b):
             if end not in router_names:
-                raise ValidationError(
-                    f"link endpoint {end} is not a router", path=f"{where}.links[{i}]"
-                )
-        links.append(
-            LinkConfig(a=a, b=b, cost=int(l.get("cost", 1)), name=str(l.get("name", f"{a}-{b}")))
-        )
+                raise ValidationError(f"link endpoint {end} is not a router", path=lpath)
+        cost = l.get("cost", 1)
+        if not isinstance(cost, int) or cost <= 0:
+            raise ValidationError(f"link cost {cost!r} is not a positive integer", path=lpath)
+        links.append(LinkConfig(a=a, b=b, cost=cost, name=str(l.get("name", f"{a}-{b}"))))
 
     nodes = []
     for i, n in enumerate(data.get("nodes", [])):

@@ -41,7 +41,7 @@ from .k8s import (
 )
 from .net_types import InnerPacket, parse_prefix
 from .scenario import Scenario
-from .underlay import Topology, TraceRecord, compute_routes, forward, waypoints
+from .underlay import RouteTable, Topology, TraceRecord, compute_routes, forward, waypoints
 
 
 def load_configmap_docs(text: str) -> list[ConfigMapDoc]:
@@ -82,7 +82,7 @@ class Simulation:
         self.metrics: Counter = Counter()
         self.events: list = []
         self.tunnel_counts: Counter = Counter()
-        self.trace_archive: list[TraceRecord] = []
+        self.traces_forwarded = 0
 
         self.topology = Topology()
         self.router_sids: dict[str, IPv6Network] = {}
@@ -139,6 +139,7 @@ class Simulation:
             )
         self.pods = {p.name: p for p in scenario.pods}
         self.started = False
+        self._routes: tuple[Optional[tuple], RouteTable] = (None, {})  # (key, routes)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -256,21 +257,18 @@ class Simulation:
 
     # -- forwarding --------------------------------------------------------
 
-    def current_routes(self):
-        advertised = {}
-        for router, prefix in self.router_sids.items():
-            advertised[prefix] = router
-        for node in self.scenario.nodes:
-            advertised[IPv6Network((node.infra, 128))] = node.name
-            for sid in self.dataplanes[node.name].localsids:
-                advertised[IPv6Network((sid, 128))] = node.name
-        return compute_routes(self.topology, advertised)
-
-    def _pod_node(self, addr) -> Optional[str]:
-        for pod in self.pods.values():
-            if addr in pod.addrs.values():
-                return pod.node
-        return None
+    def current_routes(self) -> RouteTable:
+        """Routes to every router's SID block and every node's infra address and
+        localSIDs; recomputed only when a localSID changes (topology is fixed)."""
+        key = tuple(tuple(self.dataplanes[n.name].localsids) for n in self.scenario.nodes)
+        if key != self._routes[0]:
+            advertised = {prefix: router for router, prefix in self.router_sids.items()}
+            for node, sids in zip(self.scenario.nodes, key):
+                advertised[IPv6Network((node.infra, 128))] = node.name
+                for sid in sids:
+                    advertised[IPv6Network((sid, 128))] = node.name
+            self._routes = (key, compute_routes(self.topology, advertised))
+        return self._routes[1]
 
     def ping(self, src_pod: str, dst_pod: str, count: int = 4,
              family: str = "v6") -> PingReport:
@@ -313,7 +311,7 @@ class Simulation:
                     self.topology, routes, src.node, disp.outer, self.dataplanes
                 )
                 report.traces.append(trace)
-                self.trace_archive.append(trace)
+                self.traces_forwarded += 1
                 if (
                     trace.delivered
                     and trace.deliver_node == dst.node
@@ -358,10 +356,6 @@ class Simulation:
             n.name: self.dataplanes[n.name].dump() for n in self.scenario.nodes
         }
 
-    def tunnel_count(self) -> dict[str, int]:
-        """Installed (endpoint, family) tunnels per node."""
-        return {name: len(agent.installed) for name, agent in self.agents.items()}
-
     def report(self) -> dict:
         return {
             "scenario": self.scenario.name,
@@ -384,7 +378,7 @@ class Simulation:
                 "polls": self.store.poll_count,
                 "scan_units": self.store.scan_units,
             },
-            "traces": len(self.trace_archive),
+            "traces": self.traces_forwarded,
         }
 
     def report_json(self) -> str:

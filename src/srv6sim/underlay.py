@@ -9,12 +9,12 @@ smallest sequence of link names, so the first link name decides.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from ipaddress import IPv6Address
 from typing import Optional
 
-from .dataplane import Disposition, NodeDataplane, _lpm
-from .errors import RouteComputationError, SimError
+from .dataplane import Disposition, LpmIndex, NodeDataplane
+from .errors import SimError
 from .net_types import OuterPacket, Prefix
 
 MAX_TRACE_HOPS = 1024
@@ -94,13 +94,12 @@ class TraceRecord:
         )
 
 
-# RouteTable: router/node -> prefix -> (neighbor, link name)
-RouteTable = dict[str, dict[Prefix, tuple[str, str]]]
+# RouteTable: router/node -> indexed prefix -> (neighbor, link name)
+RouteTable = dict[str, LpmIndex]
 
 
-def _best_paths(topology: Topology, source: str) -> dict[str, tuple]:
+def _best_paths(adj: dict, source: str) -> dict[str, tuple]:
     """Dijkstra from ``source``; value is (cost, link-name path, first hop)."""
-    adj = topology.edges()
     best: dict[str, tuple] = {source: (0, (), None)}
     heap = [(0, (), source, None)]
     while heap:
@@ -118,22 +117,20 @@ def _best_paths(topology: Topology, source: str) -> dict[str, tuple]:
 
 
 def compute_routes(topology: Topology, advertised: dict[Prefix, str]) -> RouteTable:
-    """Per-vertex next hops along minimum-cost paths to each prefix origin."""
-    vertices = set(topology.routers) | set(topology.attachments)
+    """Per-vertex next hops along minimum-cost paths to each prefix origin.
+
+    A prefix whose origin is unreachable from a vertex is left out of that
+    vertex's table, so packets to it drop there with "no route".
+    """
+    adj = topology.edges()
     table: RouteTable = {}
-    paths = {v: _best_paths(topology, v) for v in vertices}
-    for vertex in vertices:
+    for vertex in set(topology.routers) | set(topology.attachments):
+        paths = _best_paths(adj, vertex)
         entry: dict[Prefix, tuple[str, str]] = {}
         for prefix, origin in advertised.items():
-            if origin == vertex:
-                continue
-            best = paths[vertex].get(origin)
-            if best is None:
-                raise RouteComputationError(
-                    f"prefix {prefix}: origin {origin} unreachable from {vertex}"
-                )
-            entry[prefix] = best[2]
-        table[vertex] = entry
+            if origin != vertex and origin in paths:
+                entry[prefix] = paths[origin][2]
+        table[vertex] = LpmIndex(entry)
     return table
 
 
@@ -179,20 +176,15 @@ def forward(
                 trace.hops.append(Hop(current, pkt.dst, "drop:ttl"))
                 trace.disposition = Disposition(kind="drop", reason="ttl")
                 return trace
-            pkt = _decrement(pkt)
-        hit = _lpm(routes.get(current, {}), pkt.dst)
+            pkt = replace(pkt, hop_limit=pkt.hop_limit - 1)
+        table = routes.get(current)
+        hit = table.lookup(pkt.dst) if table is not None else None
         if hit is None:
             trace.hops.append(Hop(current, pkt.dst, "drop:no route"))
             trace.disposition = Disposition(kind="drop", reason="no route")
             return trace
         current = hit[1][0]
     raise SimError("forwarding did not terminate")
-
-
-def _decrement(pkt: OuterPacket) -> OuterPacket:
-    from dataclasses import replace
-
-    return replace(pkt, hop_limit=pkt.hop_limit - 1)
 
 
 def waypoints(trace: TraceRecord) -> list[str]:

@@ -4,8 +4,10 @@ import pytest
 
 from srv6sim.cli import main
 from srv6sim.errors import ValidationError
+from srv6sim.net_types import InnerPacket, OuterPacket, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
+from srv6sim.underlay import forward
 
 from conftest import SCENARIOS
 
@@ -131,3 +133,56 @@ def test_cli_bench(capsys):
 def test_cli_seed_and_mode_overrides(capsys):
     assert main(["run", "--scenario", BASIC, "--seed", "99"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 99
+
+
+# -- malformed scenarios exit 2 with a located ValidationError ------------
+
+LONELY = '  - {name: lonely, end_sid: "fcff:99::1"}\n'
+
+
+def _with_routers(extra: str, links: str = "links: []\n") -> str:
+    text = (SCENARIOS / "basic.yaml").read_text()
+    text = text.replace('  - {name: R1, end_sid: "fcff:1::1"}\n',
+                        '  - {name: R1, end_sid: "fcff:1::1"}\n' + extra)
+    return text.replace("links: []\n", links)
+
+
+@pytest.mark.parametrize(
+    "text, located, message",
+    [
+        (_with_routers(LONELY, "links:\n  - {a: R1, b: lonely, cost: 0}\n"),
+         "links[0]", "cost 0"),
+        (_with_routers(LONELY, "links:\n  - {a: R1, b: lonely, cost: -3}\n"),
+         "links[0]", "cost -3"),
+        (_with_routers('  - {end_sid: "fcff:99::1"}\n'), "routers[1]", "'name'"),
+        (_with_routers('  - {name: R1, end_sid: "fcff:99::1"}\n'),
+         "routers[1]", "duplicate router name 'R1'"),
+    ],
+    ids=["zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router"],
+)
+def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message) as exc:
+        load_scenario(path)
+    assert exc.value.path.endswith(located)
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert located in err and "Traceback" not in err
+
+
+def test_isolated_router_drops_only_its_own_traffic(tmp_path, capsys):
+    path = tmp_path / "lonely.yaml"
+    path.write_text(_with_routers(LONELY))
+    sim = Simulation(load_scenario(path)).start()
+    for family in ("v4", "v6"):
+        report = sim.ping("pod-master", "pod-worker1", count=2, family=family)
+        assert report.delivered == 2, report.drop_reasons
+    stray = OuterPacket(
+        src=parse_v6("fd10::1000"), dst=parse_v6("fcff:99::1"), next_header=41,
+        hop_limit=64, inner=InnerPacket(src=parse_addr("fd90::1"),
+                                        dst=parse_addr("fd91::1")).encode(),
+    )
+    trace = forward(sim.topology, sim.current_routes(), "master", stray, sim.dataplanes)
+    assert trace.drop_reason == "no route"
+    assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker1"]) == 0

@@ -9,7 +9,7 @@ from srv6sim.dataplane import (
     NodeDataplane,
     SrPolicyEntry,
 )
-from srv6sim.errors import RouteComputationError, SimError
+from srv6sim.errors import SimError
 from srv6sim.net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
 from srv6sim.underlay import (
     Topology,
@@ -80,12 +80,19 @@ def test_deterministic_tie_break_prefers_smaller_link_names():
     assert routes["R1"][parse_prefix("fcff:6::/32")] == ("R2", "l12")
 
 
-def test_unreachable_origin_raises():
+def test_unreachable_origin_left_out():
     topo = Topology()
     topo.add_router("R1")
+    topo.add_router("R2")
     topo.add_router("R9")  # isolated
-    with pytest.raises(RouteComputationError):
-        compute_routes(topo, {parse_prefix("fcff:9::/32"): "R9"})
+    topo.add_link("R1", "R2", 1, "l12")
+    advertised = {
+        parse_prefix("fcff:2::/32"): "R2",
+        parse_prefix("fcff:9::/32"): "R9",
+    }
+    routes = compute_routes(topo, advertised)
+    assert dict(routes["R1"]) == {parse_prefix("fcff:2::/32"): ("R2", "l12")}
+    assert dict(routes["R9"]) == {}
 
 
 def test_negative_cost_rejected():
