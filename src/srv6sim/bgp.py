@@ -20,6 +20,7 @@ import yaml
 
 from .dataplane import BEHAVIOR_END_DT4, BEHAVIOR_END_DT6
 from .errors import DecodeError, SimError, TruncationError, ValidationError
+from .k8s import YamlLoader
 from .net_types import Prefix, parse_v6
 
 SAFI_SR_POLICY = 73
@@ -219,7 +220,7 @@ def parse_policy_file(text: str) -> SrPolicySafiUpdate:
     """Parse an injector policy document in the SAFI-73 field vocabulary
     (nlri/distinguisher/color/endpoint, segmentlist, bsid, nexthop)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"policy file is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

@@ -18,6 +18,11 @@ from .errors import (
 )
 from .net_types import Addr, Prefix, parse_v6
 
+# libyaml where PyYAML has it: the same objects, several times faster. Its
+# emitter folds long scalars differently; see render_configmap_doc.
+YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 # -- key-value store -------------------------------------------------------
 
@@ -191,7 +196,7 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
     """
     if isinstance(data, str):
         try:
-            data = yaml.safe_load(data)
+            data = yaml.load(data, Loader=YamlLoader)
         except yaml.YAMLError as exc:
             raise ValidationError(f"not valid YAML: {exc}", path=path) from None
     if not isinstance(data, dict):
@@ -253,7 +258,11 @@ def render_configmap_doc(doc: ConfigMapDoc) -> str:
             for p in doc.policies
         ],
     }
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
+    # Addresses and short printable ASCII words never fold.
+    words = [doc.node, *doc.localsids, *(p.traffic for p in doc.policies)]
+    short = all(w.isascii() and w.isprintable() and len(w) <= 63 for w in words)
+    dumper = _FAST_DUMPER if short else yaml.SafeDumper
+    return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=False)
 
 
 def configmap_key(node: str) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
 from typing import Optional, Union
 
@@ -115,6 +116,11 @@ class InnerPacket:
         return header + self.payload
 
 
+# Addresses are immutable, so the decoded packets of one flow share theirs.
+_v4_from_bytes = lru_cache(maxsize=4096)(IPv4Address)
+_v6_from_bytes = lru_cache(maxsize=4096)(IPv6Address)
+
+
 def decode_inner(data: bytes) -> InnerPacket:
     """Inverse of :meth:`InnerPacket.encode`; family read from the version nibble."""
     if not data:
@@ -129,8 +135,8 @@ def decode_inner(data: bytes) -> InnerPacket:
                 f"IPv4 total length {total_length} != buffer {len(data)}"
             )
         return InnerPacket(
-            src=IPv4Address(data[12:16]),
-            dst=IPv4Address(data[16:20]),
+            src=_v4_from_bytes(data[12:16]),
+            dst=_v4_from_bytes(data[16:20]),
             hop_limit=data[8],
             payload=data[20:],
         )
@@ -143,8 +149,8 @@ def decode_inner(data: bytes) -> InnerPacket:
                 f"IPv6 payload length {payload_length} != buffer {len(data) - 40}"
             )
         return InnerPacket(
-            src=IPv6Address(data[8:24]),
-            dst=IPv6Address(data[24:40]),
+            src=_v6_from_bytes(data[8:24]),
+            dst=_v6_from_bytes(data[24:40]),
             hop_limit=data[7],
             payload=data[40:],
         )

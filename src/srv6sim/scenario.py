@@ -11,7 +11,7 @@ from typing import Optional
 import yaml
 
 from .errors import ValidationError
-from .k8s import ConfigMapDoc, IpPool, parse_configmap_doc
+from .k8s import ConfigMapDoc, IpPool, YamlLoader, parse_configmap_doc
 from .net_types import Addr, Prefix, parse_addr, parse_prefix, parse_v6
 
 
@@ -89,7 +89,7 @@ def load_scenario(source) -> Scenario:
     else:
         text, where = source, "<scenario>"
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"not valid YAML: {exc}", path=where) from None
     if not isinstance(data, dict):

@@ -34,6 +34,7 @@ from .k8s import (
     IpamAllocator,
     KvStore,
     WatchHandle,
+    YamlLoader,
     configmap_key,
     parse_configmap_doc,
     poll,
@@ -48,7 +49,7 @@ def load_configmap_docs(text: str) -> list[ConfigMapDoc]:
     """Read policy documents from YAML: either plain documents or Kubernetes
     ConfigMap manifests whose ``data.srv6`` value holds the document."""
     docs = []
-    for i, raw in enumerate(yaml.safe_load_all(text)):
+    for i, raw in enumerate(yaml.load_all(text, Loader=YamlLoader)):
         if raw is None:
             continue
         if isinstance(raw, dict) and raw.get("kind") == "ConfigMap":
@@ -172,7 +173,7 @@ class Simulation:
         if self.scenario.configmap_fanout == "single-map":
             current = {}
             if SINGLE_MAP_KEY in self.store.entries:
-                current = yaml.safe_load(self.store.entries[SINGLE_MAP_KEY][0]) or {}
+                current = yaml.load(self.store.entries[SINGLE_MAP_KEY][0], Loader=YamlLoader) or {}
             current[doc.node] = render_configmap_doc(doc)
             self.store.write(SINGLE_MAP_KEY, yaml.safe_dump(current, sort_keys=True))
         else:
@@ -182,7 +183,7 @@ class Simulation:
         if self.scenario.configmap_fanout == "single-map":
             if SINGLE_MAP_KEY not in self.store.entries:
                 return None
-            mapping = yaml.safe_load(self.store.entries[SINGLE_MAP_KEY][0]) or {}
+            mapping = yaml.load(self.store.entries[SINGLE_MAP_KEY][0], Loader=YamlLoader) or {}
             if node not in mapping:
                 return None
             return parse_configmap_doc(mapping[node], path=f"single-map.{node}")
@@ -302,7 +303,12 @@ class Simulation:
                 )
                 for i in range(batch)
             ]
-            for disp in run_vector(pipeline, work):
+            # Free the work items, and each disposition once it is forwarded,
+            # so that only the traces outlive their packet.
+            dispositions = run_vector(pipeline, work)[::-1]
+            del work
+            while dispositions:
+                disp = dispositions.pop()
                 if disp.kind == "drop":
                     report.dropped += 1
                     report.drop_reasons.append(disp.reason)

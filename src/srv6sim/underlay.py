@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from ipaddress import IPv6Address
 from typing import Optional
 
@@ -70,6 +71,10 @@ class Hop:
     at: str
     dst: IPv6Address
     action: str  # source | transit | end | endx | deliver | drop:<reason>
+
+
+# Hops are immutable, so the packets of one flow share theirs.
+_hop = lru_cache(maxsize=4096)(Hop)
 
 
 @dataclass
@@ -155,32 +160,32 @@ def forward(
         if dp is not None and pkt.dst in dp.localsids:
             disp = dp.process_local(pkt)
             if disp.kind == "drop":
-                trace.hops.append(Hop(current, pkt.dst, f"drop:{disp.reason}"))
+                trace.hops.append(_hop(current, pkt.dst, f"drop:{disp.reason}"))
                 trace.disposition = disp
                 return trace
             if disp.kind == "deliver":
-                trace.hops.append(Hop(current, pkt.dst, "deliver"))
+                trace.hops.append(_hop(current, pkt.dst, "deliver"))
                 trace.disposition = disp
                 trace.deliver_node = current
                 return trace
             action = "end" if disp.kind == "forward" else "endx"
-            trace.hops.append(Hop(current, pkt.dst, action))
+            trace.hops.append(_hop(current, pkt.dst, action))
             pkt = disp.packet
         else:
             trace.hops.append(
-                Hop(current, pkt.dst, "source" if is_first else "transit")
+                _hop(current, pkt.dst, "source" if is_first else "transit")
             )
         is_first = False
         if current in topology.routers:
             if pkt.hop_limit <= 1:
-                trace.hops.append(Hop(current, pkt.dst, "drop:ttl"))
+                trace.hops.append(_hop(current, pkt.dst, "drop:ttl"))
                 trace.disposition = Disposition(kind="drop", reason="ttl")
                 return trace
             pkt = replace(pkt, hop_limit=pkt.hop_limit - 1)
         table = routes.get(current)
         hit = table.lookup(pkt.dst) if table is not None else None
         if hit is None:
-            trace.hops.append(Hop(current, pkt.dst, "drop:no route"))
+            trace.hops.append(_hop(current, pkt.dst, "drop:no route"))
             trace.disposition = Disposition(kind="drop", reason="no route")
             return trace
         current = hit[1][0]

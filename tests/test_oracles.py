@@ -5,10 +5,14 @@
   sort of every non-empty session.
 - ``Simulation.current_routes()`` (cached) against a fresh
   ``compute_routes()`` over the advertised prefixes.
+- libyaml's loader and emitter against PyYAML's pure-Python safe loader
+  and dumper.
 """
 
 from ipaddress import IPv4Address, IPv6Address, IPv6Network, ip_network
 
+import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +24,12 @@ from srv6sim.dataplane import (
     NodeDataplane,
     SrPolicyEntry,
     SteeringRule,
+)
+from srv6sim.k8s import (
+    ConfigMapDoc,
+    PolicyDocEntry,
+    YamlLoader,
+    render_configmap_doc,
 )
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
@@ -195,3 +205,52 @@ def test_cached_routes_match_fresh_computation(ops):
             dp.remove_localsid(sid)
         fresh = compute_routes(sim.topology, advertised_oracle(sim))
         assert sim.current_routes() == fresh
+
+
+V6 = st.integers(0, 2**128 - 1).map(IPv6Address)
+WORDS = st.one_of(
+    st.text(min_size=1, max_size=120),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=63),
+)
+
+
+@st.composite
+def configmap_docs(draw):
+    policies = draw(
+        st.lists(
+            st.builds(
+                PolicyDocEntry,
+                egress_node=V6,
+                bsid=V6,
+                segment_list=st.lists(V6, min_size=1, max_size=4).map(tuple),
+                traffic=st.one_of(st.sampled_from(["IPv4", "IPv6"]), WORDS),
+            ),
+            max_size=4,
+            unique_by=lambda p: (p.egress_node, p.traffic),
+        )
+    )
+    return ConfigMapDoc(
+        node=draw(WORDS),
+        localsids=draw(st.dictionaries(st.one_of(st.sampled_from(["DT4", "DT6"]), WORDS), V6)),
+        policies=tuple(policies),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(configmap_docs())
+def test_libyaml_matches_pure_python_yaml(doc):
+    text = render_configmap_doc(doc)
+    data = yaml.load(text, Loader=yaml.SafeLoader)
+    assert text == yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
+    assert yaml.load(text, Loader=YamlLoader) == data
+    single_map = yaml.safe_dump({doc.node: text, "other": text}, sort_keys=True)
+    assert yaml.load(single_map, Loader=YamlLoader) == yaml.load(single_map, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCENARIOS.glob("*.yaml")) + sorted(SCENARIOS.glob("policies/*.yaml")),
+    ids=lambda p: p.name,
+)
+def test_libyaml_reads_shipped_files_like_pure_python(path):
+    text = path.read_text()
+    assert list(yaml.load_all(text, Loader=YamlLoader)) == list(yaml.load_all(text, Loader=yaml.SafeLoader))
