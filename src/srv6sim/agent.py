@@ -115,8 +115,6 @@ class Agent:
         for kind, sid in sorted(localsids.items()):
             behavior = Behavior("EndDT4" if kind == "DT4" else "EndDT6")
             self.dp.install_localsid(LocalSidEntry(sid=sid, behavior=behavior))
-        for prefix in self.pod_prefixes:
-            self.dp.add_tenant_route(prefix, "pods")
         # step 1: pod-prefix reachability toward every other cluster node
         for prefix in self.pod_prefixes:
             update = Step1Update(prefix=prefix, next_hop=self.infra)

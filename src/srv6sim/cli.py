@@ -21,7 +21,7 @@ from .dataplane import (
     SteeringRule,
 )
 from .errors import SimError, ValidationError
-from .graph import PacketWork, bench_dispatch, build_tx_pipeline, render_bench_csv
+from .graph import bench_dispatch, render_bench_csv
 from .net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
 from .scenario import load_scenario
 from .sim import Simulation, load_configmap_docs
@@ -115,22 +115,18 @@ def cmd_bench(args) -> int:
         SteeringRule(match=parse_prefix("fd22::/64"), bsid=parse_v6("cafe::1"))
     )
     dp.add_fib_route(parse_prefix("::/0"), "uplink")
-    pipeline = build_tx_pipeline(dp, steering_cache=True)
 
     def packets():
         return [
-            PacketWork(
-                index=i,
-                inner=InnerPacket(
-                    src=parse_addr("fd11::10"),
-                    dst=parse_addr(f"fd22::{(i % 200) + 1:x}"),
-                    payload=b"bench",
-                ),
+            InnerPacket(
+                src=parse_addr("fd11::10"),
+                dst=parse_addr(f"fd22::{(i % 200) + 1:x}"),
+                payload=b"bench",
             )
             for i in range(args.packets)
         ]
 
-    rows = [bench_dispatch(pipeline, packets(), batch) for batch in (1, 256)]
+    rows = [bench_dispatch(dp, packets(), batch) for batch in (1, 256)]
     print(render_bench_csv(rows))
     return EXIT_OK
 

@@ -162,7 +162,6 @@ class NodeDataplane:
         self.steering: dict[Prefix, IPv6Address] = {}
         self.encap_source: Optional[IPv6Address] = None
         self.fib: dict[Prefix, str] = {}
-        self.tenant_tables: dict[int, dict[Prefix, str]] = {0: {}}
         self.version = 0  # bumped on every effective mutation
         self._indexes: dict = {}  # table name -> (version, LpmIndex)
 
@@ -222,13 +221,6 @@ class NodeDataplane:
         if self.fib.get(prefix) == next_hop:
             return
         self.fib[prefix] = next_hop
-        self.version += 1
-
-    def add_tenant_route(self, prefix: Prefix, target: str, table_id: int = 0) -> None:
-        table = self.tenant_tables.setdefault(table_id, {})
-        if table.get(prefix) == target:
-            return
-        table[prefix] = target
         self.version += 1
 
     # -- forwarding --------------------------------------------------------
@@ -309,10 +301,6 @@ class NodeDataplane:
         if dst in self.localsids:
             return "local"
         hit = self._lpm("fib", self.fib, dst)
-        return hit[1] if hit else None
-
-    def tenant_lookup(self, dst: Addr, table_id: int = 0) -> Optional[str]:
-        hit = self._lpm(table_id, self.tenant_tables.get(table_id, {}), dst)
         return hit[1] if hit else None
 
     # -- inspection --------------------------------------------------------

@@ -33,10 +33,6 @@ class DanglingPolicyError(SimError, ValueError):
     """Steering rule references a binding SID with no installed policy."""
 
 
-class GraphConfigError(SimError, ValueError):
-    """Processing graph references a node that does not exist."""
-
-
 class PoolExhaustedError(SimError, RuntimeError):
     """Address pool has no free addresses left."""
 

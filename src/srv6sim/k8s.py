@@ -42,19 +42,6 @@ class KvStore:
         self.entries[key] = (value, self._version)
         return self._version
 
-    def read(self, key: str) -> tuple[str, int]:
-        if key not in self.entries:
-            raise KeyError(key)
-        return self.entries[key]
-
-    def snapshot(self) -> dict[str, tuple[str, int]]:
-        return dict(self.entries)
-
-    def load(self, snapshot: dict[str, tuple[str, int]]) -> None:
-        self.entries = dict(snapshot)
-        if snapshot:
-            self._version = max(v for _, v in snapshot.values())
-
 
 @dataclass
 class WatchHandle:
@@ -270,15 +257,6 @@ def configmap_key(node: str) -> str:
 
 
 SINGLE_MAP_KEY = "srv6-config"
-
-
-def write_configmap(store: KvStore, key: str, doc: ConfigMapDoc) -> int:
-    return store.write(key, render_configmap_doc(doc))
-
-
-def read_configmap(store: KvStore, key: str) -> tuple[ConfigMapDoc, int]:
-    value, version = store.read(key)
-    return parse_configmap_doc(value, path=key), version
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import ValidationError
+from .errors import AddrParseError, ValidationError
 from .k8s import ConfigMapDoc, IpPool, YamlLoader, parse_configmap_doc
 from .net_types import Addr, Prefix, parse_addr, parse_prefix, parse_v6
 
@@ -78,6 +78,21 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _parsed(parse, value, where: str):
+    """``parse(str(value))``, reporting a malformed value at ``where``."""
+    try:
+        return parse(str(value))
+    except AddrParseError as exc:
+        raise ValidationError(str(exc), path=where) from None
+
+
+def _integer(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{value!r} is not an integer", path=where) from None
+
+
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a path or YAML text."""
     if isinstance(source, Path) or (
@@ -113,7 +128,8 @@ def load_scenario(source) -> Scenario:
         if name in router_names:
             raise ValidationError(f"duplicate router name {name!r}", path=rpath)
         router_names.add(name)
-        routers.append(RouterConfig(name, parse_v6(str(_require(r, "end_sid", rpath)))))
+        end_sid = _parsed(parse_v6, _require(r, "end_sid", rpath), f"{rpath}.end_sid")
+        routers.append(RouterConfig(name, end_sid))
     links = []
     for i, l in enumerate(data.get("links", [])):
         lpath = f"{where}.links[{i}]"
@@ -126,55 +142,71 @@ def load_scenario(source) -> Scenario:
             raise ValidationError(f"link cost {cost!r} is not a positive integer", path=lpath)
         links.append(LinkConfig(a=a, b=b, cost=cost, name=str(l.get("name", f"{a}-{b}"))))
 
-    nodes = []
+    nodes, node_names = [], set()
     for i, n in enumerate(data.get("nodes", [])):
         npath = f"{where}.nodes[{i}]"
+        name = str(_require(n, "name", npath))
+        if name in node_names:
+            raise ValidationError(f"duplicate node name {name!r}", path=npath)
+        if name in router_names:
+            raise ValidationError(f"node name {name!r} is also a router name", path=npath)
+        node_names.add(name)
         router = str(_require(n, "router", npath))
         if router not in router_names:
             raise ValidationError(f"unknown router {router}", path=npath)
         prefixes = []
-        if "v4" in families and n.get("pod_prefix_v4"):
-            prefixes.append(parse_prefix(str(n["pod_prefix_v4"])))
-        if "v6" in families and n.get("pod_prefix_v6"):
-            prefixes.append(parse_prefix(str(n["pod_prefix_v6"])))
+        for family in ("v4", "v6"):
+            key = f"pod_prefix_{family}"
+            if family in families and n.get(key):
+                prefixes.append(_parsed(parse_prefix, n[key], f"{npath}.{key}"))
         localsids = {
-            k: parse_v6(str(v)) for k, v in (n.get("localsids") or {}).items()
+            k: _parsed(parse_v6, v, f"{npath}.localsids.{k}")
+            for k, v in (n.get("localsids") or {}).items()
         }
         nodes.append(
             NodeConfig(
-                name=str(_require(n, "name", npath)),
-                infra=parse_v6(str(_require(n, "infra", npath))),
+                name=name,
+                infra=_parsed(parse_v6, _require(n, "infra", npath), f"{npath}.infra"),
                 router=router,
                 pod_prefixes=tuple(prefixes),
                 localsids=localsids,
                 localsid_pool=n.get("localsid_pool"),
             )
         )
-    node_names = {n.name for n in nodes}
 
-    pools = [
-        IpPool(
-            name=str(p["name"]),
-            cidr=parse_prefix(str(p["cidr"])),
-            block_size=int(p.get("blockSize", p.get("block_size", 0)) or 0)
-            or parse_prefix(str(p["cidr"])).prefixlen,
-            node_selector=p.get("nodeSelector", p.get("node_selector")),
+    pools, pool_names = [], set()
+    for i, p in enumerate(data.get("pools", [])):
+        ppath = f"{where}.pools[{i}]"
+        name = str(_require(p, "name", ppath))
+        if name in pool_names:
+            raise ValidationError(f"duplicate pool name {name!r}", path=ppath)
+        pool_names.add(name)
+        cidr = _parsed(parse_prefix, _require(p, "cidr", ppath), f"{ppath}.cidr")
+        block = p.get("blockSize", p.get("block_size")) or 0
+        pools.append(
+            IpPool(
+                name=name,
+                cidr=cidr,
+                block_size=_integer(block, f"{ppath}.blockSize") or cidr.prefixlen,
+                node_selector=p.get("nodeSelector", p.get("node_selector")),
+            )
         )
-        for p in data.get("pools", [])
-    ]
 
-    pods = []
+    pods, pod_names = [], set()
     for i, p in enumerate(data.get("pods", [])):
         ppath = f"{where}.pods[{i}]"
+        name = str(_require(p, "name", ppath))
+        if name in pod_names:
+            raise ValidationError(f"duplicate pod name {name!r}", path=ppath)
+        pod_names.add(name)
         node = str(_require(p, "node", ppath))
         if node not in node_names:
             raise ValidationError(f"unknown node {node}", path=ppath)
         addrs = {}
-        if "v4" in families and p.get("v4"):
-            addrs["v4"] = parse_addr(str(p["v4"]))
-        if "v6" in families and p.get("v6"):
-            addrs["v6"] = parse_addr(str(p["v6"]))
-        pods.append(PodConfig(name=str(_require(p, "name", ppath)), node=node, addrs=addrs))
+        for family in ("v4", "v6"):
+            if family in families and p.get(family):
+                addrs[family] = _parsed(parse_addr, p[family], f"{ppath}.{family}")
+        pods.append(PodConfig(name=name, node=node, addrs=addrs))
 
     configmaps = [
         parse_configmap_doc(doc, path=f"{where}.configmaps[{i}]")
@@ -187,7 +219,7 @@ def load_scenario(source) -> Scenario:
     return Scenario(
         name=str(data.get("name", "scenario")),
         mode=mode,
-        seed=int(data.get("seed", 0)),
+        seed=_integer(data.get("seed", 0), f"{where}.seed"),
         families=families,
         routers=routers,
         links=links,
@@ -201,5 +233,7 @@ def load_scenario(source) -> Scenario:
         configmaps=configmaps,
         injector=data.get("injector"),
         injector_registered=bool(data.get("injector_registered", True)),
-        convergence_steps=int(data.get("convergence_steps", 10000)),
+        convergence_steps=_integer(
+            data.get("convergence_steps", 10000), f"{where}.convergence_steps"
+        ),
     )

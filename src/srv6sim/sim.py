@@ -27,7 +27,7 @@ from .errors import (
     UnknownNodeError,
     ValidationError,
 )
-from .graph import PacketWork, build_tx_pipeline, run_vector
+from .graph import run_vector
 from .k8s import (
     SINGLE_MAP_KEY,
     ConfigMapDoc,
@@ -42,7 +42,7 @@ from .k8s import (
 )
 from .net_types import InnerPacket, parse_prefix
 from .scenario import Scenario
-from .underlay import RouteTable, Topology, TraceRecord, compute_routes, forward, waypoints
+from .underlay import RouteTable, Topology, TraceRecord, compute_routes, forward
 
 
 def load_configmap_docs(text: str) -> list[ConfigMapDoc]:
@@ -288,25 +288,21 @@ class Simulation:
             return report
         dp = self.dataplanes[src.node]
         routes = self.current_routes()
-        pipeline = build_tx_pipeline(dp)
         remaining = count
         while remaining > 0:
             batch = min(remaining, 256)
-            work = [
-                PacketWork(
-                    index=i,
-                    inner=InnerPacket(
-                        src=src.addrs[family],
-                        dst=dst.addrs[family],
-                        payload=f"ping-{i}".encode(),
-                    ),
+            vector = [
+                InnerPacket(
+                    src=src.addrs[family],
+                    dst=dst.addrs[family],
+                    payload=f"ping-{i}".encode(),
                 )
                 for i in range(batch)
             ]
-            # Free the work items, and each disposition once it is forwarded,
+            # Free the packets, and each disposition once it is forwarded,
             # so that only the traces outlive their packet.
-            dispositions = run_vector(pipeline, work)[::-1]
-            del work
+            dispositions = run_vector(dp, vector)[::-1]
+            del vector
             while dispositions:
                 disp = dispositions.pop()
                 if disp.kind == "drop":
@@ -336,9 +332,6 @@ class Simulation:
         if not report.traces:
             raise SimError(f"no trace: {report.drop_reasons}")
         return report.traces[0]
-
-    def trace_waypoints(self, src_pod: str, dst_pod: str, family: str = "v6"):
-        return waypoints(self.trace(src_pod, dst_pod, family))
 
     # -- inspection --------------------------------------------------------
 

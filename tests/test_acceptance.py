@@ -26,7 +26,7 @@ from srv6sim.dataplane import (
     SteeringRule,
 )
 from srv6sim.errors import SimError
-from srv6sim.graph import PacketWork, build_tx_pipeline, run_scalar, run_vector
+from srv6sim.graph import run_scalar, run_vector
 from srv6sim.k8s import (
     ConfigMapDoc,
     IpPool,
@@ -46,6 +46,7 @@ from srv6sim.net_types import (
 )
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation, load_configmap_docs
+from srv6sim.underlay import waypoints
 
 from conftest import SCENARIOS, random_v4, random_v6
 
@@ -221,13 +222,13 @@ def test_criterion_05_convergence_and_interleaving_invariance():
 def test_criterion_06_te_rewiring():
     start = time.perf_counter()
     sim = Simulation(load_scenario(FULL_CM)).start()
-    assert sim.trace_waypoints("pod-worker2", "pod-worker1", "v6") == ["R4", "R3"]
+    assert waypoints(sim.trace("pod-worker2", "pod-worker1", "v6")) == ["R4", "R3"]
     docs = load_configmap_docs(
         (SCENARIOS / "configmap_worker2_modified.yaml").read_text()
     )
     summaries = sim.apply_configmaps(docs)
     assert "worker2: 1 replaced" in summaries
-    assert sim.trace_waypoints("pod-worker2", "pod-worker1", "v6") == [
+    assert waypoints(sim.trace("pod-worker2", "pod-worker1", "v6")) == [
         "R7", "R2", "R3"
     ]
     elapsed = time.perf_counter() - start
@@ -372,11 +373,10 @@ def test_criterion_10_vector_scalar_oracle():
     dp.install_steering(SteeringRule(parse_prefix("fd90::/64"), parse_v6("cafe::1")))
     dp.install_steering(SteeringRule(parse_prefix("10.1.0.0/16"), parse_v6("cafe::2")))
     dp.add_fib_route(parse_prefix("::/0"), "uplink")
-    g = build_tx_pipeline(dp, steering_cache=True)
 
     rng = random.Random(1010)
 
-    def packet(i):
+    def packet():
         roll = rng.random()
         if roll < 0.4:
             dst = f"fd90::{rng.randrange(1, 255):x}"
@@ -385,17 +385,17 @@ def test_criterion_10_vector_scalar_oracle():
         else:
             dst = f"fd99::{rng.randrange(1, 255):x}"  # no steering match
         src = "10.0.0.1" if "." in dst else "fd90::beef"
-        return PacketWork(index=i, inner=InnerPacket(
-            src=parse_addr(src), dst=parse_addr(dst), payload=b"x"))
+        return InnerPacket(src=parse_addr(src), dst=parse_addr(dst), payload=b"x")
 
     def signature(d):
-        return (d.kind, d.reason, d.next_hop, d.wire_bytes())
+        wire = encode_outer(d.outer) if d.outer is not None else b""
+        return (d.kind, d.reason, d.next_hop, wire)
 
     for _ in range(1000):
         n = rng.randint(1, 256)
-        vec = [packet(i) for i in range(n)]
-        vector_out = run_vector(g, vec)
-        scalar_out = [run_scalar(g, PacketWork(index=0, inner=p.inner)) for p in vec]
+        vec = [packet() for _ in range(n)]
+        vector_out = run_vector(dp, vec)
+        scalar_out = [run_scalar(dp, p) for p in vec]
         assert Counter(map(signature, vector_out)) == Counter(
             map(signature, scalar_out)
         )

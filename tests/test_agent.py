@@ -71,7 +71,6 @@ def test_startup_configures_dataplane_and_advertises():
     agent.startup()
     assert agent.dp.encap_source == INFRA_A
     assert len(agent.dp.localsids) == 1  # v6 only -> DT6
-    assert agent.dp.tenant_lookup(parse_v6("fd90:0:10::5")) == "pods"
     # one step-1 and one step-2 message queued toward the other node
     session = agent.bus.sessions[("a", "b")]
     assert len(session) == 2

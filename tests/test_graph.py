@@ -3,27 +3,22 @@ from collections import Counter
 
 import pytest
 
-from srv6sim.dataplane import (
-    Behavior,
-    LocalSidEntry,
-    NodeDataplane,
-    SrPolicyEntry,
-    SteeringRule,
-)
-from srv6sim.errors import GraphConfigError, SimError
+from srv6sim.dataplane import NodeDataplane, SrPolicyEntry, SteeringRule
+from srv6sim.errors import SimError
 from srv6sim.graph import (
     VECTOR_MAX,
-    Graph,
-    GraphNode,
-    PacketWork,
     bench_dispatch,
-    build_rx_pipeline,
-    build_tx_pipeline,
     render_bench_csv,
     run_scalar,
     run_vector,
 )
-from srv6sim.net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
+from srv6sim.net_types import (
+    InnerPacket,
+    encode_outer,
+    parse_addr,
+    parse_prefix,
+    parse_v6,
+)
 
 
 def make_dp(steered_fraction_prefix="fd90::/64"):
@@ -43,118 +38,73 @@ def make_dp(steered_fraction_prefix="fd90::/64"):
     return dp
 
 
-def make_packet(i, rng):
+def make_packet(rng):
     # half the packets match steering, half do not
     dst = f"fd90::{rng.randrange(1, 200):x}" if rng.random() < 0.5 else "fd99::1"
-    return PacketWork(
-        index=i,
-        inner=InnerPacket(
-            src=parse_addr("fd90::beef"), dst=parse_addr(dst), payload=b"p"
-        ),
-    )
+    return InnerPacket(src=parse_addr("fd90::beef"), dst=parse_addr(dst), payload=b"p")
 
 
 def test_vector_cap_enforced():
-    g = build_tx_pipeline(make_dp())
+    dp = make_dp()
     rng = random.Random(0)
-    too_many = [make_packet(i, rng) for i in range(VECTOR_MAX + 1)]
+    too_many = [make_packet(rng) for _ in range(VECTOR_MAX + 1)]
     with pytest.raises(SimError):
-        run_vector(g, too_many)
-    run_vector(g, too_many[:VECTOR_MAX])  # at the cap is fine
+        run_vector(dp, too_many)
+    run_vector(dp, too_many[:VECTOR_MAX])  # at the cap is fine
 
 
 def test_empty_vector_rejected():
     with pytest.raises(SimError):
-        run_vector(build_tx_pipeline(make_dp()), [])
+        run_vector(make_dp(), [])
 
 
 def test_conservation_every_packet_gets_a_disposition():
-    g = build_tx_pipeline(make_dp())
     rng = random.Random(1)
-    vec = [make_packet(i, rng) for i in range(100)]
-    out = run_vector(g, vec)
+    vec = [make_packet(rng) for _ in range(100)]
+    out = run_vector(make_dp(), vec)
     assert len(out) == 100
     assert {d.kind for d in out} <= {"tx", "drop"}
 
 
-def test_bad_successor_raises():
-    g = Graph(entry="a")
-    g.add(GraphNode("a", lambda items: [("ghost", it) for it in items]))
-    with pytest.raises(GraphConfigError):
-        run_vector(g, [PacketWork(index=0)])
-    g2 = Graph(entry="ghost")
-    with pytest.raises(GraphConfigError):
-        run_vector(g2, [PacketWork(index=0)])
-
-
 def _signature(disp):
-    return (disp.kind, disp.reason, disp.next_hop, disp.wire_bytes())
+    wire = encode_outer(disp.outer) if disp.outer is not None else b""
+    return (disp.kind, disp.reason, disp.next_hop, wire)
 
 
 def test_vector_equals_scalar_tx():
     rng = random.Random(2)
-    for cache in (False, True):
-        dp = make_dp()
-        g = build_tx_pipeline(dp, steering_cache=cache)
-        vec = [make_packet(i, rng) for i in range(64)]
-        vector_out = run_vector(g, vec)
-        scalar_out = [
-            run_scalar(g, PacketWork(index=0, inner=p.inner)) for p in vec
-        ]
-        assert [_signature(d) for d in vector_out] == [
-            _signature(d) for d in scalar_out
-        ]
-
-
-def test_rx_pipeline_dispositions():
-    head = make_dp()
-    g_tx = build_tx_pipeline(head)
-    vec = [
-        PacketWork(
-            index=0,
-            inner=InnerPacket(
-                src=parse_addr("fd90::1"), dst=parse_addr("fd90::2")
-            ),
-        )
-    ]
-    outer = run_vector(g_tx, vec)[0].outer
-    mid = NodeDataplane("mid")
-    mid.install_localsid(
-        LocalSidEntry(sid=parse_v6("fcff:1::1"), behavior=Behavior("End"))
-    )
-    out = run_vector(build_rx_pipeline(mid), [PacketWork(index=0, outer=outer)])
-    assert out[0].kind == "tx"
-    stray = PacketWork(index=0, outer=outer)
-    miss = run_vector(build_rx_pipeline(NodeDataplane("empty")), [stray])
-    assert miss[0].kind == "drop" and miss[0].reason == "not a localSID"
+    dp = make_dp()
+    vec = [make_packet(rng) for _ in range(64)]
+    vector_out = run_vector(dp, vec)
+    scalar_out = [run_scalar(dp, p) for p in vec]
+    assert [_signature(d) for d in vector_out] == [_signature(d) for d in scalar_out]
 
 
 def test_bench_reports_both_batches():
-    g = build_tx_pipeline(make_dp(), steering_cache=True)
+    dp = make_dp()
     rng = random.Random(3)
     rows = []
     for batch in (1, 256):
-        pkts = [make_packet(i, rng) for i in range(512)]
-        rows.append(bench_dispatch(g, pkts, batch))
+        pkts = [make_packet(rng) for _ in range(512)]
+        rows.append(bench_dispatch(dp, pkts, batch))
     csv = render_bench_csv(rows)
     lines = csv.splitlines()
     assert lines[0] == "batch,packets,seconds,pps"
     assert len(lines) == 3
     assert all(r["packets"] == 512 for r in rows)
     with pytest.raises(SimError):
-        bench_dispatch(g, [make_packet(0, rng)], 7)
+        bench_dispatch(dp, [make_packet(rng)], 7)
 
 
 def test_disposition_multiset_independent_of_batching():
     rng = random.Random(4)
-    packets = [make_packet(i, rng) for i in range(300)]
+    packets = [make_packet(rng) for _ in range(300)]
     dp = make_dp()
-    g = build_tx_pipeline(dp)
     whole = Counter()
     for i in range(0, 300, 256):
-        for d in run_vector(g, packets[i : i + 256]):
+        for d in run_vector(dp, packets[i : i + 256]):
             whole[_signature(d)] += 1
     single = Counter()
     for p in packets:
-        single[_signature(run_scalar(g, PacketWork(index=0, inner=p.inner)))] += 1
+        single[_signature(run_scalar(dp, p))] += 1
     assert whole == single

@@ -15,9 +15,7 @@ from srv6sim.k8s import (
     diff_policies,
     parse_configmap_doc,
     poll,
-    read_configmap,
     render_configmap_doc,
-    write_configmap,
 )
 from srv6sim.net_types import parse_prefix, parse_v6
 
@@ -31,9 +29,7 @@ def test_versions_are_store_wide_monotonic():
     v2 = store.write("b", "1")
     v3 = store.write("a", "2")
     assert v1 < v2 < v3
-    assert store.read("a") == ("2", v3)
-    with pytest.raises(KeyError):
-        store.read("missing")
+    assert store.entries["a"] == ("2", v3)
 
 
 def test_poll_reports_only_new_versions():
@@ -46,16 +42,6 @@ def test_poll_reports_only_new_versions():
     assert [kv[1] for kv in poll(store, watch)] == ["v2"]
     assert store.poll_count == 3
     assert store.scan_units == 2
-
-
-def test_snapshot_load_roundtrip():
-    store = KvStore()
-    store.write("k", "v")
-    snap = store.snapshot()
-    other = KvStore()
-    other.load(snap)
-    assert other.read("k") == store.read("k")
-    assert other.write("x", "y") > store.read("k")[1]
 
 
 # -- IPAM ------------------------------------------------------------------
@@ -165,9 +151,9 @@ def test_duplicate_policy_key_rejected():
 def test_store_roundtrip():
     store = KvStore()
     doc = parse_configmap_doc(DOC_TEXT)
-    write_configmap(store, configmap_key("master"), doc)
-    loaded, version = read_configmap(store, "srv6-config-master")
-    assert loaded == doc and version == 1
+    version = store.write(configmap_key("master"), render_configmap_doc(doc))
+    value, stored = store.entries["srv6-config-master"]
+    assert parse_configmap_doc(value) == doc and stored == version == 1
 
 
 def diff_of(old_text, new_text):

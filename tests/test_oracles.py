@@ -127,7 +127,6 @@ def test_dataplane_lookups_follow_mutations(case):
         policies[4 if family == "v4" else 6] = bsid
     for prefix, value in table.items():
         dp.add_fib_route(prefix, str(value))
-        dp.add_tenant_route(prefix, str(value))
     for op, prefix, value in [("noop", None, None)] + ops:
         if op == "add":
             dp.install_steering(SteeringRule(prefix, policies[prefix.version]))
@@ -137,8 +136,6 @@ def test_dataplane_lookups_follow_mutations(case):
         for addr in probes:
             expect = linear_lpm(dp.steering, addr)
             assert dp.steer_lookup(addr) == (expect[1] if expect else None)
-            expect = linear_lpm(dp.tenant_tables[0], addr)
-            assert dp.tenant_lookup(addr) == (expect[1] if expect else None)
             if addr.version == 6:
                 expect = linear_lpm(dp.fib, addr)
                 assert dp.fib_lookup(addr) == (expect[1] if expect else None)

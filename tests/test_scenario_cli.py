@@ -147,6 +147,12 @@ def _with_routers(extra: str, links: str = "links: []\n") -> str:
     return text.replace("links: []\n", links)
 
 
+def _basic(old: str, new: str, count: int = 1) -> str:
+    text = (SCENARIOS / "basic.yaml").read_text()
+    assert text.count(old) >= count, old
+    return text.replace(old, new)
+
+
 @pytest.mark.parametrize(
     "text, located, message",
     [
@@ -157,8 +163,37 @@ def _with_routers(extra: str, links: str = "links: []\n") -> str:
         (_with_routers('  - {end_sid: "fcff:99::1"}\n'), "routers[1]", "'name'"),
         (_with_routers('  - {name: R1, end_sid: "fcff:99::1"}\n'),
          "routers[1]", "duplicate router name 'R1'"),
+        (_basic('end_sid: "fcff:1::1"', 'end_sid: "zz"'),
+         "routers[0].end_sid", "malformed address 'zz'"),
+        (_basic('infra: "fd11::1000"', 'infra: "fd11::zz"'),
+         "nodes[1].infra", "malformed address"),
+        (_basic('pod_prefix_v6: "fd90:0:11::/64"', 'pod_prefix_v6: "fd90:0:11::/999"'),
+         "nodes[1].pod_prefix_v6", "malformed prefix"),
+        (_basic("localsid_pool: sr-localsids-pool-worker1",
+                'localsids: {DT6: "fcff::11::1"}'),
+         "nodes[1].localsids.DT6", "malformed address"),
+        (_basic('v6: "fd90:0:12::2"', 'v6: "fd90::12::2"'),
+         "pods[2].v6", "malformed address"),
+        (_basic('  - name: sr-policies-pool\n    cidr', '  - cidr'),
+         "pools[0]", "'name'"),
+        (_basic('    cidr: "fcff:0:0:11AA::/64"\n', ""), "pools[2]", "'cidr'"),
+        (_basic("name: sr-localsids-pool-worker1", "name: sr-localsids-pool-master"),
+         "pools[2]", "duplicate pool name 'sr-localsids-pool-master'"),
+        (_basic("seed: 7", "seed: abc"), ".seed", "'abc' is not an integer"),
+        (_basic("seed: 7", "seed: 7\nconvergence_steps: many"),
+         ".convergence_steps", "'many' is not an integer"),
+        (_basic("name: pod-worker2", "name: pod-worker1"),
+         "pods[2]", "duplicate pod name 'pod-worker1'"),
+        (_basic("worker2", "worker1", count=5), "nodes[2]", "duplicate node name 'worker1'"),
+        (_basic("worker2", "R1", count=5), "nodes[2]", "node name 'R1' is also a router"),
     ],
-    ids=["zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router"],
+    ids=[
+        "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
+        "malformed-end-sid", "malformed-infra", "malformed-pod-prefix",
+        "malformed-pinned-localsid", "malformed-pod-address", "pool-without-name",
+        "pool-without-cidr", "duplicate-pool", "non-integer-seed", "non-integer-convergence-steps",
+        "duplicate-pod", "duplicate-node", "node-named-like-router",
+    ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
     path = tmp_path / "bad.yaml"
