@@ -14,6 +14,7 @@ import struct
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from ipaddress import IPv6Address
 
 import yaml
@@ -141,6 +142,8 @@ def _walk_subtlvs(data: bytes, what: str):
         yield type_code, value
 
 
+# Pure, with frozen results: a broadcast's receivers share one decode (errors are not cached).
+@lru_cache(maxsize=1024)
 def decode_safi73(data: bytes) -> SrPolicySafiUpdate:
     head, offset = _take(data, 0, 4, "update header")
     flags, afi, safi = struct.unpack("!BHB", head)

@@ -2,9 +2,9 @@
 
 ``run_vector`` takes up to 256 inner packets leaving one node and runs each
 stage over the whole vector before the next (steer -> H.Encaps -> FIB
-lookup -> tx), the per-node vector idiom of VPP. Every later hop runs in
-``underlay.forward``. ``run_scalar`` is the one-packet oracle the vector
-path is tested against.
+lookup -> tx), the per-node vector idiom of VPP. ``underlay.forward`` walks
+the later hops once per outer header in a ping and replays that walk for the
+other packets (its flow memo). ``run_scalar`` is ``run_vector``'s oracle.
 """
 
 from __future__ import annotations

@@ -93,6 +93,17 @@ def _integer(value, where: str) -> int:
         raise ValidationError(f"{value!r} is not an integer", path=where) from None
 
 
+def _entries(data: dict, key: str, where: str, mappings: bool = True):
+    """``(path, entry)`` per entry of list section ``key`` (absent or null: none)."""
+    section = data.get(key)
+    if section is not None and not isinstance(section, list):
+        raise ValidationError(f"{key!r} must be a list", path=f"{where}.{key}")
+    for i, entry in enumerate(section or []):
+        if mappings and not isinstance(entry, dict):
+            raise ValidationError(f"entry {entry!r} is not a mapping", path=f"{where}.{key}[{i}]")
+        yield f"{where}.{key}[{i}]", entry
+
+
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a path or YAML text."""
     if isinstance(source, Path) or (
@@ -117,13 +128,17 @@ def load_scenario(source) -> Scenario:
         raise ValidationError(
             f"unknown segment_mode {data['segment_mode']!r}", path=where
         )
-    families = set(data.get("families", ["v4", "v6"]))
-    if not families <= {"v4", "v6"}:
-        raise ValidationError(f"bad families {sorted(families)}", path=where)
+    families = data.get("families", ["v4", "v6"])
+    if not isinstance(families, list) or not all(f in ("v4", "v6") for f in families):
+        raise ValidationError(f"bad families {families!r}", path=f"{where}.families")
+    fanout = data.get("configmap_fanout", "per-node")
+    if fanout not in ("per-node", "single-map"):
+        raise ValidationError(
+            f"unknown configmap_fanout {fanout!r}", path=f"{where}.configmap_fanout"
+        )
 
     routers, router_names = [], set()
-    for i, r in enumerate(data.get("routers", [])):
-        rpath = f"{where}.routers[{i}]"
+    for rpath, r in _entries(data, "routers", where):
         name = str(_require(r, "name", rpath))
         if name in router_names:
             raise ValidationError(f"duplicate router name {name!r}", path=rpath)
@@ -131,8 +146,7 @@ def load_scenario(source) -> Scenario:
         end_sid = _parsed(parse_v6, _require(r, "end_sid", rpath), f"{rpath}.end_sid")
         routers.append(RouterConfig(name, end_sid))
     links = []
-    for i, l in enumerate(data.get("links", [])):
-        lpath = f"{where}.links[{i}]"
+    for lpath, l in _entries(data, "links", where):
         a, b = str(_require(l, "a", lpath)), str(_require(l, "b", lpath))
         for end in (a, b):
             if end not in router_names:
@@ -143,8 +157,7 @@ def load_scenario(source) -> Scenario:
         links.append(LinkConfig(a=a, b=b, cost=cost, name=str(l.get("name", f"{a}-{b}"))))
 
     nodes, node_names = [], set()
-    for i, n in enumerate(data.get("nodes", [])):
-        npath = f"{where}.nodes[{i}]"
+    for npath, n in _entries(data, "nodes", where):
         name = str(_require(n, "name", npath))
         if name in node_names:
             raise ValidationError(f"duplicate node name {name!r}", path=npath)
@@ -175,8 +188,7 @@ def load_scenario(source) -> Scenario:
         )
 
     pools, pool_names = [], set()
-    for i, p in enumerate(data.get("pools", [])):
-        ppath = f"{where}.pools[{i}]"
+    for ppath, p in _entries(data, "pools", where):
         name = str(_require(p, "name", ppath))
         if name in pool_names:
             raise ValidationError(f"duplicate pool name {name!r}", path=ppath)
@@ -193,8 +205,7 @@ def load_scenario(source) -> Scenario:
         )
 
     pods, pod_names = [], set()
-    for i, p in enumerate(data.get("pods", [])):
-        ppath = f"{where}.pods[{i}]"
+    for ppath, p in _entries(data, "pods", where):
         name = str(_require(p, "name", ppath))
         if name in pod_names:
             raise ValidationError(f"duplicate pod name {name!r}", path=ppath)
@@ -209,8 +220,8 @@ def load_scenario(source) -> Scenario:
         pods.append(PodConfig(name=name, node=node, addrs=addrs))
 
     configmaps = [
-        parse_configmap_doc(doc, path=f"{where}.configmaps[{i}]")
-        for i, doc in enumerate(data.get("configmaps", []))
+        parse_configmap_doc(doc, path=path)
+        for path, doc in _entries(data, "configmaps", where, mappings=False)
     ]
     for doc in configmaps:
         if doc.node not in node_names:
@@ -220,7 +231,7 @@ def load_scenario(source) -> Scenario:
         name=str(data.get("name", "scenario")),
         mode=mode,
         seed=_integer(data.get("seed", 0), f"{where}.seed"),
-        families=families,
+        families=set(families),
         routers=routers,
         links=links,
         nodes=nodes,
@@ -229,7 +240,7 @@ def load_scenario(source) -> Scenario:
         bsid_pool=data.get("bsid_pool"),
         auto_step2=bool(data.get("auto_step2", True)),
         segment_mode=data.get("segment_mode", "double"),
-        configmap_fanout=data.get("configmap_fanout", "per-node"),
+        configmap_fanout=fanout,
         configmaps=configmaps,
         injector=data.get("injector"),
         injector_registered=bool(data.get("injector_registered", True)),

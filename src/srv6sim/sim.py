@@ -288,6 +288,7 @@ class Simulation:
             return report
         dp = self.dataplanes[src.node]
         routes = self.current_routes()
+        memo: dict = {}  # forward's flow memo; nothing changes routes or dataplanes in a call
         remaining = count
         while remaining > 0:
             batch = min(remaining, 256)
@@ -310,7 +311,7 @@ class Simulation:
                     report.drop_reasons.append(disp.reason)
                     continue
                 trace = forward(
-                    self.topology, routes, src.node, disp.outer, self.dataplanes
+                    self.topology, routes, src.node, disp.outer, self.dataplanes, memo
                 )
                 report.traces.append(trace)
                 self.traces_forwarded += 1

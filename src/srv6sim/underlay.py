@@ -139,35 +139,58 @@ def compute_routes(topology: Topology, advertised: dict[Prefix, str]) -> RouteTa
     return table
 
 
+def _settle(trace: TraceRecord, at: str, dst: IPv6Address, disp: Disposition) -> TraceRecord:
+    """End ``trace`` at ``at`` with a deliver or drop disposition."""
+    deliver = disp.kind == "deliver"
+    trace.hops.append(_hop(at, dst, "deliver" if deliver else f"drop:{disp.reason}"))
+    trace.disposition = disp
+    if deliver:
+        trace.deliver_node = at
+    return trace
+
+
 def forward(
     topology: Topology,
     routes: RouteTable,
     source: str,
     pkt: OuterPacket,
     dataplanes: dict[str, NodeDataplane],
+    memo: Optional[dict] = None,
 ) -> TraceRecord:
     """Forward ``pkt`` hop by hop starting at ``source``.
 
     At each vertex, a destination matching a local SID executes its behavior;
     otherwise the packet follows the route table. Routers decrement the outer
     hop limit. Terminates with a deliver or drop disposition.
+
+    ``memo`` maps an outer header (source, dst, hop limit, SRH) to its first
+    packet's walk: hops, consumed End/End.X entries and end. Later packets with
+    that header replay it; one that ended at a localSID runs it again on this
+    packet's inner. A memo lives for one ``Simulation.ping`` call, in which
+    routes and dataplanes stay fixed. ``memo=None`` is the plain-walk oracle.
     """
+    key = (source, pkt.dst, pkt.hop_limit, pkt.srh)
+    flow = memo.get(key) if memo is not None else None
+    if flow is not None:
+        hops, consumed, at, last, end = flow
+        for entry in consumed:
+            entry.rx_counter += 1
+        if isinstance(end, NodeDataplane):
+            end = end.process_local(replace(last, inner=pkt.inner))
+        return _settle(TraceRecord(hops=list(hops)), at, last.dst, end)
     trace = TraceRecord()
+    consumed: list = []
     current = source
     is_first = True
     for _ in range(MAX_TRACE_HOPS):
         dp = dataplanes.get(current)
-        if dp is not None and pkt.dst in dp.localsids:
+        entry = dp.localsids.get(pkt.dst) if dp is not None else None
+        if entry is not None:
             disp = dp.process_local(pkt)
-            if disp.kind == "drop":
-                trace.hops.append(_hop(current, pkt.dst, f"drop:{disp.reason}"))
-                trace.disposition = disp
-                return trace
-            if disp.kind == "deliver":
-                trace.hops.append(_hop(current, pkt.dst, "deliver"))
-                trace.disposition = disp
-                trace.deliver_node = current
-                return trace
+            if disp.kind in ("drop", "deliver"):
+                end = dp  # the inner decides: replays run this localSID again
+                break
+            consumed.append(entry)
             action = "end" if disp.kind == "forward" else "endx"
             trace.hops.append(_hop(current, pkt.dst, action))
             pkt = disp.packet
@@ -178,18 +201,20 @@ def forward(
         is_first = False
         if current in topology.routers:
             if pkt.hop_limit <= 1:
-                trace.hops.append(_hop(current, pkt.dst, "drop:ttl"))
-                trace.disposition = Disposition(kind="drop", reason="ttl")
-                return trace
+                disp = end = Disposition(kind="drop", reason="ttl")
+                break
             pkt = replace(pkt, hop_limit=pkt.hop_limit - 1)
         table = routes.get(current)
         hit = table.lookup(pkt.dst) if table is not None else None
         if hit is None:
-            trace.hops.append(_hop(current, pkt.dst, "drop:no route"))
-            trace.disposition = Disposition(kind="drop", reason="no route")
-            return trace
+            disp = end = Disposition(kind="drop", reason="no route")
+            break
         current = hit[1][0]
-    raise SimError("forwarding did not terminate")
+    else:
+        raise SimError("forwarding did not terminate")
+    if memo is not None:
+        memo[key] = (tuple(trace.hops), consumed, current, pkt, end)
+    return _settle(trace, current, pkt.dst, disp)
 
 
 def waypoints(trace: TraceRecord) -> list[str]:

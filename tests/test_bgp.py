@@ -92,6 +92,16 @@ def test_decode_rejects_wrong_safi():
         decode_safi73(bytes(raw))
 
 
+def test_repeated_decode_is_equal_and_malformed_raises_every_time():
+    """Decodes are memoised on the payload bytes; a rejection never is."""
+    raw = encode_safi73(WORKER2_V4)
+    first, second = decode_safi73(bytes(raw)), decode_safi73(bytes(raw))
+    assert first == second == WORKER2_V4
+    for _ in range(2):
+        with pytest.raises((TruncationError, DecodeError)):
+            decode_safi73(raw[:-1])
+
+
 def test_mutation_fuzz_never_crashes():
     rng = random.Random(12345)
     raw = encode_safi73(WORKER2_V4)

@@ -7,8 +7,11 @@
   ``compute_routes()`` over the advertised prefixes.
 - libyaml's loader and emitter against PyYAML's pure-Python safe loader
   and dumper.
+- ``underlay.forward`` with a flow memo (what ``Simulation.ping`` uses)
+  against the plain walk, ``memo=None``.
 """
 
+from dataclasses import replace
 from ipaddress import IPv4Address, IPv6Address, IPv6Network, ip_network
 
 import pytest
@@ -16,7 +19,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srv6sim.bgp import SessionBus
+import srv6sim.sim
+from srv6sim.bgp import SessionBus, parse_policy_file
 from srv6sim.dataplane import (
     Behavior,
     LocalSidEntry,
@@ -31,9 +35,11 @@ from srv6sim.k8s import (
     YamlLoader,
     render_configmap_doc,
 )
+from srv6sim.graph import run_vector
+from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
-from srv6sim.underlay import compute_routes
+from srv6sim.underlay import compute_routes, forward
 
 from conftest import SCENARIOS
 
@@ -251,3 +257,122 @@ def test_libyaml_matches_pure_python_yaml(doc):
 def test_libyaml_reads_shipped_files_like_pure_python(path):
     text = path.read_text()
     assert list(yaml.load_all(text, Loader=YamlLoader)) == list(yaml.load_all(text, Loader=yaml.SafeLoader))
+
+
+# -- flow memo in underlay.forward -----------------------------------------
+
+MEMO_CASES = ("basic", "full_cm", "full_bgp", "full_bgp+inject")
+
+
+def _started(case: str) -> Simulation:
+    sim = Simulation(load_scenario(SCENARIOS / f"{case.split('+')[0]}.yaml")).start()
+    if case.endswith("+inject"):
+        for path in sorted((SCENARIOS / "policies").glob("*.yaml")):
+            sim.inject(parse_policy_file(path.read_text()))
+    return sim
+
+
+def _fates(traces) -> list:
+    return [(t.hops, t.disposition, t.deliver_node) for t in traces]
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_flow_memo_matches_plain_walk(case, monkeypatch):
+    """Twin simulations ping every pod pair in both families, one through
+    the memoised ``forward`` of ``ping`` and one with the memo dropped."""
+    memoised, plain = _started(case), _started(case)
+    memos = []
+
+    def spy(*args):
+        memos.append(args[5])
+        return forward(*args)
+
+    forwarded = 0
+    for src in sorted(memoised.pods):
+        for dst in sorted(memoised.pods):
+            for family in ("v4", "v6"):
+                if src == dst or any(family not in memoised.pods[p].addrs for p in (src, dst)):
+                    continue
+                memos.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(srv6sim.sim, "forward", spy)
+                    got = memoised.ping(src, dst, count=5, family=family)
+                with monkeypatch.context() as m:
+                    m.setattr(srv6sim.sim, "forward", lambda *args: forward(*args[:5]))
+                    want = plain.ping(src, dst, count=5, family=family)
+                assert _fates(got.traces) == _fates(want.traces)
+                assert (got.delivered, got.drop_reasons) == (want.delivered, want.drop_reasons)
+                if memos:  # one memo per ping, one entry per outer header
+                    assert len(memos) == 5 and all(memo is memos[0] for memo in memos)
+                    assert len(memos[0]) == 1
+                    forwarded += 1
+    assert memoised.report_json() == plain.report_json()
+    assert forwarded or case == "full_bgp"  # full_bgp steers nothing before injects
+
+
+def _walk_twins(outers: list, source: str = "master"):
+    """Forward ``outers`` through one memo on one full_cm simulation and
+    through the plain walk on its twin; the fates and counters must agree."""
+    memoised, plain = _started("full_cm"), _started("full_cm")
+    memo: dict = {}
+    got = [
+        forward(memoised.topology, memoised.current_routes(), source, pkt,
+                memoised.dataplanes, memo)
+        for pkt in outers
+    ]
+    want = [
+        forward(plain.topology, plain.current_routes(), source, pkt, plain.dataplanes)
+        for pkt in outers
+    ]
+    assert _fates(got) == _fates(want)
+    assert memoised.report_json() == plain.report_json()
+    return got, memo
+
+
+def _tunnel_outer(family: str) -> OuterPacket:
+    """The outer header master puts on a packet to pod-worker2 in full_cm."""
+    sim = _started("full_cm")
+    inner = InnerPacket(src=sim.pods["pod-master"].addrs[family],
+                        dst=sim.pods["pod-worker2"].addrs[family])
+    return run_vector(sim.dataplanes["master"], [inner])[0].outer
+
+
+def _inners(family: str, n: int) -> list[bytes]:
+    src, dst = ("172.16.231.1", "172.16.135.1") if family == "v4" else ("fd90:0:10::2", "fd90:0:12::2")
+    return [
+        InnerPacket(src=parse_addr(src), dst=parse_addr(dst), payload=b"p%d" % i).encode()
+        for i in range(n)
+    ]
+
+
+def test_flow_memo_replays_header_level_drops():
+    """Three outer headers to R6's End SID share one memo: the tunnel's,
+    the same with hop limit 4 (it runs out at R7, after R6 consumed a
+    segment), and one whose next SID nobody advertises (no route at R6)."""
+    tunnel = _tunnel_outer("v6")
+    short = replace(tunnel, hop_limit=4)
+    srh = Srh(next_header=41, segments_left=1,
+              segment_list=(parse_v6("fcff:99::1"), parse_v6("fcff:6::1")))
+    lost = replace(tunnel, srh=srh)
+    inners = _inners("v6", 9)
+    outers = [replace(head, inner=inner)
+              for head, inner in zip([tunnel, short, lost] * 3, inners)]
+    got, memo = _walk_twins(outers)
+    assert len(memo) == 3
+    assert [t.drop_reason for t in got] == [None, "ttl", "no route"] * 3
+    assert [h.action for h in got[-2].hops][-3:] == ["end", "transit", "drop:ttl"]
+    assert got[-1].hops[-1].at == "R6" and got[-1].hops is not got[2].hops
+
+
+def test_flow_memo_runs_decap_per_packet():
+    """v4 inners behind a v6 tunnel's outer header reach its End.DT6 SID:
+    only they drop, although the first packet of the header delivered."""
+    outer = _tunnel_outer("v6")
+    v6, v4 = _inners("v6", 3), _inners("v4", 3)
+    inners = [v6[0], v4[0], v6[1], v4[1], v4[2], v6[2]]
+    got, memo = _walk_twins([replace(outer, inner=inner) for inner in inners])
+    assert len(memo) == 1
+    assert [t.drop_reason for t in got] == [None, "family mismatch", None,
+                                            "family mismatch", "family mismatch", None]
+    assert [t.deliver_node for t in got] == ["worker2", None, "worker2", None, None, "worker2"]
+    assert [t.disposition.inner.payload for t in got if t.delivered] == [b"p0", b"p1", b"p2"]

@@ -186,13 +186,24 @@ def _basic(old: str, new: str, count: int = 1) -> str:
          "pods[2]", "duplicate pod name 'pod-worker1'"),
         (_basic("worker2", "worker1", count=5), "nodes[2]", "duplicate node name 'worker1'"),
         (_basic("worker2", "R1", count=5), "nodes[2]", "node name 'R1' is also a router"),
+        (_basic('  - {name: R1, end_sid: "fcff:1::1"}', "  - 5"), "routers[0]", "5 is not a mapping"),
+        (_basic("  - name: master\n", "  - 3\n  - name: master\n"), "nodes[0]", "3 is not a mapping"),
+        (_basic('routers:\n  - {name: R1, end_sid: "fcff:1::1"}', "routers: 5"),
+         ".routers", "'routers' must be a list"),
+        (_basic("families: [v4, v6]", "families: 5"), ".families", "bad families 5"),
+        (_basic("seed: 7", "seed: 7\nconfigmaps: 5"), ".configmaps", "'configmaps' must be a list"),
+        (_basic("seed: 7", "seed: 7\nconfigmaps: [5]"), "configmaps[0]", "must be a mapping"),
+        (_basic("seed: 7", "seed: 7\nconfigmap_fanout: bogus"),
+         ".configmap_fanout", "unknown configmap_fanout 'bogus'"),
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
         "malformed-end-sid", "malformed-infra", "malformed-pod-prefix",
         "malformed-pinned-localsid", "malformed-pod-address", "pool-without-name",
         "pool-without-cidr", "duplicate-pool", "non-integer-seed", "non-integer-convergence-steps",
-        "duplicate-pod", "duplicate-node", "node-named-like-router",
+        "duplicate-pod", "duplicate-node", "node-named-like-router", "router-not-a-mapping",
+        "node-not-a-mapping", "routers-not-a-list", "families-not-a-list",
+        "configmaps-not-a-list", "configmap-not-a-mapping", "unknown-configmap-fanout",
     ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
