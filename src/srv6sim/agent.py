@@ -11,7 +11,6 @@ ignored).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from ipaddress import IPv6Address
 from typing import Optional
 
@@ -35,16 +34,6 @@ from .dataplane import (
 from .errors import SimError, ValidationError
 from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, diff_policies
 from .net_types import Prefix, family_of
-
-
-@dataclass(frozen=True)
-class InstallIntent:
-    """A tunnel the agent wants configured: one policy per (endpoint, family)."""
-
-    endpoint: IPv6Address
-    family: str
-    bsid: IPv6Address
-    segments: tuple[IPv6Address, ...]
 
 
 class Agent:
@@ -91,8 +80,9 @@ class Agent:
         self.metrics = metrics if metrics is not None else Counter()
         # control-plane state
         self.prefix_map: dict[IPv6Address, set[Prefix]] = {}
-        self.pending: dict[tuple[IPv6Address, str], InstallIntent] = {}
-        self.installed: dict[tuple[IPv6Address, str], InstallIntent] = {}
+        # (endpoint, family) -> the tunnel's policy, queued or configured
+        self.pending: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
+        self.installed: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
         self.last_doc: Optional[ConfigMapDoc] = None
         self._distinguisher = 0
 
@@ -204,11 +194,11 @@ class Agent:
         family = family_of(update.prefix)
         key = (update.next_hop, family)
         if key in self.pending:
-            self._try_install(self.pending.pop(key))
+            self._try_install(update.next_hop, self.pending.pop(key))
         elif key in self.installed:
             # new prefix for an endpoint whose tunnel already exists
-            intent = self.installed[key]
-            self.dp.install_steering(SteeringRule(match=update.prefix, bsid=intent.bsid))
+            policy = self.installed[key]
+            self.dp.install_steering(SteeringRule(match=update.prefix, bsid=policy.bsid))
 
     def _teardown_prefix(self, endpoint: IPv6Address, prefix: Prefix) -> None:
         self.dp.remove_steering(prefix)
@@ -219,10 +209,10 @@ class Agent:
         if remaining:
             return
         key = (endpoint, family)
-        intent = self.installed.pop(key, None)
-        if intent is not None:
-            self.dp.remove_policy(intent.bsid)
-            self.pending[key] = intent
+        policy = self.installed.pop(key, None)
+        if policy is not None:
+            self.dp.remove_policy(policy.bsid)
+            self.pending[key] = policy
 
     def on_policy(self, sender: str, update: SrPolicySafiUpdate) -> None:
         if self.mode == "configmap":
@@ -237,54 +227,45 @@ class Agent:
         key = (update.endpoint, update.family)
         if update.withdraw:
             self.pending.pop(key, None)
-            intent = self.installed.pop(key, None)
-            if intent is not None:
-                self.dp.remove_policy(intent.bsid)
+            policy = self.installed.pop(key, None)
+            if policy is not None:
+                self.dp.remove_policy(policy.bsid)
                 self._event("policy-withdrawn", str(update.endpoint))
             return
-        intent = InstallIntent(
-            endpoint=update.endpoint,
-            family=update.family,
-            bsid=update.bsid,
-            segments=update.segment_sids,
+        self._try_install(
+            update.endpoint,
+            SrPolicyEntry(bsid=update.bsid, segments=update.segment_sids, family=update.family),
         )
-        self._try_install(intent)
 
-    def _try_install(self, intent: InstallIntent) -> None:
-        """Install the tunnel if the endpoint's prefixes are known, else queue.
+    def _try_install(self, endpoint: IPv6Address, policy: SrPolicyEntry) -> None:
+        """Install the tunnel to ``endpoint`` if its prefixes are known, else queue.
 
         Replacing an existing (endpoint, family) tunnel atomically swaps the
         policy; the binding SID may change, in which case the old policy is
         removed after the new one is installed.
         """
-        key = (intent.endpoint, intent.family)
+        key = (endpoint, policy.family)
         matching = [
-            p
-            for p in self.prefix_map.get(intent.endpoint, ())
-            if family_of(p) == intent.family
+            p for p in self.prefix_map.get(endpoint, ()) if family_of(p) == policy.family
         ]
         if not matching:
-            self.pending[key] = intent
-            self._event("policy-pending", f"{intent.endpoint} {intent.family}")
+            self.pending[key] = policy
+            self._event("policy-pending", f"{endpoint} {policy.family}")
             return
         previous = self.installed.get(key)
-        policy = SrPolicyEntry(
-            bsid=intent.bsid, segments=intent.segments, family=intent.family
-        )
-        rules = [SteeringRule(match=p, bsid=intent.bsid) for p in matching]
         self.dp.install_policy(policy)
-        for rule in rules:
-            self.dp.install_steering(rule)
-        if previous is not None and previous.bsid != intent.bsid:
+        for prefix in matching:
+            self.dp.install_steering(SteeringRule(match=prefix, bsid=policy.bsid))
+        if previous is not None and previous.bsid != policy.bsid:
             self.dp.remove_policy(previous.bsid)
-        self.installed[key] = intent
+        self.installed[key] = policy
         self.pending.pop(key, None)
-        self._event("policy-installed", f"{intent.endpoint} {intent.family}")
+        self._event("policy-installed", f"{endpoint} {policy.family}")
 
     def _uninstall(self, key: tuple[IPv6Address, str]) -> None:
-        intent = self.installed.pop(key, None)
-        if intent is not None:
-            self.dp.remove_policy(intent.bsid)
+        policy = self.installed.pop(key, None)
+        if policy is not None:
+            self.dp.remove_policy(policy.bsid)
         self.pending.pop(key, None)
 
     # -- configmap mode ----------------------------------------------------
@@ -319,12 +300,8 @@ class Agent:
             if entry.egress_node == self.infra:
                 continue
             self._try_install(
-                InstallIntent(
-                    endpoint=entry.egress_node,
-                    family=entry.family,
-                    bsid=entry.bsid,
-                    segments=entry.segment_list,
-                )
+                entry.egress_node,
+                SrPolicyEntry(bsid=entry.bsid, segments=entry.segment_list, family=entry.family),
             )
         self.last_doc = doc
         if not diff.empty:

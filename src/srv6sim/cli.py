@@ -91,12 +91,6 @@ def cmd_apply_configmap(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    sim = _boot(args)
-    print(sim.report_json())
-    return EXIT_OK
-
-
 def cmd_bench(args) -> int:
     # self-contained synthetic node: one policy, one steering rule
     dp = NodeDataplane("bench")
@@ -183,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="print the converged-state report")
     scenario_opts(p)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="vector-vs-scalar dispatch benchmark")
     p.add_argument("--packets", type=int, default=4096)

@@ -29,8 +29,6 @@ from .net_types import (
 OUTER_HOP_LIMIT = 64
 
 # Numeric endpoint behavior codes as carried on the wire.
-BEHAVIOR_END = 1
-BEHAVIOR_END_X = 5
 BEHAVIOR_END_DT6 = 18
 BEHAVIOR_END_DT4 = 19
 
@@ -43,22 +41,13 @@ class Behavior:
     next_hop: Optional[IPv6Address] = None  # EndX only
     table_id: int = 0  # EndDT4/EndDT6 only
 
-    _CODES = {
-        "End": BEHAVIOR_END,
-        "EndX": BEHAVIOR_END_X,
-        "EndDT6": BEHAVIOR_END_DT6,
-        "EndDT4": BEHAVIOR_END_DT4,
-    }
+    _KINDS = ("End", "EndX", "EndDT6", "EndDT4")
 
     def __post_init__(self):
-        if self.kind not in self._CODES:
+        if self.kind not in self._KINDS:
             raise SimError(f"unknown behavior kind {self.kind!r}")
         if self.kind == "EndX" and self.next_hop is None:
             raise SimError("EndX requires a next hop")
-
-    @property
-    def code(self) -> int:
-        return self._CODES[self.kind]
 
     def render(self) -> str:
         if self.kind == "End":

@@ -2,35 +2,25 @@
 
 ``run_vector`` takes up to 256 inner packets leaving one node and runs each
 stage over the whole vector before the next (steer -> H.Encaps -> FIB
-lookup -> tx), the per-node vector idiom of VPP. ``underlay.forward`` walks
-the later hops once per outer header in a ping and replays that walk for the
-other packets (its flow memo). ``run_scalar`` is ``run_vector``'s oracle.
+lookup), the per-node vector idiom of VPP. Each packet leaves as a
+``Disposition``: ``forward`` with its outer packet, or ``drop`` with a
+reason. ``underlay.forward`` walks the later hops once per outer header in a
+ping and replays that walk for the other packets (its flow memo). The
+per-packet oracle is ``scalar_tx`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional
 
-from .dataplane import NodeDataplane
+from .dataplane import Disposition, NodeDataplane
 from .errors import SimError
-from .net_types import InnerPacket, OuterPacket
+from .net_types import InnerPacket
 
 VECTOR_MAX = 256
 
 
-@dataclass(frozen=True)
-class GraphDisposition:
-    """Fate of one packet on the tx path."""
-
-    kind: str  # tx | drop
-    outer: Optional[OuterPacket] = None
-    next_hop: Optional[str] = None
-    reason: Optional[str] = None
-
-
-def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[GraphDisposition]:
+def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Disposition]:
     """Steer, encapsulate and route ``vector``; one disposition per packet,
     in vector order."""
     if not vector:
@@ -52,17 +42,12 @@ def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[GraphDispos
     out = []
     for outer, next_hop in zip(outers, next_hops):
         if outer is None:
-            out.append(GraphDisposition(kind="drop", reason="no steering match"))
+            out.append(Disposition(kind="drop", reason="no steering match"))
         elif next_hop is None:
-            out.append(GraphDisposition(kind="drop", reason="no route"))
+            out.append(Disposition(kind="drop", reason="no route"))
         else:
-            out.append(GraphDisposition(kind="tx", outer=outer, next_hop=next_hop))
+            out.append(Disposition(kind="forward", packet=outer))
     return out
-
-
-def run_scalar(dp: NodeDataplane, packet: InnerPacket) -> GraphDisposition:
-    """Identical semantics to running a one-packet vector."""
-    return run_vector(dp, [packet])[0]
 
 
 def bench_dispatch(dp: NodeDataplane, packets: list[InnerPacket], batch: int) -> dict:

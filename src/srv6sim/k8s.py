@@ -191,8 +191,11 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
     node = data.get("node")
     if not node:
         raise ValidationError("missing node name", path=path)
+    raw_localsids = data.get("localsids") or {}
+    if not isinstance(raw_localsids, dict):
+        raise ValidationError("'localsids' must be a mapping", path=f"{path}.localsids")
     localsids = {}
-    for kind, value in (data.get("localsids") or {}).items():
+    for kind, value in raw_localsids.items():
         if kind not in ("DT4", "DT6"):
             raise ValidationError(
                 f"unknown localsid kind {kind!r}", path=f"{path}.localsids"
@@ -201,8 +204,11 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
             localsids[kind] = parse_v6(str(value))
         except SimError as exc:
             raise ValidationError(str(exc), path=f"{path}.localsids.{kind}") from None
+    raw_policies = data.get("policies") or []
+    if not isinstance(raw_policies, list):
+        raise ValidationError("'policies' must be a list", path=f"{path}.policies")
     policies = []
-    for i, entry in enumerate(data.get("policies") or []):
+    for i, entry in enumerate(raw_policies):
         where = f"{path}.policies[{i}]"
         if not isinstance(entry, dict):
             raise ValidationError("policy must be a mapping", path=where)
@@ -212,14 +218,15 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
         traffic = entry.get("traffic")
         if traffic not in ("IPv4", "IPv6"):
             raise ValidationError(f"bad traffic {traffic!r}", path=where)
+        segments = entry.get("segment_list") or []
+        if not isinstance(segments, list):
+            raise ValidationError("'segment_list' must be a list", path=f"{where}.segment_list")
         try:
             policies.append(
                 PolicyDocEntry(
                     egress_node=parse_v6(str(egress)),
                     bsid=parse_v6(str(entry["bsid"])),
-                    segment_list=tuple(
-                        parse_v6(str(s)) for s in entry.get("segment_list") or []
-                    ),
+                    segment_list=tuple(parse_v6(str(s)) for s in segments),
                     traffic=traffic,
                 )
             )

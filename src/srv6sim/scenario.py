@@ -13,6 +13,7 @@ import yaml
 from .errors import AddrParseError, ValidationError
 from .k8s import ConfigMapDoc, IpPool, YamlLoader, parse_configmap_doc
 from .net_types import Addr, Prefix, parse_addr, parse_prefix, parse_v6
+from .underlay import Link
 
 
 @dataclass(frozen=True)
@@ -23,14 +24,6 @@ class RouterConfig:
     @property
     def sid_prefix(self) -> IPv6Network:
         return IPv6Network((self.end_sid, 32), strict=False)
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    a: str
-    b: str
-    cost: int
-    name: str
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class Scenario:
     seed: int
     families: set[str]
     routers: list[RouterConfig]
-    links: list[LinkConfig]
+    links: list[Link]
     nodes: list[NodeConfig]
     pools: list[IpPool]
     pods: list[PodConfig]
@@ -154,7 +147,7 @@ def load_scenario(source) -> Scenario:
         cost = l.get("cost", 1)
         if not isinstance(cost, int) or cost <= 0:
             raise ValidationError(f"link cost {cost!r} is not a positive integer", path=lpath)
-        links.append(LinkConfig(a=a, b=b, cost=cost, name=str(l.get("name", f"{a}-{b}"))))
+        links.append(Link(a=a, b=b, cost=cost, name=str(l.get("name", f"{a}-{b}"))))
 
     nodes, node_names = [], set()
     for npath, n in _entries(data, "nodes", where):
@@ -172,9 +165,11 @@ def load_scenario(source) -> Scenario:
             key = f"pod_prefix_{family}"
             if family in families and n.get(key):
                 prefixes.append(_parsed(parse_prefix, n[key], f"{npath}.{key}"))
+        pinned = n.get("localsids") or {}
+        if not isinstance(pinned, dict):
+            raise ValidationError("'localsids' must be a mapping", path=f"{npath}.localsids")
         localsids = {
-            k: _parsed(parse_v6, v, f"{npath}.localsids.{k}")
-            for k, v in (n.get("localsids") or {}).items()
+            k: _parsed(parse_v6, v, f"{npath}.localsids.{k}") for k, v in pinned.items()
         }
         nodes.append(
             NodeConfig(

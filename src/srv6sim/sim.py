@@ -85,19 +85,18 @@ class Simulation:
         self.tunnel_counts: Counter = Counter()
         self.traces_forwarded = 0
 
-        self.topology = Topology()
+        self.topology = Topology(
+            routers={r.name for r in scenario.routers}, links=list(scenario.links)
+        )
         self.router_sids: dict[str, IPv6Network] = {}
         self.dataplanes: dict[str, NodeDataplane] = {}
         for router in scenario.routers:
-            self.topology.add_router(router.name)
             dp = NodeDataplane(router.name)
             dp.install_localsid(
                 LocalSidEntry(sid=router.end_sid, behavior=Behavior("End"))
             )
             self.dataplanes[router.name] = dp
             self.router_sids[router.name] = router.sid_prefix
-        for link in scenario.links:
-            self.topology.add_link(link.a, link.b, link.cost, link.name)
         for node in scenario.nodes:
             self.topology.attach(node.name, node.router)
             dp = NodeDataplane(node.name)
@@ -211,15 +210,12 @@ class Simulation:
 
     # -- control-plane inputs ---------------------------------------------
 
-    def inject(self, update: SrPolicySafiUpdate, sender: Optional[str] = None) -> None:
+    def inject(self, update: SrPolicySafiUpdate) -> None:
         """Deliver a policy update from the injector peer to every node."""
         if self.scenario.mode != "bgp":
             raise ModeMismatchError("inject requires bgp mode; use apply-configmap")
-        sender = sender or self.injector
         payload = ("safi73", encode_safi73(update))
-        if sender not in self.bus.peers:
-            self.bus.register(sender)
-        self.bus.broadcast(sender, [n.name for n in self.scenario.nodes], payload)
+        self.bus.broadcast(self.injector, [n.name for n in self.scenario.nodes], payload)
         self.metrics["injects"] += 1
         self.run_to_quiescence()
 
@@ -311,7 +307,7 @@ class Simulation:
                     report.drop_reasons.append(disp.reason)
                     continue
                 trace = forward(
-                    self.topology, routes, src.node, disp.outer, self.dataplanes, memo
+                    self.topology, routes, src.node, disp.packet, self.dataplanes, memo
                 )
                 report.traces.append(trace)
                 self.traces_forwarded += 1

@@ -32,21 +32,12 @@ class Link:
         if self.cost <= 0:
             raise SimError(f"link {self.name} must have positive cost")
 
-    def other(self, end: str) -> str:
-        return self.b if end == self.a else self.a
-
 
 @dataclass
 class Topology:
     routers: set[str] = field(default_factory=set)
     links: list[Link] = field(default_factory=list)
     attachments: dict[str, str] = field(default_factory=dict)  # node -> router
-
-    def add_router(self, name: str) -> None:
-        self.routers.add(name)
-
-    def add_link(self, a: str, b: str, cost: int = 1, name: str = "") -> None:
-        self.links.append(Link(a, b, cost, name or f"{a}-{b}"))
 
     def attach(self, node: str, router: str) -> None:
         if router not in self.routers:

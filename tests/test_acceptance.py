@@ -26,7 +26,7 @@ from srv6sim.dataplane import (
     SteeringRule,
 )
 from srv6sim.errors import SimError
-from srv6sim.graph import run_scalar, run_vector
+from srv6sim.graph import run_vector
 from srv6sim.k8s import (
     ConfigMapDoc,
     IpPool,
@@ -48,7 +48,7 @@ from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation, load_configmap_docs
 from srv6sim.underlay import waypoints
 
-from conftest import SCENARIOS, random_v4, random_v6
+from conftest import SCENARIOS, random_v4, random_v6, scalar_tx
 
 BASIC = str(SCENARIOS / "basic.yaml")
 FULL_CM = str(SCENARIOS / "full_cm.yaml")
@@ -370,38 +370,47 @@ def test_criterion_10_vector_scalar_oracle():
     dp.install_policy(SrPolicyEntry(
         bsid=parse_v6("cafe::2"), segments=(parse_v6("fcff:8::1"),), family="v4",
     ))
+    dp.install_policy(SrPolicyEntry(
+        bsid=parse_v6("cafe::3"), segments=(parse_v6("fcee::1"),), family="v6",
+    ))
     dp.install_steering(SteeringRule(parse_prefix("fd90::/64"), parse_v6("cafe::1")))
     dp.install_steering(SteeringRule(parse_prefix("10.1.0.0/16"), parse_v6("cafe::2")))
-    dp.add_fib_route(parse_prefix("::/0"), "uplink")
+    dp.install_steering(SteeringRule(parse_prefix("fd91::/64"), parse_v6("cafe::3")))
+    dp.add_fib_route(parse_prefix("fcff::/16"), "uplink")  # fcee::1 has no route
 
     rng = random.Random(1010)
 
     def packet():
         roll = rng.random()
-        if roll < 0.4:
+        if roll < 0.35:
             dst = f"fd90::{rng.randrange(1, 255):x}"
-        elif roll < 0.7:
+        elif roll < 0.65:
             dst = f"10.1.{rng.randrange(256)}.{rng.randrange(1, 255)}"
+        elif roll < 0.8:
+            dst = f"fd91::{rng.randrange(1, 255):x}"  # steered, no route
         else:
             dst = f"fd99::{rng.randrange(1, 255):x}"  # no steering match
         src = "10.0.0.1" if "." in dst else "fd90::beef"
         return InnerPacket(src=parse_addr(src), dst=parse_addr(dst), payload=b"x")
 
     def signature(d):
-        wire = encode_outer(d.outer) if d.outer is not None else b""
-        return (d.kind, d.reason, d.next_hop, wire)
+        wire = encode_outer(d.packet) if d.packet is not None else b""
+        return (d.kind, d.reason, wire)
 
+    fates = Counter()
     for _ in range(1000):
         n = rng.randint(1, 256)
         vec = [packet() for _ in range(n)]
         vector_out = run_vector(dp, vec)
-        scalar_out = [run_scalar(dp, p) for p in vec]
+        scalar_out = [scalar_tx(dp, p) for p in vec]
         assert Counter(map(signature, vector_out)) == Counter(
             map(signature, scalar_out)
         )
         assert [signature(d) for d in vector_out] == [
             signature(d) for d in scalar_out
         ]
+        fates.update(d.reason for d in vector_out)
+    assert set(fates) == {None, "no route", "no steering match"}
     print("\ncriterion 10: PASS — 1000 vectors (1..256): vector == scalar "
           "dispositions and bytes")
 

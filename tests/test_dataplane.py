@@ -7,7 +7,7 @@ from srv6sim.dataplane import (
     SrPolicyEntry,
     SteeringRule,
 )
-from srv6sim.errors import DanglingPolicyError, FamilyMismatchError
+from srv6sim.errors import DanglingPolicyError, FamilyMismatchError, SimError
 from srv6sim.net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
 
 S1, S2, S3 = (parse_v6(f"fcff:{i}::1") for i in (1, 2, 3))
@@ -97,6 +97,13 @@ def test_endx_forces_next_hop():
     mid.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("EndX", next_hop=nh)))
     disp = mid.process_local(outer)
     assert disp.kind == "forward_via" and disp.next_hop == nh
+
+
+def test_behavior_validation():
+    with pytest.raises(SimError, match="unknown behavior kind"):
+        Behavior("End.X")
+    with pytest.raises(SimError, match="requires a next hop"):
+        Behavior("EndX")
 
 
 def test_steering_is_lpm_and_family_scoped():

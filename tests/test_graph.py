@@ -5,13 +5,7 @@ import pytest
 
 from srv6sim.dataplane import NodeDataplane, SrPolicyEntry, SteeringRule
 from srv6sim.errors import SimError
-from srv6sim.graph import (
-    VECTOR_MAX,
-    bench_dispatch,
-    render_bench_csv,
-    run_scalar,
-    run_vector,
-)
+from srv6sim.graph import VECTOR_MAX, bench_dispatch, render_bench_csv, run_vector
 from srv6sim.net_types import (
     InnerPacket,
     encode_outer,
@@ -20,27 +14,32 @@ from srv6sim.net_types import (
     parse_v6,
 )
 
+from conftest import scalar_tx
 
-def make_dp(steered_fraction_prefix="fd90::/64"):
+
+def make_dp():
+    """fd90::/64 tunnels via fcff:1::1, which the FIB routes; fd91::/64 via
+    fcee::1, which it does not; nothing steers fd99::/64."""
     dp = NodeDataplane("n")
     dp.set_encap_source(parse_v6("fd10::1000"))
-    dp.install_policy(
-        SrPolicyEntry(
-            bsid=parse_v6("cafe::1"),
-            segments=(parse_v6("fcff:1::1"), parse_v6("fcff:3::1")),
-            family="v6",
+    for bsid, first, match in (("cafe::1", "fcff:1::1", "fd90::/64"),
+                               ("cafe::2", "fcee::1", "fd91::/64")):
+        dp.install_policy(
+            SrPolicyEntry(
+                bsid=parse_v6(bsid),
+                segments=(parse_v6(first), parse_v6("fcff:3::1")),
+                family="v6",
+            )
         )
-    )
-    dp.install_steering(
-        SteeringRule(parse_prefix(steered_fraction_prefix), parse_v6("cafe::1"))
-    )
-    dp.add_fib_route(parse_prefix("::/0"), "uplink")
+        dp.install_steering(SteeringRule(parse_prefix(match), parse_v6(bsid)))
+    dp.add_fib_route(parse_prefix("fcff::/16"), "uplink")
     return dp
 
 
 def make_packet(rng):
-    # half the packets match steering, half do not
-    dst = f"fd90::{rng.randrange(1, 200):x}" if rng.random() < 0.5 else "fd99::1"
+    # half the packets are routed, a quarter have no route, a quarter no steering
+    net = rng.choice(("fd90", "fd90", "fd91", "fd99"))
+    dst = f"{net}::{rng.randrange(1, 200):x}"
     return InnerPacket(src=parse_addr("fd90::beef"), dst=parse_addr(dst), payload=b"p")
 
 
@@ -63,12 +62,14 @@ def test_conservation_every_packet_gets_a_disposition():
     vec = [make_packet(rng) for _ in range(100)]
     out = run_vector(make_dp(), vec)
     assert len(out) == 100
-    assert {d.kind for d in out} <= {"tx", "drop"}
+    assert {(d.kind, d.reason) for d in out} == {
+        ("forward", None), ("drop", "no route"), ("drop", "no steering match"),
+    }
 
 
 def _signature(disp):
-    wire = encode_outer(disp.outer) if disp.outer is not None else b""
-    return (disp.kind, disp.reason, disp.next_hop, wire)
+    wire = encode_outer(disp.packet) if disp.packet is not None else b""
+    return (disp.kind, disp.reason, wire)
 
 
 def test_vector_equals_scalar_tx():
@@ -76,8 +77,9 @@ def test_vector_equals_scalar_tx():
     dp = make_dp()
     vec = [make_packet(rng) for _ in range(64)]
     vector_out = run_vector(dp, vec)
-    scalar_out = [run_scalar(dp, p) for p in vec]
+    scalar_out = [scalar_tx(dp, p) for p in vec]
     assert [_signature(d) for d in vector_out] == [_signature(d) for d in scalar_out]
+    assert {d.reason for d in vector_out} == {None, "no route", "no steering match"}
 
 
 def test_bench_reports_both_batches():
@@ -106,5 +108,5 @@ def test_disposition_multiset_independent_of_batching():
             whole[_signature(d)] += 1
     single = Counter()
     for p in packets:
-        single[_signature(run_scalar(dp, p))] += 1
+        single[_signature(scalar_tx(dp, p))] += 1
     assert whole == single

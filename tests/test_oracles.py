@@ -334,7 +334,7 @@ def _tunnel_outer(family: str) -> OuterPacket:
     sim = _started("full_cm")
     inner = InnerPacket(src=sim.pods["pod-master"].addrs[family],
                         dst=sim.pods["pod-worker2"].addrs[family])
-    return run_vector(sim.dataplanes["master"], [inner])[0].outer
+    return run_vector(sim.dataplanes["master"], [inner])[0].packet
 
 
 def _inners(family: str, n: int) -> list[bytes]:

@@ -76,9 +76,12 @@ def test_state_invariant_across_seeds():
 
 def test_cli_run_and_report(capsys):
     assert main(["run", "--scenario", BASIC]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["mode"] == "bgp"
     assert payload["control"]["step1_sent"] == 6  # 3 nodes x 2 prefixes
+    assert main(["report", "--scenario", BASIC]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_ping_exit_codes(capsys):
@@ -153,6 +156,17 @@ def _basic(old: str, new: str, count: int = 1) -> str:
     return text.replace(old, new)
 
 
+# ConfigMap documents of the wrong shape: (flow YAML, location, message).
+BAD_DOCS = [
+    ("{node: master, localsids: [1]}", ".localsids", "'localsids' must be a mapping"),
+    ("{node: master, policies: 5}", ".policies", "'policies' must be a list"),
+    ("{node: master, policies: [{egress_node: 'fd11::1000', bsid: 'cafe::9', "
+     "traffic: IPv6, segment_list: 5}]}",
+     ".policies[0].segment_list", "'segment_list' must be a list"),
+]
+BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-not-a-list"]
+
+
 @pytest.mark.parametrize(
     "text, located, message",
     [
@@ -195,6 +209,10 @@ def _basic(old: str, new: str, count: int = 1) -> str:
         (_basic("seed: 7", "seed: 7\nconfigmaps: [5]"), "configmaps[0]", "must be a mapping"),
         (_basic("seed: 7", "seed: 7\nconfigmap_fanout: bogus"),
          ".configmap_fanout", "unknown configmap_fanout 'bogus'"),
+        (_basic("localsid_pool: sr-localsids-pool-worker1", "localsids: [1]"),
+         "nodes[1].localsids", "'localsids' must be a mapping"),
+        *[(_basic("seed: 7", f"seed: 7\nconfigmaps: [{doc}]"), f"configmaps[0]{located}", message)
+          for doc, located, message in BAD_DOCS],
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
@@ -204,6 +222,7 @@ def _basic(old: str, new: str, count: int = 1) -> str:
         "duplicate-pod", "duplicate-node", "node-named-like-router", "router-not-a-mapping",
         "node-not-a-mapping", "routers-not-a-list", "families-not-a-list",
         "configmaps-not-a-list", "configmap-not-a-mapping", "unknown-configmap-fanout",
+        "localsids-not-a-mapping", *(f"configmap-{name}" for name in BAD_DOC_IDS),
     ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
@@ -232,3 +251,12 @@ def test_isolated_router_drops_only_its_own_traffic(tmp_path, capsys):
     trace = forward(sim.topology, sim.current_routes(), "master", stray, sim.dataplanes)
     assert trace.drop_reason == "no route"
     assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker1"]) == 0
+
+
+@pytest.mark.parametrize("doc, located, message", BAD_DOCS, ids=BAD_DOC_IDS)
+def test_cli_apply_malformed_configmap_exits_2(tmp_path, capsys, doc, located, message):
+    path = tmp_path / "bad-doc.yaml"
+    path.write_text(doc + "\n")
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"doc[0]{located}" in err and message in err and "Traceback" not in err

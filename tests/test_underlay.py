@@ -12,6 +12,7 @@ from srv6sim.dataplane import (
 from srv6sim.errors import SimError
 from srv6sim.net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
 from srv6sim.underlay import (
+    Link,
     Topology,
     compute_routes,
     forward,
@@ -27,12 +28,10 @@ GRID_LINKS = [
 
 
 def make_grid():
-    topo = Topology()
-    for i in range(1, 9):
-        topo.add_router(f"R{i}")
-    for a, b, name in GRID_LINKS:
-        topo.add_link(a, b, 1, name)
-    return topo
+    return Topology(
+        routers={f"R{i}" for i in range(1, 9)},
+        links=[Link(a, b, 1, name) for a, b, name in GRID_LINKS],
+    )
 
 
 def brute_force_best(topo, src, dst):
@@ -81,11 +80,7 @@ def test_deterministic_tie_break_prefers_smaller_link_names():
 
 
 def test_unreachable_origin_left_out():
-    topo = Topology()
-    topo.add_router("R1")
-    topo.add_router("R2")
-    topo.add_router("R9")  # isolated
-    topo.add_link("R1", "R2", 1, "l12")
+    topo = Topology(routers={"R1", "R2", "R9"}, links=[Link("R1", "R2", 1, "l12")])  # R9 isolated
     advertised = {
         parse_prefix("fcff:2::/32"): "R2",
         parse_prefix("fcff:9::/32"): "R9",
@@ -96,11 +91,8 @@ def test_unreachable_origin_left_out():
 
 
 def test_negative_cost_rejected():
-    topo = Topology()
-    topo.add_router("A")
-    topo.add_router("B")
     with pytest.raises(SimError):
-        topo.add_link("A", "B", 0, "z")
+        Link("A", "B", 0, "z")
 
 
 def make_overlay():
