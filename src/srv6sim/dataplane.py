@@ -95,7 +95,6 @@ class Disposition:
     packet: Optional[OuterPacket] = None
     next_hop: Optional[IPv6Address] = None
     inner: Optional[InnerPacket] = None
-    table_id: Optional[int] = None
     reason: Optional[str] = None
 
 
@@ -283,7 +282,7 @@ class NodeDataplane:
         wanted = "v4" if behavior.kind == "EndDT4" else "v6"
         if inner.family != wanted:
             return Disposition(kind="drop", reason="family mismatch")
-        return Disposition(kind="deliver", inner=inner, table_id=behavior.table_id)
+        return Disposition(kind="deliver", inner=inner)
 
     def fib_lookup(self, dst: IPv6Address):
         """``"local"`` on an exact localSID hit, else LPM next hop, else None."""

@@ -5,6 +5,7 @@ IPAM pools with block carving, and the per-node SR-TE policy document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from ipaddress import IPv6Address
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .net_types import Addr, Prefix, parse_v6
 # emitter folds long scalars differently; see render_configmap_doc.
 YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; addresses are immutable
 
 
 # -- key-value store -------------------------------------------------------
@@ -32,14 +34,16 @@ class KvStore:
 
     def __init__(self):
         self.entries: dict[str, tuple[str, int]] = {}
+        self.decoded: dict[str, object] = {}  # None or the decoded value of entries[key]
         self._version = 0
         # accounting for the watch cost model
         self.poll_count = 0
         self.scan_units = 0
 
-    def write(self, key: str, value: str) -> int:
+    def write(self, key: str, value: str, decoded=None) -> int:
         self._version += 1
         self.entries[key] = (value, self._version)
+        self.decoded[key] = decoded
         return self._version
 
 
@@ -137,6 +141,16 @@ class IpamAllocator:
 
 # -- ConfigMap documents ---------------------------------------------------
 
+LOCALSID_KINDS = ("DT4", "DT6")
+TRAFFIC_KINDS = ("IPv4", "IPv6")
+
+
+def one_of(value, allowed, what: str, where: str):
+    """``value`` if it is in ``allowed``, else a located ValidationError."""
+    if value not in allowed:
+        raise ValidationError(f"unknown {what} {value!r}", path=where)
+    return value
+
 
 @dataclass(frozen=True)
 class PolicyDocEntry:
@@ -196,10 +210,7 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
         raise ValidationError("'localsids' must be a mapping", path=f"{path}.localsids")
     localsids = {}
     for kind, value in raw_localsids.items():
-        if kind not in ("DT4", "DT6"):
-            raise ValidationError(
-                f"unknown localsid kind {kind!r}", path=f"{path}.localsids"
-            )
+        one_of(kind, LOCALSID_KINDS, "localsid kind", f"{path}.localsids")
         try:
             localsids[kind] = parse_v6(str(value))
         except SimError as exc:
@@ -215,9 +226,7 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
         egress = entry.get("egress_node", entry.get("node"))
         if egress is None:
             raise ValidationError("missing egress_node", path=where)
-        traffic = entry.get("traffic")
-        if traffic not in ("IPv4", "IPv6"):
-            raise ValidationError(f"bad traffic {traffic!r}", path=where)
+        traffic = one_of(entry.get("traffic"), TRAFFIC_KINDS, "traffic", where)
         segments = entry.get("segment_list") or []
         if not isinstance(segments, list):
             raise ValidationError("'segment_list' must be a list", path=f"{where}.segment_list")
@@ -237,16 +246,30 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
     return ConfigMapDoc(node=str(node), localsids=localsids, policies=tuple(policies))
 
 
+def decodes_to_itself(doc: ConfigMapDoc) -> bool:
+    """True only if ``parse_configmap_doc(render_configmap_doc(doc)) == doc``."""
+    addrs = list(doc.localsids.values())
+    for p in doc.policies:
+        if p.traffic not in TRAFFIC_KINDS or not isinstance(p.segment_list, tuple):
+            return False
+        addrs += [p.egress_node, p.bsid, *p.segment_list]
+    return (
+        isinstance(doc.node, str) and doc.node != "" and isinstance(doc.policies, tuple)
+        and all(k in LOCALSID_KINDS for k in doc.localsids)
+        and all(isinstance(a, IPv6Address) for a in addrs)
+    )
+
+
 def render_configmap_doc(doc: ConfigMapDoc) -> str:
     """Serialize in the reference deployment's field layout."""
     data = {
-        "localsids": {k: str(v) for k, v in doc.localsids.items()},
+        "localsids": {k: _text(v) for k, v in doc.localsids.items()},
         "node": doc.node,
         "policies": [
             {
-                "bsid": str(p.bsid),
-                "egress_node": str(p.egress_node),
-                "segment_list": [str(s) for s in p.segment_list],
+                "bsid": _text(p.bsid),
+                "egress_node": _text(p.egress_node),
+                "segment_list": [_text(s) for s in p.segment_list],
                 "traffic": p.traffic,
             }
             for p in doc.policies
@@ -297,7 +320,7 @@ def diff_policies(old: ConfigMapDoc, new: ConfigMapDoc) -> PolicyDiff:
         return {(p.egress_node, p.traffic): p for p in doc.policies}
 
     old_map, new_map = keyed(old), keyed(new)
-    order = lambda p: (str(p.egress_node), p.traffic)
+    order = lambda p: (_text(p.egress_node), p.traffic)
     adds = sorted(
         (p for k, p in new_map.items() if k not in old_map), key=order
     )

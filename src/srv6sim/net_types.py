@@ -44,6 +44,7 @@ def parse_addr(text: str) -> Addr:
         raise AddrParseError(f"malformed address {text!r}") from exc
 
 
+@lru_cache(maxsize=4096)  # addresses are immutable; a raise is not cached
 def parse_v6(text: str) -> IPv6Address:
     addr = parse_addr(text)
     if not isinstance(addr, IPv6Address):

@@ -11,7 +11,7 @@ from typing import Optional
 import yaml
 
 from .errors import AddrParseError, ValidationError
-from .k8s import ConfigMapDoc, IpPool, YamlLoader, parse_configmap_doc
+from .k8s import LOCALSID_KINDS, ConfigMapDoc, IpPool, YamlLoader, one_of, parse_configmap_doc
 from .net_types import Addr, Prefix, parse_addr, parse_prefix, parse_v6
 from .underlay import Link
 
@@ -86,6 +86,21 @@ def _integer(value, where: str) -> int:
         raise ValidationError(f"{value!r} is not an integer", path=where) from None
 
 
+def _unique(value, seen: set, what: str, where: str):
+    """``value``, added to ``seen``; a located ValidationError if already there."""
+    if value in seen:
+        raise ValidationError(f"duplicate {what} {value!r}", path=where)
+    seen.add(value)
+    return value
+
+
+def _boolean(data: dict, key: str, default: bool, where: str) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key} {value!r} is not a boolean", path=f"{where}.{key}")
+    return value
+
+
 def _entries(data: dict, key: str, where: str, mappings: bool = True):
     """``(path, entry)`` per entry of list section ``key`` (absent or null: none)."""
     section = data.get(key)
@@ -114,28 +129,18 @@ def load_scenario(source) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("scenario must be a mapping", path=where)
 
-    mode = data.get("mode", "bgp")
-    if mode not in ("bgp", "configmap"):
-        raise ValidationError(f"unknown mode {mode!r}", path=where)
-    if data.get("segment_mode", "double") not in ("double", "single"):
-        raise ValidationError(
-            f"unknown segment_mode {data['segment_mode']!r}", path=where
-        )
+    mode = one_of(data.get("mode", "bgp"), ("bgp", "configmap"), "mode", where)
+    segment_mode = one_of(data.get("segment_mode", "double"), ("double", "single"),
+                          "segment_mode", where)
     families = data.get("families", ["v4", "v6"])
     if not isinstance(families, list) or not all(f in ("v4", "v6") for f in families):
         raise ValidationError(f"bad families {families!r}", path=f"{where}.families")
-    fanout = data.get("configmap_fanout", "per-node")
-    if fanout not in ("per-node", "single-map"):
-        raise ValidationError(
-            f"unknown configmap_fanout {fanout!r}", path=f"{where}.configmap_fanout"
-        )
+    fanout = one_of(data.get("configmap_fanout", "per-node"), ("per-node", "single-map"),
+                    "configmap_fanout", f"{where}.configmap_fanout")
 
     routers, router_names = [], set()
     for rpath, r in _entries(data, "routers", where):
-        name = str(_require(r, "name", rpath))
-        if name in router_names:
-            raise ValidationError(f"duplicate router name {name!r}", path=rpath)
-        router_names.add(name)
+        name = _unique(str(_require(r, "name", rpath)), router_names, "router name", rpath)
         end_sid = _parsed(parse_v6, _require(r, "end_sid", rpath), f"{rpath}.end_sid")
         routers.append(RouterConfig(name, end_sid))
     links = []
@@ -149,14 +154,12 @@ def load_scenario(source) -> Scenario:
             raise ValidationError(f"link cost {cost!r} is not a positive integer", path=lpath)
         links.append(Link(a=a, b=b, cost=cost, name=str(l.get("name", f"{a}-{b}"))))
 
-    nodes, node_names = [], set()
+    nodes, node_names, infras = [], set(), set()
+    pool_refs = [(data.get("bsid_pool"), f"{where}.bsid_pool")]
     for npath, n in _entries(data, "nodes", where):
-        name = str(_require(n, "name", npath))
-        if name in node_names:
-            raise ValidationError(f"duplicate node name {name!r}", path=npath)
+        name = _unique(str(_require(n, "name", npath)), node_names, "node name", npath)
         if name in router_names:
             raise ValidationError(f"node name {name!r} is also a router name", path=npath)
-        node_names.add(name)
         router = str(_require(n, "router", npath))
         if router not in router_names:
             raise ValidationError(f"unknown router {router}", path=npath)
@@ -169,25 +172,27 @@ def load_scenario(source) -> Scenario:
         if not isinstance(pinned, dict):
             raise ValidationError("'localsids' must be a mapping", path=f"{npath}.localsids")
         localsids = {
-            k: _parsed(parse_v6, v, f"{npath}.localsids.{k}") for k, v in pinned.items()
+            one_of(k, LOCALSID_KINDS, "localsid kind", f"{npath}.localsids"):
+                _parsed(parse_v6, v, f"{npath}.localsids.{k}")
+            for k, v in pinned.items()
         }
+        infra = _parsed(parse_v6, _require(n, "infra", npath), f"{npath}.infra")
+        _unique(str(infra), infras, "infra", f"{npath}.infra")
         nodes.append(
             NodeConfig(
                 name=name,
-                infra=_parsed(parse_v6, _require(n, "infra", npath), f"{npath}.infra"),
+                infra=infra,
                 router=router,
                 pod_prefixes=tuple(prefixes),
                 localsids=localsids,
                 localsid_pool=n.get("localsid_pool"),
             )
         )
+        pool_refs.append((n.get("localsid_pool"), f"{npath}.localsid_pool"))
 
     pools, pool_names = [], set()
     for ppath, p in _entries(data, "pools", where):
-        name = str(_require(p, "name", ppath))
-        if name in pool_names:
-            raise ValidationError(f"duplicate pool name {name!r}", path=ppath)
-        pool_names.add(name)
+        name = _unique(str(_require(p, "name", ppath)), pool_names, "pool name", ppath)
         cidr = _parsed(parse_prefix, _require(p, "cidr", ppath), f"{ppath}.cidr")
         block = p.get("blockSize", p.get("block_size")) or 0
         pools.append(
@@ -198,13 +203,12 @@ def load_scenario(source) -> Scenario:
                 node_selector=p.get("nodeSelector", p.get("node_selector")),
             )
         )
+    for pool, ref in pool_refs:
+        one_of(pool, (None, *pool_names), "pool", ref)
 
     pods, pod_names = [], set()
     for ppath, p in _entries(data, "pods", where):
-        name = str(_require(p, "name", ppath))
-        if name in pod_names:
-            raise ValidationError(f"duplicate pod name {name!r}", path=ppath)
-        pod_names.add(name)
+        name = _unique(str(_require(p, "name", ppath)), pod_names, "pod name", ppath)
         node = str(_require(p, "node", ppath))
         if node not in node_names:
             raise ValidationError(f"unknown node {node}", path=ppath)
@@ -233,12 +237,12 @@ def load_scenario(source) -> Scenario:
         pools=pools,
         pods=pods,
         bsid_pool=data.get("bsid_pool"),
-        auto_step2=bool(data.get("auto_step2", True)),
-        segment_mode=data.get("segment_mode", "double"),
+        auto_step2=_boolean(data, "auto_step2", True, where),
+        segment_mode=segment_mode,
         configmap_fanout=fanout,
         configmaps=configmaps,
         injector=data.get("injector"),
-        injector_registered=bool(data.get("injector_registered", True)),
+        injector_registered=_boolean(data, "injector_registered", True, where),
         convergence_steps=_integer(
             data.get("convergence_steps", 10000), f"{where}.convergence_steps"
         ),

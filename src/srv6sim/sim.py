@@ -36,6 +36,7 @@ from .k8s import (
     WatchHandle,
     YamlLoader,
     configmap_key,
+    decodes_to_itself,
     parse_configmap_doc,
     poll,
     render_configmap_doc,
@@ -147,8 +148,7 @@ class Simulation:
         """Start all agents (sorted node order) and quiesce the control plane."""
         scenario = self.scenario
         if scenario.mode == "configmap":
-            for doc in scenario.configmaps:
-                self._write_doc(doc)
+            self._write_docs(scenario.configmaps)
         for name in sorted(self.agents):
             agent = self.agents[name]
             doc = None
@@ -161,35 +161,47 @@ class Simulation:
         return self
 
     def _make_watch(self, node: str) -> WatchHandle:
-        if self.scenario.configmap_fanout == "single-map":
-            keys = (SINGLE_MAP_KEY,)
-        else:
-            keys = (configmap_key(node),)
+        single = self.scenario.configmap_fanout == "single-map"
+        keys = (SINGLE_MAP_KEY if single else configmap_key(node),)
         last_seen = {k: self.store.entries.get(k, ("", 0))[1] for k in keys}
         return WatchHandle(keys=keys, last_seen=last_seen)
 
-    def _write_doc(self, doc: ConfigMapDoc) -> None:
-        if self.scenario.configmap_fanout == "single-map":
-            current = {}
-            if SINGLE_MAP_KEY in self.store.entries:
-                current = yaml.load(self.store.entries[SINGLE_MAP_KEY][0], Loader=YamlLoader) or {}
-            current[doc.node] = render_configmap_doc(doc)
-            self.store.write(SINGLE_MAP_KEY, yaml.safe_dump(current, sort_keys=True))
-        else:
-            self.store.write(configmap_key(doc.node), render_configmap_doc(doc))
+    def _write_docs(self, docs: list[ConfigMapDoc]) -> None:
+        """Write rendered documents, the single map as one write, recording
+        each document that its text decodes back to."""
+        if self.scenario.configmap_fanout == "per-node":
+            for doc in docs:
+                self.store.write(configmap_key(doc.node), render_configmap_doc(doc),
+                                 doc if decodes_to_itself(doc) else None)
+        elif docs:
+            texts, decoded = (dict(part) for part in self._single_map())
+            for doc in docs:
+                texts[doc.node] = render_configmap_doc(doc)
+                decoded[doc.node] = doc if decodes_to_itself(doc) else None
+            self.store.write(SINGLE_MAP_KEY, yaml.safe_dump(texts, sort_keys=True), (texts, decoded))
+
+    def _single_map(self) -> tuple[dict, dict]:
+        """``({node: text}, {node: document or None})`` of the stored map version."""
+        if self.store.decoded.get(SINGLE_MAP_KEY) is None:
+            text = self.store.entries.get(SINGLE_MAP_KEY, ("",))[0]
+            self.store.decoded[SINGLE_MAP_KEY] = (yaml.load(text, Loader=YamlLoader) or {}, {})
+        return self.store.decoded[SINGLE_MAP_KEY]
 
     def _read_doc(self, node: str) -> Optional[ConfigMapDoc]:
+        """``node``'s stored document, decoded at most once per stored version."""
         if self.scenario.configmap_fanout == "single-map":
-            if SINGLE_MAP_KEY not in self.store.entries:
+            texts, decoded = self._single_map()
+            if node not in texts:
                 return None
-            mapping = yaml.load(self.store.entries[SINGLE_MAP_KEY][0], Loader=YamlLoader) or {}
-            if node not in mapping:
-                return None
-            return parse_configmap_doc(mapping[node], path=f"single-map.{node}")
+            if decoded.get(node) is None:
+                decoded[node] = parse_configmap_doc(texts[node], path=f"single-map.{node}")
+            return decoded[node]
         key = configmap_key(node)
         if key not in self.store.entries:
             return None
-        return parse_configmap_doc(self.store.entries[key][0], path=key)
+        if self.store.decoded.get(key) is None:
+            self.store.decoded[key] = parse_configmap_doc(self.store.entries[key][0], path=key)
+        return self.store.decoded[key]
 
     def run_to_quiescence(self) -> int:
         """Drain the session bus, one message per step, seeded interleaving."""
@@ -226,7 +238,7 @@ class Simulation:
         for doc in docs:
             if doc.node not in self.agents:
                 raise UnknownNodeError(doc.node)
-            self._write_doc(doc)
+        self._write_docs(docs)
         return self.poll_all()
 
     def poll_all(self) -> list[str]:

@@ -32,6 +32,14 @@ def test_versions_are_store_wide_monotonic():
     assert store.entries["a"] == ("2", v3)
 
 
+def test_write_replaces_the_decoded_value():
+    store = KvStore()
+    store.write("a", "1", decoded=1)
+    assert store.decoded["a"] == 1
+    store.write("a", "2")
+    assert store.entries["a"][0] == "2" and store.decoded["a"] is None
+
+
 def test_poll_reports_only_new_versions():
     store = KvStore()
     store.write("k", "v1")

@@ -45,6 +45,15 @@ def test_parse_addr_rejects_garbage():
         parse_v6("10.0.0.1")
 
 
+def test_cached_parse_v6_raises_on_every_call():
+    assert parse_v6("fcff:3::1") is parse_v6("fcff:3::1")
+    for _ in range(2):
+        with pytest.raises(AddrParseError):
+            parse_v6("fcff::g")
+        with pytest.raises(AddrParseError):
+            parse_v6("10.0.0.1")
+
+
 def test_parse_prefix_normalizes_noncanonical_base():
     assert str(parse_prefix("172.16.166.130/26")) == "172.16.166.128/26"
 

@@ -9,8 +9,11 @@
   and dumper.
 - ``underlay.forward`` with a flow memo (what ``Simulation.ping`` uses)
   against the plain walk, ``memo=None``.
+- The decoded ConfigMap documents the store keeps per version against a
+  fresh ``parse_configmap_doc`` of the stored text.
 """
 
+from collections import Counter
 from dataclasses import replace
 from ipaddress import IPv4Address, IPv6Address, IPv6Network, ip_network
 
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srv6sim.sim
+from srv6sim.errors import ValidationError
 from srv6sim.bgp import SessionBus, parse_policy_file
 from srv6sim.dataplane import (
     Behavior,
@@ -30,9 +34,12 @@ from srv6sim.dataplane import (
     SteeringRule,
 )
 from srv6sim.k8s import (
+    SINGLE_MAP_KEY,
     ConfigMapDoc,
     PolicyDocEntry,
     YamlLoader,
+    configmap_key,
+    parse_configmap_doc,
     render_configmap_doc,
 )
 from srv6sim.graph import run_vector
@@ -376,3 +383,151 @@ def test_flow_memo_runs_decap_per_packet():
                                             "family mismatch", "family mismatch", None]
     assert [t.deliver_node for t in got] == ["worker2", None, "worker2", None, None, "worker2"]
     assert [t.disposition.inner.payload for t in got if t.delivered] == [b"p0", b"p1", b"p2"]
+
+
+# -- decoded ConfigMap documents in the store ------------------------------
+
+CM_NODES = ("master", "worker1", "worker2")  # the nodes of full_cm.yaml
+# Mostly IPv6 addresses that repeat; an IPv4 one makes a document that
+# renders but does not decode.
+CM_ADDRS = st.one_of(
+    st.sampled_from([IPv6Address(f"fcdd::{i}") for i in range(4)]), V6, V6,
+    st.integers(0, 2**32 - 1).map(IPv4Address),
+)
+
+
+@st.composite
+def cache_docs(draw, nodes):
+    """Documents that decode to themselves and documents that do not: words
+    for traffic, localSID kinds and node names, IPv4 addresses, and segment
+    lists given as lists, which decode to tuples."""
+    segments = st.lists(CM_ADDRS, min_size=1, max_size=3)
+    policies = draw(
+        st.lists(
+            st.builds(
+                PolicyDocEntry,
+                egress_node=CM_ADDRS,
+                bsid=CM_ADDRS,
+                segment_list=st.one_of(segments.map(tuple), segments),
+                traffic=st.one_of(st.sampled_from(["IPv4", "IPv6"]), WORDS),
+            ),
+            max_size=3,
+            unique_by=lambda p: (p.egress_node, p.traffic),
+        )
+    )
+    return ConfigMapDoc(
+        node=draw(nodes),
+        localsids=draw(st.dictionaries(st.one_of(st.sampled_from(["DT4", "DT6"]), WORDS),
+                                       CM_ADDRS, max_size=2)),
+        policies=tuple(policies),
+    )
+
+
+ANY_NODE = st.one_of(st.sampled_from(CM_NODES), WORDS)
+CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.lists(cache_docs(ANY_NODE), min_size=1, max_size=3)),
+        st.tuples(st.just("apply"),
+                  st.lists(cache_docs(st.sampled_from(CM_NODES)), min_size=1, max_size=3)),
+        st.tuples(st.just("raw"), st.lists(cache_docs(ANY_NODE), min_size=1, max_size=2)),
+        st.tuples(st.just("poll"), st.just([])),
+    ),
+    max_size=8,
+)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+
+
+def _map_text(latest: dict) -> str:
+    """The single map as written before the store kept decoded values."""
+    return yaml.safe_dump({n: render_configmap_doc(d) for n, d in latest.items()}, sort_keys=True)
+
+
+@pytest.mark.parametrize("fanout", ["per-node", "single-map"])
+@settings(max_examples=60, deadline=None)
+@given(ops=CACHE_OPS)
+def test_decoded_documents_match_fresh_parse(fanout, ops):
+    """Random writes, applies, writes without a decoded value, and polls.
+    After each, every read equals a fresh parse of the stored text (or
+    raises the same error), and the stored text is the full rendering."""
+    scenario = load_scenario(SCENARIOS / "full_cm.yaml")
+    scenario.configmap_fanout = fanout
+    sim = Simulation(scenario).start()
+    latest = {doc.node: doc for doc in scenario.configmaps}
+    for op, docs in ops:
+        if op == "write":
+            sim._write_docs(docs)
+        elif op == "apply":
+            _outcome(lambda: sim.apply_configmaps(docs))
+        elif op == "poll":
+            _outcome(sim.poll_all)
+        latest.update((doc.node, doc) for doc in docs)
+        if fanout == "single-map":
+            expected = _map_text(latest)
+            if op == "raw":
+                sim.store.write(SINGLE_MAP_KEY, expected)
+            assert sim.store.entries[SINGLE_MAP_KEY][0] == expected
+            stored = {n: (text, f"single-map.{n}")
+                      for n, text in yaml.load(expected, Loader=YamlLoader).items()}
+        else:
+            for doc in docs if op == "raw" else ():
+                sim.store.write(configmap_key(doc.node), render_configmap_doc(doc))
+            stored = {n: (sim.store.entries[configmap_key(n)][0], configmap_key(n)) for n in latest}
+            assert {k: e[0] for k, e in sim.store.entries.items()} == {
+                configmap_key(n): render_configmap_doc(d) for n, d in latest.items()
+            }
+        for node, (text, path) in stored.items():
+            fresh = _outcome(lambda: parse_configmap_doc(text, path=path))
+            assert _outcome(lambda: sim._read_doc(node)) == fresh
+            assert _outcome(lambda: sim._read_doc(node)) == fresh
+
+
+def test_per_node_documents_are_not_parsed_back(monkeypatch):
+    """Converging and re-applying full_cm.yaml's documents reads every
+    document from the store without parsing its text."""
+    parsed = []
+    real = srv6sim.sim.parse_configmap_doc
+
+    def counting(data, path="configmap"):
+        if isinstance(data, str):
+            parsed.append(path)
+        return real(data, path=path)
+
+    monkeypatch.setattr(srv6sim.sim, "parse_configmap_doc", counting)
+    sim = Simulation(load_scenario(SCENARIOS / "full_cm.yaml")).start()
+    sim.apply_configmaps(load_scenario(SCENARIOS / "full_cm.yaml").configmaps)
+    assert parsed == []
+    # A version written as text alone is parsed, once.
+    key = configmap_key("master")
+    sim.store.write(key, sim.store.entries[key][0])
+    sim.poll_all()
+    sim.poll_all()
+    assert parsed == [key]
+
+
+def test_single_map_is_loaded_at_most_once_per_version(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "full_cm.yaml")
+    scenario.configmap_fanout = "single-map"
+    sim = Simulation(scenario)
+    loads = Counter()
+    real = yaml.load
+
+    def counting(stream, Loader):
+        text, version = sim.store.entries.get(SINGLE_MAP_KEY, (None, 0))
+        if stream == text:
+            loads[version] += 1
+        return real(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", counting)
+    sim.start()
+    sim.apply_configmaps(load_scenario(SCENARIOS / "full_cm.yaml").configmaps)
+    # A version written as text alone is loaded once for all three readers.
+    raw = sim.store.write(SINGLE_MAP_KEY, sim.store.entries[SINGLE_MAP_KEY][0])
+    assert len(sim.poll_all()) == 3
+    sim.apply_configmaps(scenario.configmaps[:1])
+    assert loads == {raw: 1}

@@ -213,6 +213,19 @@ BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-n
          "nodes[1].localsids", "'localsids' must be a mapping"),
         *[(_basic("seed: 7", f"seed: 7\nconfigmaps: [{doc}]"), f"configmaps[0]{located}", message)
           for doc, located, message in BAD_DOCS],
+        (_basic("localsid_pool: sr-localsids-pool-worker1",
+                'localsids: {DT5: "fcff:0:0:11aa::9"}'),
+         "nodes[1].localsids", "unknown localsid kind 'DT5'"),
+        (_basic("bsid_pool: sr-policies-pool", "bsid_pool: nope"),
+         ".bsid_pool", "unknown pool 'nope'"),
+        (_basic("localsid_pool: sr-localsids-pool-worker1", "localsid_pool: nope"),
+         "nodes[1].localsid_pool", "unknown pool 'nope'"),
+        (_basic("seed: 7", 'seed: 7\nauto_step2: "no"'),
+         ".auto_step2", "auto_step2 'no' is not a boolean"),
+        (_basic("seed: 7", "seed: 7\ninjector_registered: 1"),
+         ".injector_registered", "injector_registered 1 is not a boolean"),
+        (_basic('infra: "fd12::1000"', 'infra: "fd11::1000"'),
+         "nodes[2].infra", "duplicate infra 'fd11::1000'"),
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
@@ -223,6 +236,8 @@ BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-n
         "node-not-a-mapping", "routers-not-a-list", "families-not-a-list",
         "configmaps-not-a-list", "configmap-not-a-mapping", "unknown-configmap-fanout",
         "localsids-not-a-mapping", *(f"configmap-{name}" for name in BAD_DOC_IDS),
+        "unknown-pinned-localsid-kind", "dangling-bsid-pool", "dangling-localsid-pool",
+        "non-boolean-auto-step2", "non-boolean-injector-registered", "duplicate-infra",
     ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
