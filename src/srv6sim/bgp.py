@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from ipaddress import IPv6Address
 
-import yaml
-
 from .dataplane import BEHAVIOR_END_DT4, BEHAVIOR_END_DT6
 from .errors import DecodeError, SimError, TruncationError, ValidationError
-from .k8s import YamlLoader
-from .net_types import Prefix, parse_v6
+from .net_types import Prefix
+from .schema import address, boolean, entries, integer, load, mapping, section
 
 SAFI_SR_POLICY = 73
 AFI_IPV6 = 2
@@ -34,6 +32,7 @@ SUBTLV_PRIORITY = 15
 SUBTLV_SEGMENT_LIST = 128
 SEGLIST_SUBTLV_WEIGHT = 9
 SEGMENT_TYPE_B = 13
+U32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class SrPolicySafiUpdate:
         if not self.segments:
             raise SimError("policy segment list must not be empty")
         for name in ("distinguisher", "color", "weight", "preference"):
-            if not 0 <= getattr(self, name) <= 0xFFFFFFFF:
+            if not 0 <= getattr(self, name) <= U32:
                 raise SimError(f"{name} out of 32-bit range")
         if not 0 <= self.priority <= 0xFF:
             raise SimError("priority out of 8-bit range")
@@ -219,38 +218,33 @@ def decode_safi73(data: bytes) -> SrPolicySafiUpdate:
     )
 
 
-def parse_policy_file(text: str) -> SrPolicySafiUpdate:
+def parse_policy_file(text: str, path: str = "policy file") -> SrPolicySafiUpdate:
     """Parse an injector policy document in the SAFI-73 field vocabulary
     (nlri/distinguisher/color/endpoint, segmentlist, bsid, nexthop)."""
-    try:
-        doc = yaml.load(text, Loader=YamlLoader)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"policy file is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError("policy file must be a mapping")
-    try:
-        nlri = doc["nlri"]
-        seglist = doc["segmentlist"]
-        segments = tuple(
-            Segment(sid=parse_v6(str(s["sid"])), behavior_code=int(s["behavior"]))
-            for s in seglist["segments"]
-        )
-        family = doc.get("family", {})
-        return SrPolicySafiUpdate(
-            distinguisher=int(nlri["distinguisher"]),
-            color=int(nlri["color"]),
-            endpoint=parse_v6(str(nlri["endpoint"])),
-            bsid=parse_v6(str(doc["bsid"])),
-            segments=segments,
-            next_hop=parse_v6(str(doc["nexthop"])),
-            weight=int(seglist.get("weight", 0)),
-            priority=int(doc.get("priority", 0)),
-            afi=int(family.get("afi", AFI_IPV6)),
-            safi=int(family.get("safi", SAFI_SR_POLICY)),
-            withdraw=bool(doc.get("iswithdraw", False)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"policy file missing field: {exc}") from None
+    doc = mapping(load(text, path), "policy file", path)
+    nlri, seglist, family = (section(doc, k, path, dict) for k in ("nlri", "segmentlist", "family"))
+    where = f"{path}.segmentlist"
+    segments = tuple(
+        Segment(sid=address(s, "sid", spath),
+                behavior_code=integer(s, "behavior", spath, low=0, high=0xFFFF))
+        for spath, s in entries(seglist, "segments", where)
+    )
+    if not segments:
+        raise ValidationError("empty segments", path=f"{where}.segments")
+    return SrPolicySafiUpdate(
+        distinguisher=integer(nlri, "distinguisher", f"{path}.nlri", low=0, high=U32),
+        color=integer(nlri, "color", f"{path}.nlri", low=0, high=U32),
+        endpoint=address(nlri, "endpoint", f"{path}.nlri"),
+        bsid=address(doc, "bsid", path),
+        segments=segments,
+        next_hop=address(doc, "nexthop", path),
+        weight=integer(seglist, "weight", where, 0, low=0, high=U32),
+        priority=integer(doc, "priority", path, 0, low=0, high=0xFF),
+        afi=integer(family, "afi", f"{path}.family", AFI_IPV6, low=0, high=0xFFFF),
+        safi=integer(family, "safi", f"{path}.family", SAFI_SR_POLICY,
+                     low=SAFI_SR_POLICY, high=SAFI_SR_POLICY),
+        withdraw=boolean(doc, "iswithdraw", path, False),
+    )
 
 
 class SessionBus:

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .bgp import parse_policy_file
-from .dataplane import (
-    Behavior,
-    LocalSidEntry,
-    NodeDataplane,
-    SrPolicyEntry,
-    SteeringRule,
-)
 from .errors import SimError, ValidationError
-from .graph import bench_dispatch, render_bench_csv
-from .net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
+from .graph import VECTOR_MAX
 from .scenario import load_scenario
 from .sim import Simulation, load_configmap_docs
 
@@ -74,7 +67,7 @@ def cmd_show(args) -> int:
 def cmd_inject(args) -> int:
     sim = _boot(args)
     for path in args.policy:
-        update = parse_policy_file(Path(path).read_text())
+        update = parse_policy_file(Path(path).read_text(), path=path)
         sim.inject(update)
         print(f"injected policy bsid {update.bsid} endpoint {update.endpoint}")
     return EXIT_OK
@@ -82,7 +75,7 @@ def cmd_inject(args) -> int:
 
 def cmd_apply_configmap(args) -> int:
     sim = _boot(args)
-    docs = load_configmap_docs(Path(args.file).read_text())
+    docs = load_configmap_docs(Path(args.file).read_text(), path=args.file)
     if not docs:
         print("no documents in file", file=sys.stderr)
         return EXIT_FAILED
@@ -92,37 +85,20 @@ def cmd_apply_configmap(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # self-contained synthetic node: one policy, one steering rule
-    dp = NodeDataplane("bench")
-    dp.set_encap_source(parse_v6("fd00::1"))
-    dp.install_localsid(
-        LocalSidEntry(sid=parse_v6("fd00::1"), behavior=Behavior("End"))
-    )
-    dp.install_policy(
-        SrPolicyEntry(
-            bsid=parse_v6("cafe::1"),
-            segments=(parse_v6("fcff:1::1"), parse_v6("fcff:2::1")),
-            family="v6",
-        )
-    )
-    dp.install_steering(
-        SteeringRule(match=parse_prefix("fd22::/64"), bsid=parse_v6("cafe::1"))
-    )
-    dp.add_fib_route(parse_prefix("::/0"), "uplink")
-
-    def packets():
-        return [
-            InnerPacket(
-                src=parse_addr("fd11::10"),
-                dst=parse_addr(f"fd22::{(i % 200) + 1:x}"),
-                payload=b"bench",
-            )
-            for i in range(args.packets)
-        ]
-
-    rows = [bench_dispatch(dp, packets(), batch) for batch in (1, 256)]
-    print(render_bench_csv(rows))
-    return EXIT_OK
+    """Time ``--packets`` one-packet pings against one ping of that many
+    packets, which the tx path runs in vectors of up to VECTOR_MAX."""
+    if args.packets < 1:
+        raise ValidationError(f"--packets {args.packets} is not positive")
+    sim = _boot(args)
+    lines, delivered = ["batch,packets,seconds,pps"], 0
+    for batch, counts in ((1, [1] * args.packets), (VECTOR_MAX, [args.packets])):
+        start = time.perf_counter()
+        for count in counts:
+            delivered += sim.ping(args.src, args.dst, count=count, family=args.family).delivered
+        seconds = time.perf_counter() - start
+        lines.append(f"{batch},{args.packets},{seconds:.6f},{args.packets / seconds:.1f}")
+    print("\n".join(lines))
+    return EXIT_OK if delivered == 2 * args.packets else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,8 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_opts(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", help="vector-vs-scalar dispatch benchmark")
+    p = sub.add_parser("bench", help="time pings at batch 1 and 256 on a converged scenario")
+    scenario_opts(p)
+    p.add_argument("src")
+    p.add_argument("dst")
     p.add_argument("--packets", type=int, default=4096)
+    p.add_argument("--family", choices=("v4", "v6"), default="v6")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -191,10 +171,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimError as exc:

@@ -11,8 +11,6 @@ per-packet oracle is ``scalar_tx`` in ``tests/conftest.py``.
 
 from __future__ import annotations
 
-import time
-
 from .dataplane import Disposition, NodeDataplane
 from .errors import SimError
 from .net_types import InnerPacket
@@ -48,38 +46,3 @@ def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Disposition
         else:
             out.append(Disposition(kind="forward", packet=outer))
     return out
-
-
-def bench_dispatch(dp: NodeDataplane, packets: list[InnerPacket], batch: int) -> dict:
-    """Wall-clock throughput of the tx path at the given batch size.
-
-    Report only; no speedup ratio is asserted.
-    """
-    if not packets:
-        raise SimError("bench requires at least one packet")
-    if batch not in (1, VECTOR_MAX):
-        raise SimError(f"batch must be 1 or {VECTOR_MAX}")
-    start = time.perf_counter()
-    dropped = 0
-    for i in range(0, len(packets), batch):
-        chunk = packets[i : i + batch]
-        for disp in run_vector(dp, chunk):
-            if disp.kind == "drop":
-                dropped += 1
-    seconds = time.perf_counter() - start
-    return {
-        "batch": batch,
-        "packets": len(packets),
-        "seconds": seconds,
-        "pps": len(packets) / seconds if seconds > 0 else float("inf"),
-        "dropped": dropped,
-    }
-
-
-def render_bench_csv(rows: list[dict]) -> str:
-    lines = ["batch,packets,seconds,pps"]
-    for row in rows:
-        lines.append(
-            f"{row['batch']},{row['packets']},{row['seconds']:.6f},{row['pps']:.1f}"
-        )
-    return "\n".join(lines)

@@ -11,17 +11,12 @@ from typing import Optional
 
 import yaml
 
-from .errors import (
-    NotEligibleError,
-    PoolExhaustedError,
-    SimError,
-    ValidationError,
-)
-from .net_types import Addr, Prefix, parse_v6
+from . import schema
+from .errors import NotEligibleError, PoolExhaustedError, ValidationError
+from .net_types import Addr, Prefix
 
-# libyaml where PyYAML has it: the same objects, several times faster. Its
-# emitter folds long scalars differently; see render_configmap_doc.
-YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's emitter where PyYAML has it; it folds long scalars differently
+# from the pure-Python one, see render_configmap_doc.
 _FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; addresses are immutable
 
@@ -145,13 +140,6 @@ LOCALSID_KINDS = ("DT4", "DT6")
 TRAFFIC_KINDS = ("IPv4", "IPv6")
 
 
-def one_of(value, allowed, what: str, where: str):
-    """``value`` if it is in ``allowed``, else a located ValidationError."""
-    if value not in allowed:
-        raise ValidationError(f"unknown {what} {value!r}", path=where)
-    return value
-
-
 @dataclass(frozen=True)
 class PolicyDocEntry:
     egress_node: IPv6Address  # infra address of the tunnel egress
@@ -173,88 +161,60 @@ class ConfigMapDoc:
     localsids: dict[str, IPv6Address]  # DT4/DT6 -> SID
     policies: tuple[PolicyDocEntry, ...]
 
-    def __post_init__(self):
-        seen = set()
-        for p in self.policies:
-            key = (p.egress_node, p.traffic)
-            if key in seen:
-                raise ValidationError(
-                    f"duplicate policy for ({p.egress_node}, {p.traffic})",
-                    path=f"node {self.node}",
-                )
-            seen.add(key)
-            if not p.segment_list:
-                raise ValidationError(
-                    "empty segment list", path=f"node {self.node} bsid {p.bsid}"
-                )
+
+def read_localsids(data: dict, where: str) -> dict[str, IPv6Address]:
+    """The ``localsids`` mapping of a node or document: DT kind -> SID."""
+    sids = schema.section(data, "localsids", where, dict)
+    where = f"{where}.localsids"
+    return {
+        schema.one_of(kind, LOCALSID_KINDS, "localsid kind", where):
+            schema.address(sids, kind, where)
+        for kind in sids
+    }
 
 
 def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
-    """Validate a parsed YAML object into a ConfigMapDoc.
+    """Validate a parsed YAML object (or YAML text) into a ConfigMapDoc.
 
     Both ``egress_node:`` and the shorter ``node:`` spelling are accepted
     for the per-policy egress field.
     """
     if isinstance(data, str):
-        try:
-            data = yaml.load(data, Loader=YamlLoader)
-        except yaml.YAMLError as exc:
-            raise ValidationError(f"not valid YAML: {exc}", path=path) from None
-    if not isinstance(data, dict):
-        raise ValidationError("document must be a mapping", path=path)
-    node = data.get("node")
+        data = schema.load(data, path)
+    schema.mapping(data, "document", path)
+    node = schema.string(data, "node", path)
     if not node:
         raise ValidationError("missing node name", path=path)
-    raw_localsids = data.get("localsids") or {}
-    if not isinstance(raw_localsids, dict):
-        raise ValidationError("'localsids' must be a mapping", path=f"{path}.localsids")
-    localsids = {}
-    for kind, value in raw_localsids.items():
-        one_of(kind, LOCALSID_KINDS, "localsid kind", f"{path}.localsids")
-        try:
-            localsids[kind] = parse_v6(str(value))
-        except SimError as exc:
-            raise ValidationError(str(exc), path=f"{path}.localsids.{kind}") from None
-    raw_policies = data.get("policies") or []
-    if not isinstance(raw_policies, list):
-        raise ValidationError("'policies' must be a list", path=f"{path}.policies")
+    localsids = read_localsids(data, path)
     policies = []
-    for i, entry in enumerate(raw_policies):
-        where = f"{path}.policies[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError("policy must be a mapping", path=where)
-        egress = entry.get("egress_node", entry.get("node"))
-        if egress is None:
-            raise ValidationError("missing egress_node", path=where)
-        traffic = one_of(entry.get("traffic"), TRAFFIC_KINDS, "traffic", where)
-        segments = entry.get("segment_list") or []
-        if not isinstance(segments, list):
-            raise ValidationError("'segment_list' must be a list", path=f"{where}.segment_list")
-        try:
-            policies.append(
-                PolicyDocEntry(
-                    egress_node=parse_v6(str(egress)),
-                    bsid=parse_v6(str(entry["bsid"])),
-                    segment_list=tuple(parse_v6(str(s)) for s in segments),
-                    traffic=traffic,
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"missing field {exc}", path=where) from None
-        except SimError as exc:
-            raise ValidationError(str(exc), path=where) from None
-    return ConfigMapDoc(node=str(node), localsids=localsids, policies=tuple(policies))
+    for where, entry in schema.entries(data, "policies", path):
+        spelling = "node" if "node" in entry and "egress_node" not in entry else "egress_node"
+        egress = schema.address(entry, spelling, where)
+        traffic = schema.one_of(entry.get("traffic"), TRAFFIC_KINDS, "traffic", where)
+        policies.append(PolicyDocEntry(
+            egress_node=egress,
+            bsid=schema.address(entry, "bsid", where),
+            segment_list=schema.addresses(entry, "segment_list", where),
+            traffic=traffic,
+        ))
+    if len({(p.egress_node, p.traffic) for p in policies}) < len(policies):
+        keys = set()  # one set per document above; per policy only to locate the duplicate
+        for i, p in enumerate(policies):
+            schema.unique((p.egress_node, p.traffic), keys, "policy for", f"{path}.policies[{i}]")
+    return ConfigMapDoc(node=node, localsids=localsids, policies=tuple(policies))
 
 
 def decodes_to_itself(doc: ConfigMapDoc) -> bool:
     """True only if ``parse_configmap_doc(render_configmap_doc(doc)) == doc``."""
     addrs = list(doc.localsids.values())
     for p in doc.policies:
-        if p.traffic not in TRAFFIC_KINDS or not isinstance(p.segment_list, tuple):
+        if (p.traffic not in TRAFFIC_KINDS or not isinstance(p.segment_list, tuple)
+                or not p.segment_list):
             return False
         addrs += [p.egress_node, p.bsid, *p.segment_list]
     return (
         isinstance(doc.node, str) and doc.node != "" and isinstance(doc.policies, tuple)
+        and len({(p.egress_node, p.traffic) for p in doc.policies}) == len(doc.policies)
         and all(k in LOCALSID_KINDS for k in doc.localsids)
         and all(isinstance(a, IPv6Address) for a in addrs)
     )

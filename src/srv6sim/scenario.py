@@ -8,11 +8,12 @@ from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
-from .errors import AddrParseError, ValidationError
-from .k8s import LOCALSID_KINDS, ConfigMapDoc, IpPool, YamlLoader, one_of, parse_configmap_doc
-from .net_types import Addr, Prefix, parse_addr, parse_prefix, parse_v6
+from .errors import ValidationError
+from .k8s import ConfigMapDoc, IpPool, parse_configmap_doc, read_localsids
+from .net_types import Addr, Prefix
+from .schema import (
+    address, boolean, entries, integer, load, mapping, one_of, prefix, section, string, unique,
+)
 from .underlay import Link
 
 
@@ -63,53 +64,7 @@ class Scenario:
     injector: Optional[str] = None
     injector_registered: bool = True
     convergence_steps: int = 10000
-
-
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ValidationError(f"missing {key!r}", path=where)
-    return data[key]
-
-
-def _parsed(parse, value, where: str):
-    """``parse(str(value))``, reporting a malformed value at ``where``."""
-    try:
-        return parse(str(value))
-    except AddrParseError as exc:
-        raise ValidationError(str(exc), path=where) from None
-
-
-def _integer(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{value!r} is not an integer", path=where) from None
-
-
-def _unique(value, seen: set, what: str, where: str):
-    """``value``, added to ``seen``; a located ValidationError if already there."""
-    if value in seen:
-        raise ValidationError(f"duplicate {what} {value!r}", path=where)
-    seen.add(value)
-    return value
-
-
-def _boolean(data: dict, key: str, default: bool, where: str) -> bool:
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ValidationError(f"{key} {value!r} is not a boolean", path=f"{where}.{key}")
-    return value
-
-
-def _entries(data: dict, key: str, where: str, mappings: bool = True):
-    """``(path, entry)`` per entry of list section ``key`` (absent or null: none)."""
-    section = data.get(key)
-    if section is not None and not isinstance(section, list):
-        raise ValidationError(f"{key!r} must be a list", path=f"{where}.{key}")
-    for i, entry in enumerate(section or []):
-        if mappings and not isinstance(entry, dict):
-            raise ValidationError(f"entry {entry!r} is not a mapping", path=f"{where}.{key}[{i}]")
-        yield f"{where}.{key}[{i}]", entry
+    source: str = "<scenario>"  # the file it was loaded from; locates errors
 
 
 def load_scenario(source) -> Scenario:
@@ -122,16 +77,11 @@ def load_scenario(source) -> Scenario:
         where = str(path)
     else:
         text, where = source, "<scenario>"
-    try:
-        data = yaml.load(text, Loader=YamlLoader)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"not valid YAML: {exc}", path=where) from None
-    if not isinstance(data, dict):
-        raise ValidationError("scenario must be a mapping", path=where)
+    data = mapping(load(text, where), "scenario", where)
 
-    mode = one_of(data.get("mode", "bgp"), ("bgp", "configmap"), "mode", where)
+    mode = one_of(data.get("mode", "bgp"), ("bgp", "configmap"), "mode", f"{where}.mode")
     segment_mode = one_of(data.get("segment_mode", "double"), ("double", "single"),
-                          "segment_mode", where)
+                          "segment_mode", f"{where}.segment_mode")
     families = data.get("families", ["v4", "v6"])
     if not isinstance(families, list) or not all(f in ("v4", "v6") for f in families):
         raise ValidationError(f"bad families {families!r}", path=f"{where}.families")
@@ -139,111 +89,101 @@ def load_scenario(source) -> Scenario:
                     "configmap_fanout", f"{where}.configmap_fanout")
 
     routers, router_names = [], set()
-    for rpath, r in _entries(data, "routers", where):
-        name = _unique(str(_require(r, "name", rpath)), router_names, "router name", rpath)
-        end_sid = _parsed(parse_v6, _require(r, "end_sid", rpath), f"{rpath}.end_sid")
-        routers.append(RouterConfig(name, end_sid))
+    for rpath, r in entries(data, "routers", where):
+        name = unique(string(r, "name", rpath), router_names, "router name", rpath)
+        routers.append(RouterConfig(name, address(r, "end_sid", rpath)))
     links = []
-    for lpath, l in _entries(data, "links", where):
-        a, b = str(_require(l, "a", lpath)), str(_require(l, "b", lpath))
-        for end in (a, b):
-            if end not in router_names:
-                raise ValidationError(f"link endpoint {end} is not a router", path=lpath)
-        cost = l.get("cost", 1)
-        if not isinstance(cost, int) or cost <= 0:
+    for lpath, l in entries(data, "links", where):
+        a, b = (one_of(string(l, end, lpath), router_names, "router", f"{lpath}.{end}")
+                for end in ("a", "b"))
+        cost = integer(l, "cost", lpath, 1)
+        if cost <= 0:
             raise ValidationError(f"link cost {cost!r} is not a positive integer", path=lpath)
-        links.append(Link(a=a, b=b, cost=cost, name=str(l.get("name", f"{a}-{b}"))))
+        links.append(Link(a=a, b=b, cost=cost, name=string(l, "name", lpath, f"{a}-{b}")))
 
-    nodes, node_names, infras = [], set(), set()
+    nodes, node_names, infras, node_prefixes = [], set(), set(), {}
     pool_refs = [(data.get("bsid_pool"), f"{where}.bsid_pool")]
-    for npath, n in _entries(data, "nodes", where):
-        name = _unique(str(_require(n, "name", npath)), node_names, "node name", npath)
+    for npath, n in entries(data, "nodes", where):
+        name = unique(string(n, "name", npath), node_names, "node name", npath)
         if name in router_names:
             raise ValidationError(f"node name {name!r} is also a router name", path=npath)
-        router = str(_require(n, "router", npath))
-        if router not in router_names:
-            raise ValidationError(f"unknown router {router}", path=npath)
-        prefixes = []
-        for family in ("v4", "v6"):
-            key = f"pod_prefix_{family}"
-            if family in families and n.get(key):
-                prefixes.append(_parsed(parse_prefix, n[key], f"{npath}.{key}"))
-        pinned = n.get("localsids") or {}
-        if not isinstance(pinned, dict):
-            raise ValidationError("'localsids' must be a mapping", path=f"{npath}.localsids")
-        localsids = {
-            one_of(k, LOCALSID_KINDS, "localsid kind", f"{npath}.localsids"):
-                _parsed(parse_v6, v, f"{npath}.localsids.{k}")
-            for k, v in pinned.items()
+        router = one_of(string(n, "router", npath), router_names, "router", f"{npath}.router")
+        node_prefixes[name] = {
+            family: prefix(n, f"pod_prefix_{family}", npath, family)
+            for family in ("v4", "v6") if family in families and n.get(f"pod_prefix_{family}")
         }
-        infra = _parsed(parse_v6, _require(n, "infra", npath), f"{npath}.infra")
-        _unique(str(infra), infras, "infra", f"{npath}.infra")
+        infra = address(n, "infra", npath)
+        unique(str(infra), infras, "infra", f"{npath}.infra")
         nodes.append(
             NodeConfig(
                 name=name,
                 infra=infra,
                 router=router,
-                pod_prefixes=tuple(prefixes),
-                localsids=localsids,
-                localsid_pool=n.get("localsid_pool"),
+                pod_prefixes=tuple(node_prefixes[name].values()),
+                localsids=read_localsids(n, npath),
+                localsid_pool=string(n, "localsid_pool", npath, None),
             )
         )
-        pool_refs.append((n.get("localsid_pool"), f"{npath}.localsid_pool"))
+        pool_refs.append((nodes[-1].localsid_pool, f"{npath}.localsid_pool"))
 
-    pools, pool_names = [], set()
-    for ppath, p in _entries(data, "pools", where):
-        name = _unique(str(_require(p, "name", ppath)), pool_names, "pool name", ppath)
-        cidr = _parsed(parse_prefix, _require(p, "cidr", ppath), f"{ppath}.cidr")
-        block = p.get("blockSize", p.get("block_size")) or 0
-        pools.append(
-            IpPool(
-                name=name,
-                cidr=cidr,
-                block_size=_integer(block, f"{ppath}.blockSize") or cidr.prefixlen,
-                node_selector=p.get("nodeSelector", p.get("node_selector")),
-            )
+    pools, pool_names = {}, set()
+    for ppath, p in entries(data, "pools", where):
+        name = unique(string(p, "name", ppath), pool_names, "pool name", ppath)
+        cidr = prefix(p, "cidr", ppath)
+        block = "blockSize" if "blockSize" in p else "block_size"
+        selector = "nodeSelector" if "nodeSelector" in p else "node_selector"
+        pools[name] = IpPool(
+            name=name,
+            cidr=cidr,
+            block_size=integer(p, block, ppath, cidr.prefixlen,
+                               low=cidr.prefixlen, high=cidr.max_prefixlen),
+            node_selector=one_of(string(p, selector, ppath, None), (None, *node_names),
+                                 "node", f"{ppath}.{selector}"),
         )
     for pool, ref in pool_refs:
-        one_of(pool, (None, *pool_names), "pool", ref)
+        if one_of(pool, (None, *pools), "pool", ref) and pools[pool].cidr.version != 6:
+            raise ValidationError(f"pool {pool!r} is not an IPv6 pool", path=ref)
 
     pods, pod_names = [], set()
-    for ppath, p in _entries(data, "pods", where):
-        name = _unique(str(_require(p, "name", ppath)), pod_names, "pod name", ppath)
-        node = str(_require(p, "node", ppath))
-        if node not in node_names:
-            raise ValidationError(f"unknown node {node}", path=ppath)
+    for ppath, p in entries(data, "pods", where):
+        name = unique(string(p, "name", ppath), pod_names, "pod name", ppath)
+        node = one_of(string(p, "node", ppath), node_names, "node", f"{ppath}.node")
         addrs = {}
         for family in ("v4", "v6"):
-            if family in families and p.get(family):
-                addrs[family] = _parsed(parse_addr, p[family], f"{ppath}.{family}")
+            addr = address(p, family, ppath, family, None) if family in families else None
+            if addr is None:
+                continue
+            if addr not in node_prefixes[node].get(family, ()):
+                raise ValidationError(f"{addr} is outside node {node}'s {family} pod prefix",
+                                      path=f"{ppath}.{family}")
+            addrs[family] = addr
         pods.append(PodConfig(name=name, node=node, addrs=addrs))
 
-    configmaps = [
-        parse_configmap_doc(doc, path=path)
-        for path, doc in _entries(data, "configmaps", where, mappings=False)
-    ]
-    for doc in configmaps:
-        if doc.node not in node_names:
-            raise ValidationError(f"configmap for unknown node {doc.node}", path=where)
+    configmaps, documented = [], set()
+    for i, doc in enumerate(section(data, "configmaps", where)):
+        cpath = f"{where}.configmaps[{i}]"
+        doc = parse_configmap_doc(doc, path=cpath)
+        node = one_of(doc.node, node_names, "node", f"{cpath}.node")
+        unique(node, documented, "configmap for node", cpath)
+        configmaps.append(doc)
 
     return Scenario(
-        name=str(data.get("name", "scenario")),
+        name=string(data, "name", where, "scenario"),
         mode=mode,
-        seed=_integer(data.get("seed", 0), f"{where}.seed"),
+        seed=integer(data, "seed", where, 0),
         families=set(families),
         routers=routers,
         links=links,
         nodes=nodes,
-        pools=pools,
+        pools=list(pools.values()),
         pods=pods,
         bsid_pool=data.get("bsid_pool"),
-        auto_step2=_boolean(data, "auto_step2", True, where),
+        auto_step2=boolean(data, "auto_step2", where, True),
         segment_mode=segment_mode,
         configmap_fanout=fanout,
         configmaps=configmaps,
-        injector=data.get("injector"),
-        injector_registered=_boolean(data, "injector_registered", True, where),
-        convergence_steps=_integer(
-            data.get("convergence_steps", 10000), f"{where}.convergence_steps"
-        ),
+        injector=string(data, "injector", where, None),
+        injector_registered=boolean(data, "injector_registered", where, True),
+        convergence_steps=integer(data, "convergence_steps", where, 10000),
+        source=where,
     )

@@ -1,0 +1,159 @@
+"""The input vocabulary shared by scenario files, ConfigMap documents and
+injector policy files: YAML loading and typed, located field reads.
+
+Every malformed field raises a ``ValidationError`` whose path names it.
+Keyed readers take ``(data, key, where, default)``: ``where`` locates the
+mapping ``data``, a bad value is reported at ``where.key``, and a missing
+key without a default at ``where``. A null value reads as absent only where
+the default is None.
+"""
+
+from __future__ import annotations
+
+import yaml
+
+from .errors import AddrParseError, ValidationError
+from .net_types import parse_addr, parse_prefix, parse_v6
+
+# libyaml where PyYAML has it: the same objects, several times faster.
+YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+REQUIRED = object()
+_VERSION = {"v4": 4, "v6": 6}
+
+
+def load(text: str, where: str, every: bool = False):
+    """The YAML document in ``text``; with ``every``, the list of all of them."""
+    try:
+        if every:
+            return list(yaml.load_all(text, Loader=YamlLoader))
+        return yaml.load(text, Loader=YamlLoader)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"not valid YAML: {exc}", path=where) from None
+
+
+def mapping(value, what: str, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a mapping", path=where)
+    return value
+
+
+def section(data: dict, key: str, where: str, kind: type = list):
+    """The list (or with ``kind=dict``, mapping) at ``key``; absent or null reads empty."""
+    value = data.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        noun = "a list" if kind is list else "a mapping"
+        raise ValidationError(f"{key!r} must be {noun}", path=f"{where}.{key}")
+    return value
+
+
+def entries(data: dict, key: str, where: str):
+    """``(path, entry)`` per entry of the list at ``key``; each must be a mapping."""
+    for i, entry in enumerate(section(data, key, where)):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"entry {entry!r} is not a mapping", path=f"{where}.{key}[{i}]")
+        yield f"{where}.{key}[{i}]", entry
+
+
+def get(data: dict, key: str, where: str, default=REQUIRED):
+    """``data[key]``, or ``default``; a located ValidationError if neither exists."""
+    value = data.get(key, default)
+    if value is REQUIRED:
+        raise ValidationError(f"missing {key!r}", path=where)
+    return value
+
+
+def _typed(data: dict, key: str, where: str, default, kind: type, noun: str):
+    value = get(data, key, where, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValidationError(f"{key} {value!r} is not {noun}", path=f"{where}.{key}")
+    return value
+
+
+def string(data: dict, key: str, where: str, default=REQUIRED):
+    return _typed(data, key, where, default, str, "a string")
+
+
+def boolean(data: dict, key: str, where: str, default=REQUIRED):
+    return _typed(data, key, where, default, bool, "a boolean")
+
+
+def integer(data: dict, key: str, where: str, default=REQUIRED, low=None, high=None):
+    """An integer, never a boolean, within ``[low, high]`` where given."""
+    value = _typed(data, key, where, default, int, "an integer")
+    if value is not None and (
+        (low is not None and value < low) or (high is not None and value > high)
+    ):
+        raise ValidationError(f"{key} {value} is outside [{low}, {high}]", path=f"{where}.{key}")
+    return value
+
+
+def one_of(value, allowed, what: str, where: str):
+    """``value`` if it is in ``allowed`` (a choice or a reference), else a
+    located ValidationError."""
+    if value not in allowed:
+        raise ValidationError(f"unknown {what} {value!r}", path=where)
+    return value
+
+
+def unique(value, seen: set, what: str, where: str):
+    """``value``, added to ``seen``; a located ValidationError if already there."""
+    if value in seen:
+        raise ValidationError(f"duplicate {what} {value!r}", path=where)
+    seen.add(value)
+    return value
+
+
+def present(value, key: str, where: str, why: str):
+    """``value``; a ValidationError at ``where.key`` if another setting needs it and it is None."""
+    if value is None:
+        raise ValidationError(f"missing {key!r}, needed {why}", path=f"{where}.{key}")
+    return value
+
+
+def _parsed(parse, value, family, what: str, path: str):
+    """``parse(str(value))``, which must be of ``family`` unless it is None."""
+    try:
+        parsed = parse(str(value))
+    except AddrParseError as exc:
+        raise ValidationError(str(exc), path=path) from None
+    if family is not None and parsed.version != _VERSION[family]:
+        raise ValidationError(f"{parsed} is not an IPv{_VERSION[family]} {what}", path=path)
+    return parsed
+
+
+def address(data: dict, key: str, where: str, family: str = "v6", default=REQUIRED):
+    value = data.get(key, default)
+    if value is REQUIRED or (value is None and default is None):
+        return get(data, key, where, default)  # None, or the missing-key error
+    if family == "v4":
+        return _parsed(parse_addr, value, family, "address", f"{where}.{key}")
+    try:  # inline: the hot path of every document's policies
+        return parse_v6(str(value))
+    except AddrParseError as exc:
+        raise ValidationError(str(exc), path=f"{where}.{key}") from None
+
+
+def prefix(data: dict, key: str, where: str, family=None, default=REQUIRED):
+    """A prefix of ``family``, or of either family if it is None."""
+    value = get(data, key, where, default)
+    if value is None and default is None:
+        return None
+    return _parsed(parse_prefix, value, family, "prefix", f"{where}.{key}")
+
+
+def addresses(data: dict, key: str, where: str) -> tuple:
+    """The non-empty list of IPv6 addresses at ``key``, such as a segment list."""
+    values = data.get(key)
+    if not values or not isinstance(values, list):
+        section(data, key, where)  # raises unless the list is absent or empty
+        raise ValidationError(f"empty {key}", path=f"{where}.{key}")
+    try:
+        return tuple(map(parse_v6, map(str, values)))
+    except AddrParseError:
+        for i, value in enumerate(values):
+            _parsed(parse_v6, value, None, "address", f"{where}.{key}[{i}]")
+        raise

@@ -27,14 +27,13 @@ from .errors import (
     UnknownNodeError,
     ValidationError,
 )
-from .graph import run_vector
+from .graph import VECTOR_MAX, run_vector
 from .k8s import (
     SINGLE_MAP_KEY,
     ConfigMapDoc,
     IpamAllocator,
     KvStore,
     WatchHandle,
-    YamlLoader,
     configmap_key,
     decodes_to_itself,
     parse_configmap_doc,
@@ -43,25 +42,24 @@ from .k8s import (
 )
 from .net_types import InnerPacket, parse_prefix
 from .scenario import Scenario
+from .schema import get, load, present, section
 from .underlay import RouteTable, Topology, TraceRecord, compute_routes, forward
 
 
-def load_configmap_docs(text: str) -> list[ConfigMapDoc]:
+def load_configmap_docs(text: str, path: str = "configmap file") -> list[ConfigMapDoc]:
     """Read policy documents from YAML: either plain documents or Kubernetes
     ConfigMap manifests whose ``data.srv6`` value holds the document."""
     docs = []
-    for i, raw in enumerate(yaml.load_all(text, Loader=YamlLoader)):
-        if raw is None:
-            continue
+    for i, raw in enumerate(load(text, path, every=True)):
         if isinstance(raw, dict) and raw.get("kind") == "ConfigMap":
-            srv6 = (raw.get("data") or {}).get("srv6")
-            if srv6 is None:
-                raise ValidationError("ConfigMap manifest lacks data.srv6")
-            docs.append(parse_configmap_doc(srv6, path=f"manifest[{i}]"))
+            where = f"{path}.manifest[{i}]"
+            srv6 = get(section(raw, "data", where, dict), "srv6", f"{where}.data")
+            docs.append(parse_configmap_doc(srv6, path=where))
         elif isinstance(raw, list):
-            docs.extend(parse_configmap_doc(d, path=f"doc[{i}]") for d in raw)
-        else:
-            docs.append(parse_configmap_doc(raw, path=f"doc[{i}]"))
+            docs.extend(parse_configmap_doc(d, path=f"{path}.doc[{i}][{j}]")
+                        for j, d in enumerate(raw))
+        elif raw is not None:
+            docs.append(parse_configmap_doc(raw, path=f"{path}.doc[{i}]"))
     return docs
 
 
@@ -79,6 +77,13 @@ class PingReport:
 
 class Simulation:
     def __init__(self, scenario: Scenario):
+        if scenario.mode == "bgp" and scenario.families:  # bgp agents allocate from these pools
+            if scenario.auto_step2:
+                present(scenario.bsid_pool, "bsid_pool", scenario.source, "for bgp auto_step2")
+            for i, node in enumerate(scenario.nodes):
+                if not node.localsids:
+                    present(node.localsid_pool, "localsid_pool", f"{scenario.source}.nodes[{i}]",
+                            "in bgp mode without pinned localsids")
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.metrics: Counter = Counter()
@@ -184,7 +189,7 @@ class Simulation:
         """``({node: text}, {node: document or None})`` of the stored map version."""
         if self.store.decoded.get(SINGLE_MAP_KEY) is None:
             text = self.store.entries.get(SINGLE_MAP_KEY, ("",))[0]
-            self.store.decoded[SINGLE_MAP_KEY] = (yaml.load(text, Loader=YamlLoader) or {}, {})
+            self.store.decoded[SINGLE_MAP_KEY] = (load(text, SINGLE_MAP_KEY) or {}, {})
         return self.store.decoded[SINGLE_MAP_KEY]
 
     def _read_doc(self, node: str) -> Optional[ConfigMapDoc]:
@@ -299,7 +304,7 @@ class Simulation:
         memo: dict = {}  # forward's flow memo; nothing changes routes or dataplanes in a call
         remaining = count
         while remaining > 0:
-            batch = min(remaining, 256)
+            batch = min(remaining, VECTOR_MAX)
             vector = [
                 InnerPacket(
                     src=src.addrs[family],

@@ -5,7 +5,7 @@ import pytest
 
 from srv6sim.dataplane import NodeDataplane, SrPolicyEntry, SteeringRule
 from srv6sim.errors import SimError
-from srv6sim.graph import VECTOR_MAX, bench_dispatch, render_bench_csv, run_vector
+from srv6sim.graph import VECTOR_MAX, run_vector
 from srv6sim.net_types import (
     InnerPacket,
     encode_outer,
@@ -80,22 +80,6 @@ def test_vector_equals_scalar_tx():
     scalar_out = [scalar_tx(dp, p) for p in vec]
     assert [_signature(d) for d in vector_out] == [_signature(d) for d in scalar_out]
     assert {d.reason for d in vector_out} == {None, "no route", "no steering match"}
-
-
-def test_bench_reports_both_batches():
-    dp = make_dp()
-    rng = random.Random(3)
-    rows = []
-    for batch in (1, 256):
-        pkts = [make_packet(rng) for _ in range(512)]
-        rows.append(bench_dispatch(dp, pkts, batch))
-    csv = render_bench_csv(rows)
-    lines = csv.splitlines()
-    assert lines[0] == "batch,packets,seconds,pps"
-    assert len(lines) == 3
-    assert all(r["packets"] == 512 for r in rows)
-    with pytest.raises(SimError):
-        bench_dispatch(dp, [make_packet(rng)], 7)
 
 
 def test_disposition_multiset_independent_of_batching():

@@ -37,7 +37,6 @@ from srv6sim.k8s import (
     SINGLE_MAP_KEY,
     ConfigMapDoc,
     PolicyDocEntry,
-    YamlLoader,
     configmap_key,
     parse_configmap_doc,
     render_configmap_doc,
@@ -45,6 +44,7 @@ from srv6sim.k8s import (
 from srv6sim.graph import run_vector
 from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
+from srv6sim.schema import YamlLoader
 from srv6sim.sim import Simulation
 from srv6sim.underlay import compute_routes, forward
 

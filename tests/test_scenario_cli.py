@@ -127,10 +127,16 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_bench(capsys):
-    assert main(["bench", "--packets", "512"]) == 0
+    assert main(["bench", "--scenario", FULL_CM, "pod-worker2", "pod-worker1",
+                 "--packets", "300", "--family", "v4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "batch,packets,seconds,pps"
-    assert len(lines) == 3
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1", "300"], ["256", "300"]]
+    # no policies before injection: packets are lost, and the bench says so
+    assert main(["bench", "--scenario", FULL_BGP, "pod-master", "pod-worker1",
+                 "--packets", "8"]) == 1
+    assert main(["bench", "--scenario", BASIC, "pod-master", "pod-worker1",
+                 "--packets", "0"]) == 2
 
 
 def test_cli_seed_and_mode_overrides(capsys):
@@ -164,7 +170,16 @@ BAD_DOCS = [
      "traffic: IPv6, segment_list: 5}]}",
      ".policies[0].segment_list", "'segment_list' must be a list"),
 ]
-BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-not-a-list"]
+POLICY = "{egress_node: 'fd11::1000', bsid: 'cafe::9', traffic: IPv6, segment_list: ['fcff:3::1']}"
+BAD_DOCS += [
+    (f"{{node: master, policies: [{POLICY}, {POLICY}]}}", ".policies[1]", "duplicate policy for"),
+    ("{node: master, policies: [{egress_node: 'fd11::1000', bsid: 'cafe::9', "
+     "traffic: IPv6, segment_list: []}]}", ".policies[0].segment_list", "empty segment_list"),
+    ("{node: 5}", ".node", "node 5 is not a string"),
+]
+BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-not-a-list",
+               "duplicate-policy", "empty-segment-list", "node-not-a-string"]
+V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
 
 
 @pytest.mark.parametrize(
@@ -226,6 +241,31 @@ BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-n
          ".injector_registered", "injector_registered 1 is not a boolean"),
         (_basic('infra: "fd12::1000"', 'infra: "fd11::1000"'),
          "nodes[2].infra", "duplicate infra 'fd11::1000'"),
+        (_basic('pod_prefix_v4: "172.16.231.0/26"', 'pod_prefix_v4: "fd90:0:99::/64"'),
+         "nodes[0].pod_prefix_v4", "fd90:0:99::/64 is not an IPv4 prefix"),
+        (_basic('v4: "172.16.166.128"', 'v4: "fd90:0:11::9"'),
+         "pods[1].v4", "fd90:0:11::9 is not an IPv4 address"),
+        (_basic('v6: "fd90:0:11::2"', 'v6: "fd90:0:99::2"'),
+         "pods[1].v6", "fd90:0:99::2 is outside node worker1's v6 pod prefix"),
+        (_basic("pools:\n", "pools:\n" + V4_POOL).replace("bsid_pool: sr-policies-pool",
+                                                         "bsid_pool: v4-pool"),
+         ".bsid_pool", "pool 'v4-pool' is not an IPv6 pool"),
+        (_basic("pools:\n", "pools:\n" + V4_POOL).replace(
+            "localsid_pool: sr-localsids-pool-worker1", "localsid_pool: v4-pool"),
+         "nodes[1].localsid_pool", "pool 'v4-pool' is not an IPv6 pool"),
+        (_basic("nodeSelector: worker1", "nodeSelector: 7"),
+         "pools[2].nodeSelector", "nodeSelector 7 is not a string"),
+        (_basic("nodeSelector: worker1", "nodeSelector: ghost"),
+         "pools[2].nodeSelector", "unknown node 'ghost'"),
+        (_basic("seed: 7", "seed: true"), ".seed", "seed True is not an integer"),
+        (_basic("seed: 7", "seed: 7\nconvergence_steps: false"),
+         ".convergence_steps", "convergence_steps False is not an integer"),
+        (_with_routers(LONELY, "links:\n  - {a: R1, b: lonely, cost: true}\n"),
+         "links[0].cost", "cost True is not an integer"),
+        (_basic("blockSize: 122", "blockSize: 7", count=4),
+         "pools[0].blockSize", r"blockSize 7 is outside \[118, 128\]"),
+        (_basic("seed: 7", "seed: 7\nconfigmaps: [{node: master}, {node: master}]"),
+         "configmaps[1]", "duplicate configmap for node 'master'"),
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
@@ -238,6 +278,10 @@ BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-n
         "localsids-not-a-mapping", *(f"configmap-{name}" for name in BAD_DOC_IDS),
         "unknown-pinned-localsid-kind", "dangling-bsid-pool", "dangling-localsid-pool",
         "non-boolean-auto-step2", "non-boolean-injector-registered", "duplicate-infra",
+        "v6-pod-prefix-in-v4-slot", "v6-pod-address-in-v4-slot", "pod-outside-node-prefix",
+        "v4-bsid-pool", "v4-localsid-pool", "non-string-node-selector", "dangling-node-selector",
+        "boolean-seed", "boolean-convergence-steps", "boolean-link-cost", "block-size-out-of-range",
+        "duplicate-configmap",
     ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
@@ -268,10 +312,71 @@ def test_isolated_router_drops_only_its_own_traffic(tmp_path, capsys):
     assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker1"]) == 0
 
 
-@pytest.mark.parametrize("doc, located, message", BAD_DOCS, ids=BAD_DOC_IDS)
-def test_cli_apply_malformed_configmap_exits_2(tmp_path, capsys, doc, located, message):
+# Files that apply-configmap rejects as a whole: (file text, location, message).
+BAD_FILES = [
+    ("node: [master\n", "bad-doc.yaml", "not valid YAML"),
+    ("kind: ConfigMap\ndata: [1]\n", "bad-doc.yaml.manifest[0].data", "'data' must be a mapping"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, located, message",
+    [(doc + "\n", f"doc[0]{located}", message) for doc, located, message in BAD_DOCS] + BAD_FILES,
+    ids=BAD_DOC_IDS + ["invalid-yaml", "manifest-data-not-a-mapping"],
+)
+def test_cli_apply_malformed_configmap_exits_2(tmp_path, capsys, text, located, message):
     path = tmp_path / "bad-doc.yaml"
-    path.write_text(doc + "\n")
+    path.write_text(text)
     assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"doc[0]{located}" in err and message in err and "Traceback" not in err
+    assert located in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, args, located",
+    [
+        (_basic("bsid_pool: sr-policies-pool\n", ""), [], ".bsid_pool"),
+        (_basic("    localsid_pool: sr-localsids-pool-worker1\n", ""), [], "nodes[1].localsid_pool"),
+        ((SCENARIOS / "full_cm.yaml").read_text(), ["--mode", "bgp"], "nodes[0].localsid_pool"),
+    ],
+    ids=["bgp-without-bsid-pool", "bgp-node-without-localsids", "full-cm-in-bgp-mode"],
+)
+def test_cli_pool_needed_by_mode_exits_2(tmp_path, capsys, text, args, located):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["ping", "--scenario", str(path), *args, "pod-master", "pod-worker1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{located}: missing" in err and "Traceback" not in err
+
+
+POLICY_FILE = (SCENARIOS / "policies" / "worker2-v6.yaml").read_text()
+
+
+def _policy(old: str, new: str) -> str:
+    assert old in POLICY_FILE, old
+    return POLICY_FILE.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "text, located, message",
+    [
+        (_policy("distinguisher: 4", "distinguisher: abc"),
+         ".nlri.distinguisher", "'abc' is not an integer"),
+        (_policy("iswithdraw: false", 'iswithdraw: "no"'), ".iswithdraw", "'no' is not a boolean"),
+        (_policy("bsid: cafe::5", "bsid: zz"), ".bsid", "malformed address 'zz'"),
+        (_policy("family:\n afi: 2\n safi: 73\n", "family: 5\n"),
+         ".family", "'family' must be a mapping"),
+        (_policy("distinguisher: 4", "distinguisher: -1"),
+         ".nlri.distinguisher", "distinguisher -1 is outside"),
+        (_policy(" segments:\n", " segments: [5]\n unused:\n"),
+         ".segmentlist.segments[0]", "entry 5 is not a mapping"),
+    ],
+    ids=["non-integer-distinguisher", "non-boolean-iswithdraw", "malformed-bsid",
+         "family-not-a-mapping", "negative-distinguisher", "segment-not-a-mapping"],
+)
+def test_cli_inject_malformed_policy_exits_2(tmp_path, capsys, text, located, message):
+    path = tmp_path / "bad-policy.yaml"
+    path.write_text(text)
+    assert main(["inject", "--scenario", FULL_BGP, "--policy", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}{located}" in err and message in err and "Traceback" not in err
