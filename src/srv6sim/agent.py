@@ -32,7 +32,7 @@ from .dataplane import (
     SteeringRule,
 )
 from .errors import SimError, ValidationError
-from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, diff_policies
+from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, addr_text, diff_policies
 from .net_types import Prefix, family_of
 
 
@@ -250,7 +250,7 @@ class Agent:
         ]
         if not matching:
             self.pending[key] = policy
-            self._event("policy-pending", f"{endpoint} {policy.family}")
+            self._event("policy-pending", f"{addr_text(endpoint)} {policy.family}")
             return
         previous = self.installed.get(key)
         self.dp.install_policy(policy)
@@ -260,7 +260,7 @@ class Agent:
             self.dp.remove_policy(previous.bsid)
         self.installed[key] = policy
         self.pending.pop(key, None)
-        self._event("policy-installed", f"{endpoint} {policy.family}")
+        self._event("policy-installed", f"{addr_text(endpoint)} {policy.family}")
 
     def _uninstall(self, key: tuple[IPv6Address, str]) -> None:
         policy = self.installed.pop(key, None)

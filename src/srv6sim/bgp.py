@@ -231,6 +231,10 @@ def parse_policy_file(text: str, path: str = "policy file") -> SrPolicySafiUpdat
     )
     if not segments:
         raise ValidationError("empty segments", path=f"{where}.segments")
+    code = segments[-1].behavior_code
+    if code not in (BEHAVIOR_END_DT4, BEHAVIOR_END_DT6):  # the decap SID selects the family
+        raise ValidationError(f"final segment code {code} is not a DT behavior",
+                              path=f"{where}.segments[{len(segments) - 1}].behavior")
     return SrPolicySafiUpdate(
         distinguisher=integer(nlri, "distinguisher", f"{path}.nlri", low=0, high=U32),
         color=integer(nlri, "color", f"{path}.nlri", low=0, high=U32),

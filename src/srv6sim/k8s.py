@@ -4,6 +4,7 @@ IPAM pools with block carving, and the per-node SR-TE policy document.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import IPv6Address
@@ -18,7 +19,7 @@ from .net_types import Addr, Prefix
 # libyaml's emitter where PyYAML has it; it folds long scalars differently
 # from the pure-Python one, see render_configmap_doc.
 _FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-_text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; addresses are immutable
+addr_text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; addresses are immutable
 
 
 # -- key-value store -------------------------------------------------------
@@ -220,26 +221,64 @@ def decodes_to_itself(doc: ConfigMapDoc) -> bool:
     )
 
 
+def _dump(data, dumper) -> str:
+    return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=False)
+
+
+# (PolicyDocEntry, dumper) -> the entry's block-sequence item, oldest evicted first
+_item_cache: dict[tuple, str] = {}
+_ITEM_CACHE_MAX = 4096
+
+
+def _policy_items(policies: tuple, dumper) -> list[str]:
+    """Each policy's ``- bsid: ...`` item as it appears under ``policies:``.
+
+    A top-level sequence and one under a mapping key are both written at
+    column 0, so the items of a dumped list are the items of the document.
+    The uncached ones are dumped together and split where an item starts;
+    every scalar inside an item is indented.
+    """
+    items = []
+    for p in policies:
+        try:
+            items.append(_item_cache.get((p, dumper)))
+        except TypeError:  # e.g. a list segment_list: rendered, not cached
+            items.append(None)
+    misses = [i for i, item in enumerate(items) if item is None]
+    if not misses:
+        return items
+    data = [
+        {
+            "bsid": addr_text(p.bsid),
+            "egress_node": addr_text(p.egress_node),
+            "segment_list": [addr_text(s) for s in p.segment_list],
+            "traffic": p.traffic,
+        }
+        for p in (policies[i] for i in misses)
+    ]
+    for i, item in zip(misses, re.split(r"(?<=\n)(?=- )", _dump(data, dumper))):
+        items[i] = item
+        try:
+            _item_cache[policies[i], dumper] = item
+        except TypeError:
+            continue
+        if len(_item_cache) > _ITEM_CACHE_MAX:
+            del _item_cache[next(iter(_item_cache))]
+    return items
+
+
 def render_configmap_doc(doc: ConfigMapDoc) -> str:
-    """Serialize in the reference deployment's field layout."""
-    data = {
-        "localsids": {k: _text(v) for k, v in doc.localsids.items()},
-        "node": doc.node,
-        "policies": [
-            {
-                "bsid": _text(p.bsid),
-                "egress_node": _text(p.egress_node),
-                "segment_list": [_text(s) for s in p.segment_list],
-                "traffic": p.traffic,
-            }
-            for p in doc.policies
-        ],
-    }
+    """Serialize in the reference deployment's field layout: the same text
+    as one ``yaml.dump`` of the whole document, built from cached items."""
     # Addresses and short printable ASCII words never fold.
     words = [doc.node, *doc.localsids, *(p.traffic for p in doc.policies)]
     short = all(w.isascii() and w.isprintable() and len(w) <= 63 for w in words)
     dumper = _FAST_DUMPER if short else yaml.SafeDumper
-    return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=False)
+    head = _dump({"localsids": {k: addr_text(v) for k, v in doc.localsids.items()},
+                  "node": doc.node}, dumper)
+    if not doc.policies:
+        return head + "policies: []\n"
+    return "".join([head, "policies:\n", *_policy_items(doc.policies, dumper)])
 
 
 def configmap_key(node: str) -> str:
@@ -280,7 +319,7 @@ def diff_policies(old: ConfigMapDoc, new: ConfigMapDoc) -> PolicyDiff:
         return {(p.egress_node, p.traffic): p for p in doc.policies}
 
     old_map, new_map = keyed(old), keyed(new)
-    order = lambda p: (_text(p.egress_node), p.traffic)
+    order = lambda p: (addr_text(p.egress_node), p.traffic)
     adds = sorted(
         (p for k, p in new_map.items() if k not in old_map), key=order
     )

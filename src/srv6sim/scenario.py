@@ -102,7 +102,7 @@ def load_scenario(source) -> Scenario:
         links.append(Link(a=a, b=b, cost=cost, name=string(l, "name", lpath, f"{a}-{b}")))
 
     nodes, node_names, infras, node_prefixes = [], set(), set(), {}
-    pool_refs = [(data.get("bsid_pool"), f"{where}.bsid_pool")]
+    pool_refs = [(data.get("bsid_pool"), f"{where}.bsid_pool", None)]  # (pool, where, node)
     for npath, n in entries(data, "nodes", where):
         name = unique(string(n, "name", npath), node_names, "node name", npath)
         if name in router_names:
@@ -124,7 +124,7 @@ def load_scenario(source) -> Scenario:
                 localsid_pool=string(n, "localsid_pool", npath, None),
             )
         )
-        pool_refs.append((nodes[-1].localsid_pool, f"{npath}.localsid_pool"))
+        pool_refs.append((nodes[-1].localsid_pool, f"{npath}.localsid_pool", name))
 
     pools, pool_names = {}, set()
     for ppath, p in entries(data, "pools", where):
@@ -140,9 +140,14 @@ def load_scenario(source) -> Scenario:
             node_selector=one_of(string(p, selector, ppath, None), (None, *node_names),
                                  "node", f"{ppath}.{selector}"),
         )
-    for pool, ref in pool_refs:
-        if one_of(pool, (None, *pools), "pool", ref) and pools[pool].cidr.version != 6:
+    for pool, ref, node in pool_refs:
+        if one_of(pool, (None, *pools), "pool", ref) is None:
+            continue
+        if pools[pool].cidr.version != 6:
             raise ValidationError(f"pool {pool!r} is not an IPv6 pool", path=ref)
+        if node is not None and pools[pool].node_selector not in (None, node):
+            raise ValidationError(f"pool {pool!r} selects node {pools[pool].node_selector!r}, "
+                                  f"not {node!r}", path=ref)
 
     pods, pod_names = [], set()
     for ppath, p in entries(data, "pods", where):

@@ -84,6 +84,13 @@ class Simulation:
                 if not node.localsids:
                     present(node.localsid_pool, "localsid_pool", f"{scenario.source}.nodes[{i}]",
                             "in bgp mode without pinned localsids")
+        if scenario.mode == "configmap":  # configmap agents take their localSIDs from these
+            documented = {doc.node for doc in scenario.configmaps}
+            for node in scenario.nodes:
+                if node.name not in documented:
+                    raise ValidationError(f"missing configmap for node {node.name!r}, "
+                                          "needed in configmap mode",
+                                          path=f"{scenario.source}.configmaps")
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.metrics: Counter = Counter()
@@ -146,6 +153,7 @@ class Simulation:
         self.pods = {p.name: p for p in scenario.pods}
         self.started = False
         self._routes: tuple[Optional[tuple], RouteTable] = (None, {})  # (key, routes)
+        self._map_items: dict[str, tuple[str, str]] = {}  # node -> (text, its single-map entry)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -183,7 +191,16 @@ class Simulation:
             for doc in docs:
                 texts[doc.node] = render_configmap_doc(doc)
                 decoded[doc.node] = doc if decodes_to_itself(doc) else None
-            self.store.write(SINGLE_MAP_KEY, yaml.safe_dump(texts, sort_keys=True), (texts, decoded))
+            self.store.write(SINGLE_MAP_KEY, self._map_text(texts), (texts, decoded))
+
+    def _map_text(self, texts: dict) -> str:
+        """``yaml.safe_dump(texts, sort_keys=True)`` of a non-empty map, joined
+        from one dump per entry, each kept while its node's text stays."""
+        items = self._map_items
+        for node, text in texts.items():
+            if items.get(node, (None,))[0] != text:
+                items[node] = (text, yaml.safe_dump({node: text}, sort_keys=True))
+        return "".join(items[node][1] for node in sorted(texts))
 
     def _single_map(self) -> tuple[dict, dict]:
         """``({node: text}, {node: document or None})`` of the stored map version."""

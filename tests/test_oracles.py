@@ -11,6 +11,8 @@
   against the plain walk, ``memo=None``.
 - The decoded ConfigMap documents the store keeps per version against a
   fresh ``parse_configmap_doc`` of the stored text.
+- ``render_configmap_doc`` (cached policy items) and the single map (cached
+  entries) against one ``yaml.dump`` of the whole document or map.
 """
 
 from collections import Counter
@@ -22,6 +24,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srv6sim.k8s
 import srv6sim.sim
 from srv6sim.errors import ValidationError
 from srv6sim.bgp import SessionBus, parse_policy_file
@@ -396,34 +399,36 @@ CM_ADDRS = st.one_of(
 )
 
 
+CM_SEGMENTS = st.lists(CM_ADDRS, min_size=1, max_size=3)
+CM_POLICIES = st.builds(
+    PolicyDocEntry,
+    egress_node=CM_ADDRS,
+    bsid=CM_ADDRS,
+    segment_list=st.one_of(CM_SEGMENTS.map(tuple), CM_SEGMENTS),
+    traffic=st.one_of(st.sampled_from(["IPv4", "IPv6"]), WORDS),
+)
+CM_LOCALSIDS = st.dictionaries(st.one_of(st.sampled_from(["DT4", "DT6"]), WORDS),
+                               CM_ADDRS, max_size=2)
+
+
 @st.composite
 def cache_docs(draw, nodes):
     """Documents that decode to themselves and documents that do not: words
     for traffic, localSID kinds and node names, IPv4 addresses, and segment
     lists given as lists, which decode to tuples."""
-    segments = st.lists(CM_ADDRS, min_size=1, max_size=3)
     policies = draw(
-        st.lists(
-            st.builds(
-                PolicyDocEntry,
-                egress_node=CM_ADDRS,
-                bsid=CM_ADDRS,
-                segment_list=st.one_of(segments.map(tuple), segments),
-                traffic=st.one_of(st.sampled_from(["IPv4", "IPv6"]), WORDS),
-            ),
-            max_size=3,
-            unique_by=lambda p: (p.egress_node, p.traffic),
-        )
+        st.lists(CM_POLICIES, max_size=3, unique_by=lambda p: (p.egress_node, p.traffic))
     )
-    return ConfigMapDoc(
-        node=draw(nodes),
-        localsids=draw(st.dictionaries(st.one_of(st.sampled_from(["DT4", "DT6"]), WORDS),
-                                       CM_ADDRS, max_size=2)),
-        policies=tuple(policies),
-    )
+    return ConfigMapDoc(node=draw(nodes), localsids=draw(CM_LOCALSIDS), policies=tuple(policies))
 
 
-ANY_NODE = st.one_of(st.sampled_from(CM_NODES), WORDS)
+# Node names the single map quotes, or writes as an explicit ``? key``
+# entry: 128 characters or more, or several lines.
+MAP_NODES = st.one_of(
+    st.sampled_from(["yes", "null", "1", "- x", "a: b", "#c", "'q'", "x" * 127, "x" * 128, "y\nz"]),
+    st.text(min_size=128, max_size=160),
+)
+ANY_NODE = st.one_of(st.sampled_from(CM_NODES), WORDS, MAP_NODES)
 CACHE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("write"), st.lists(cache_docs(ANY_NODE), min_size=1, max_size=3)),
@@ -531,3 +536,74 @@ def test_single_map_is_loaded_at_most_once_per_version(monkeypatch):
     assert len(sim.poll_all()) == 3
     sim.apply_configmaps(scenario.configmaps[:1])
     assert loads == {raw: 1}
+
+
+# -- cached policy items in render_configmap_doc ---------------------------
+
+
+def full_dump(doc: ConfigMapDoc) -> str:
+    """The whole document in one ``yaml.dump``, with the dumper that
+    ``render_configmap_doc`` picks: libyaml unless some word may fold."""
+    data = {
+        "localsids": {k: str(v) for k, v in doc.localsids.items()},
+        "node": doc.node,
+        "policies": [
+            {"bsid": str(p.bsid), "egress_node": str(p.egress_node),
+             "segment_list": [str(s) for s in p.segment_list], "traffic": p.traffic}
+            for p in doc.policies
+        ],
+    }
+    words = [doc.node, *doc.localsids, *(p.traffic for p in doc.policies)]
+    short = all(w.isascii() and w.isprintable() and len(w) <= 63 for w in words)
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper) if short else yaml.SafeDumper
+    return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=False)
+
+
+@st.composite
+def doc_series(draw):
+    """Documents drawn from one pool of entries, so that later renders reuse
+    items of earlier ones, under either dumper. Some segment lists are
+    lists, which cannot be cached; some documents have no policies."""
+    pool = draw(st.lists(CM_POLICIES, min_size=1, max_size=6))
+    policies = st.lists(st.sampled_from(pool), max_size=6).map(tuple)
+    docs = st.builds(ConfigMapDoc, node=ANY_NODE, localsids=CM_LOCALSIDS, policies=policies)
+    return draw(st.lists(docs, min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc_series())
+def test_rendered_documents_match_full_dump(docs):
+    for doc in docs + docs:
+        assert render_configmap_doc(doc) == full_dump(doc)
+
+
+@pytest.mark.parametrize("fanout", ["per-node", "single-map"])
+def test_changed_policy_is_rendered_alone(fanout, monkeypatch):
+    """Re-applying a document dumps only what changed: no policy item and no
+    map entry when nothing did; one item, and in the single map one entry,
+    when one policy did."""
+    scenario = load_scenario(SCENARIOS / "full_cm.yaml")
+    scenario.configmap_fanout = fanout
+    monkeypatch.setattr(srv6sim.k8s, "_item_cache", {})
+    sim = Simulation(scenario).start()
+    items, entries = [], []
+    dump, safe_dump = yaml.dump, yaml.safe_dump
+
+    def counting_dump(data, *args, **kwargs):
+        items.extend(data if isinstance(data, list) else ())
+        return dump(data, *args, **kwargs)
+
+    def counting_safe_dump(data, *args, **kwargs):
+        entries.extend(data)
+        return safe_dump(data, *args, **kwargs)
+
+    monkeypatch.setattr(yaml, "dump", counting_dump)
+    monkeypatch.setattr(yaml, "safe_dump", counting_safe_dump)
+    doc = scenario.configmaps[0]
+    sim.apply_configmaps([doc])
+    assert (items, entries) == ([], [])
+    first = replace(doc.policies[0], bsid=IPv6Address("cafe::77"))
+    changed = replace(doc, policies=(first, *doc.policies[1:]))
+    assert f"{doc.node}: 1 replaced" in sim.apply_configmaps([changed])
+    assert [item["bsid"] for item in items] == ["cafe::77"]
+    assert entries == ([doc.node] if fanout == "single-map" else [])

@@ -266,6 +266,8 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
          "pools[0].blockSize", r"blockSize 7 is outside \[118, 128\]"),
         (_basic("seed: 7", "seed: 7\nconfigmaps: [{node: master}, {node: master}]"),
          "configmaps[1]", "duplicate configmap for node 'master'"),
+        (_basic("nodeSelector: worker1", "nodeSelector: master"),
+         "nodes[1].localsid_pool", "pool 'sr-localsids-pool-worker1' selects node 'master'"),
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
@@ -281,7 +283,7 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         "v6-pod-prefix-in-v4-slot", "v6-pod-address-in-v4-slot", "pod-outside-node-prefix",
         "v4-bsid-pool", "v4-localsid-pool", "non-string-node-selector", "dangling-node-selector",
         "boolean-seed", "boolean-convergence-steps", "boolean-link-cost", "block-size-out-of-range",
-        "duplicate-configmap",
+        "duplicate-configmap", "pool-selects-another-node",
     ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
@@ -338,8 +340,10 @@ def test_cli_apply_malformed_configmap_exits_2(tmp_path, capsys, text, located, 
         (_basic("bsid_pool: sr-policies-pool\n", ""), [], ".bsid_pool"),
         (_basic("    localsid_pool: sr-localsids-pool-worker1\n", ""), [], "nodes[1].localsid_pool"),
         ((SCENARIOS / "full_cm.yaml").read_text(), ["--mode", "bgp"], "nodes[0].localsid_pool"),
+        ((SCENARIOS / "basic.yaml").read_text(), ["--mode", "configmap"], ".configmaps"),
     ],
-    ids=["bgp-without-bsid-pool", "bgp-node-without-localsids", "full-cm-in-bgp-mode"],
+    ids=["bgp-without-bsid-pool", "bgp-node-without-localsids", "full-cm-in-bgp-mode",
+         "basic-in-configmap-mode"],
 )
 def test_cli_pool_needed_by_mode_exits_2(tmp_path, capsys, text, args, located):
     path = tmp_path / "bad.yaml"
@@ -370,9 +374,12 @@ def _policy(old: str, new: str) -> str:
          ".nlri.distinguisher", "distinguisher -1 is outside"),
         (_policy(" segments:\n", " segments: [5]\n unused:\n"),
          ".segmentlist.segments[0]", "entry 5 is not a mapping"),
+        (_policy("b05\n   behavior: 18\n", "b05\n   behavior: 7\n"),
+         ".segmentlist.segments[3].behavior", "final segment code 7 is not a DT behavior"),
     ],
     ids=["non-integer-distinguisher", "non-boolean-iswithdraw", "malformed-bsid",
-         "family-not-a-mapping", "negative-distinguisher", "segment-not-a-mapping"],
+         "family-not-a-mapping", "negative-distinguisher", "segment-not-a-mapping",
+         "non-dt-final-segment"],
 )
 def test_cli_inject_malformed_policy_exits_2(tmp_path, capsys, text, located, message):
     path = tmp_path / "bad-policy.yaml"
