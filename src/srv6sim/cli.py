@@ -40,6 +40,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_ping(args) -> int:
+    if args.count < 1:
+        raise ValidationError(f"--count {args.count} is not positive")
     sim = _boot(args)
     report = sim.ping(args.src, args.dst, count=args.count, family=args.family)
     print(

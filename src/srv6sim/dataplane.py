@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
 from ipaddress import IPv6Address
 from typing import Optional
 
@@ -79,6 +80,16 @@ class SrPolicyEntry:
             raise SimError(f"policy {self.bsid} has an empty segment list")
         if self.family not in ("v4", "v6"):
             raise SimError(f"bad policy family {self.family!r}")
+
+    @cached_property
+    def srh(self) -> Srh:
+        """The encap header, built on first use and kept with the policy: the
+        segments reversed, Segments Left at the first (the outer destination)."""
+        return Srh(
+            next_header=PROTO_IPV4_ENCAP if self.family == "v4" else PROTO_IPV6_ENCAP,
+            segments_left=len(self.segments) - 1,
+            segment_list=tuple(reversed(self.segments)),
+        )
 
 
 @dataclass(frozen=True)
@@ -227,12 +238,8 @@ class NodeDataplane:
         return hit[1] if hit else None
 
     def h_encaps(self, inner: InnerPacket, bsid: IPv6Address) -> OuterPacket:
-        """Encapsulate ``inner`` according to the policy bound to ``bsid``.
-
-        The SRH stores the policy segments in reverse order with Segments
-        Left pointing at the first segment, which also becomes the outer
-        destination.
-        """
+        """Encapsulate ``inner`` in the SRH of the policy bound to ``bsid``;
+        per packet, only the inner is encoded."""
         policy = self.policies.get(bsid)
         if policy is None:
             raise DanglingPolicyError(f"no policy installed for BSID {bsid}")
@@ -242,14 +249,10 @@ class NodeDataplane:
             )
         if self.encap_source is None:
             raise SimError(f"{self.name}: encap source not configured")
-        srh = Srh(
-            next_header=PROTO_IPV4_ENCAP if policy.family == "v4" else PROTO_IPV6_ENCAP,
-            segments_left=len(policy.segments) - 1,
-            segment_list=tuple(reversed(policy.segments)),
-        )
+        srh = policy.srh
         return OuterPacket(
             src=self.encap_source,
-            dst=policy.segments[0],
+            dst=srh.active_segment,
             next_header=PROTO_ROUTING,
             hop_limit=OUTER_HOP_LIMIT,
             srh=srh,

@@ -1,12 +1,15 @@
 """Vector packet processing on a node's pod-tx path.
 
-``run_vector`` takes up to 256 inner packets leaving one node and runs each
-stage over the whole vector before the next (steer -> H.Encaps -> FIB
-lookup), the per-node vector idiom of VPP. Each packet leaves as a
-``Disposition``: ``forward`` with its outer packet, or ``drop`` with a
-reason. ``underlay.forward`` walks the later hops once per outer header in a
-ping and replays that walk for the other packets (its flow memo). The
-per-packet oracle is ``scalar_tx`` in ``tests/conftest.py``.
+``run_vector`` takes up to 256 inner packets leaving one node, in the
+per-node vector idiom of VPP, and takes each through steer -> H.Encaps ->
+FIB lookup. Header work is done once per flow: steering and the FIB are
+looked up once per destination in the vector, and H.Encaps reuses the SRH
+its policy got when it was installed. Per packet, only the inner is encoded
+and wrapped. Each packet leaves as a ``Disposition``: ``forward`` with its
+outer packet, or ``drop`` with a reason. ``underlay.forward`` walks the
+later hops once per outer header in a ping and replays that walk for the
+other packets (its flow memo). The per-packet oracle is ``scalar_tx`` in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .errors import SimError
 from .net_types import InnerPacket
 
 VECTOR_MAX = 256
+_UNSEEN = object()
 
 
 def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Disposition]:
@@ -25,23 +29,24 @@ def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Disposition
         raise SimError("empty packet vector")
     if len(vector) > VECTOR_MAX:
         raise SimError(f"vector of {len(vector)} exceeds the {VECTOR_MAX} cap")
-    # Steering is memoised per destination: the dataplane cannot change
-    # while one vector runs.
-    steered: dict = {}
-    for inner in vector:
-        if inner.dst not in steered:
-            steered[inner.dst] = dp.steer_lookup(inner.dst)
-    bsids = [steered[inner.dst] for inner in vector]
-    outers = [
-        None if bsid is None else dp.h_encaps(inner, bsid)
-        for inner, bsid in zip(vector, bsids)
-    ]
-    next_hops = [None if outer is None else dp.fib_lookup(outer.dst) for outer in outers]
+    # The dataplane cannot change while one vector runs; a run of packets to
+    # one destination object reuses its route without hashing the address.
+    routed: dict = {}  # inner dst -> [BSID, FIB next hop of its outer dst]
+    last = route = None
     out = []
-    for outer, next_hop in zip(outers, next_hops):
-        if outer is None:
+    for inner in vector:
+        if inner.dst is not last:
+            last = inner.dst
+            route = routed.get(last)
+            if route is None:
+                route = routed[last] = [dp.steer_lookup(last), _UNSEEN]
+        if route[0] is None:
             out.append(Disposition(kind="drop", reason="no steering match"))
-        elif next_hop is None:
+            continue
+        outer = dp.h_encaps(inner, route[0])
+        if route[1] is _UNSEEN:
+            route[1] = dp.fib_lookup(outer.dst)
+        if route[1] is None:
             out.append(Disposition(kind="drop", reason="no route"))
         else:
             out.append(Disposition(kind="forward", packet=outer))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
 from typing import Optional, Union
 
@@ -188,6 +188,13 @@ class Srh:
         if not 0 <= self.tag <= 0xFFFF:
             raise MalformedPacketError("tag out of 16-bit range")
 
+    def __hash__(self) -> int:  # immutable, and hashed per packet by flow memos
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.next_header, self.segments_left, self.segment_list, self.flags, self.tag))
+
     @property
     def last_entry(self) -> int:
         return len(self.segment_list) - 1
@@ -273,7 +280,7 @@ class OuterPacket:
                     f"SRH next_header {self.srh.next_header} does not name an "
                     "encapsulated family (4 or 41)"
                 )
-            if self.dst != self.srh.active_segment:
+            if self.dst is not self.srh.active_segment and self.dst != self.srh.active_segment:
                 raise MalformedPacketError(
                     f"outer dst {self.dst} != active segment {self.srh.active_segment}"
                 )

@@ -19,7 +19,7 @@ import yaml
 
 from .agent import Agent
 from .bgp import SessionBus, SrPolicySafiUpdate, encode_safi73
-from .dataplane import Behavior, LocalSidEntry, NodeDataplane
+from .dataplane import Behavior, Disposition, LocalSidEntry, NodeDataplane
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -43,7 +43,7 @@ from .k8s import (
 from .net_types import InnerPacket, parse_prefix
 from .scenario import Scenario
 from .schema import get, load, present, section
-from .underlay import RouteTable, Topology, TraceRecord, compute_routes, forward
+from .underlay import Hop, RouteTable, Topology, TraceRecord, compute_routes, forward
 
 
 def load_configmap_docs(text: str, path: str = "configmap file") -> list[ConfigMapDoc]:
@@ -305,6 +305,8 @@ class Simulation:
              family: str = "v6") -> PingReport:
         """Synthesize ``count`` inner packets and push them through the full
         steer/encap/underlay/decap pipeline."""
+        if count < 1:
+            raise SimError(f"ping count {count} is not positive")
         if src_pod not in self.pods or dst_pod not in self.pods:
             raise UnknownNodeError(f"unknown pod {src_pod!r} or {dst_pod!r}")
         src, dst = self.pods[src_pod], self.pods[dst_pod]
@@ -322,14 +324,7 @@ class Simulation:
         remaining = count
         while remaining > 0:
             batch = min(remaining, VECTOR_MAX)
-            vector = [
-                InnerPacket(
-                    src=src.addrs[family],
-                    dst=dst.addrs[family],
-                    payload=f"ping-{i}".encode(),
-                )
-                for i in range(batch)
-            ]
+            vector = [_probe(src, dst, family, i) for i in range(batch)]
             # Free the packets, and each disposition once it is forwarded,
             # so that only the traces outlive their packet.
             dispositions = run_vector(dp, vector)[::-1]
@@ -359,7 +354,17 @@ class Simulation:
         return report
 
     def trace(self, src_pod: str, dst_pod: str, family: str = "v6") -> TraceRecord:
+        """The trace of a one-packet ping. Between two pods of one node the
+        local FIB delivers the packet, so its trace is one deliver hop there."""
         report = self.ping(src_pod, dst_pod, count=1, family=family)
+        src, dst = self.pods[src_pod], self.pods[dst_pod]
+        if src.node == dst.node:
+            inner = _probe(src, dst, family, 0)
+            return TraceRecord(
+                hops=[Hop(src.node, inner.dst, "deliver")],
+                disposition=Disposition(kind="deliver", inner=inner),
+                deliver_node=src.node,
+            )
         if not report.traces:
             raise SimError(f"no trace: {report.drop_reasons}")
         return report.traces[0]
@@ -413,6 +418,11 @@ class Simulation:
 
     def report_json(self) -> str:
         return json.dumps(self.report(), indent=2, sort_keys=True)
+
+
+def _probe(src, dst, family: str, i: int) -> InnerPacket:
+    """The ``i``-th inner packet of a ping from pod ``src`` to pod ``dst``."""
+    return InnerPacket(src=src.addrs[family], dst=dst.addrs[family], payload=f"ping-{i}".encode())
 
 
 def run_scenario(scenario: Scenario) -> Simulation:

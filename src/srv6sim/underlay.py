@@ -130,13 +130,14 @@ def compute_routes(topology: Topology, advertised: dict[Prefix, str]) -> RouteTa
     return table
 
 
-def _settle(trace: TraceRecord, at: str, dst: IPv6Address, disp: Disposition) -> TraceRecord:
-    """End ``trace`` at ``at`` with a deliver or drop disposition."""
+def _settle(trace: TraceRecord, ending: Hop, disp: Disposition) -> TraceRecord:
+    """End ``trace`` with a deliver or drop disposition at the vertex of
+    ``ending``, the deliver hop there."""
     deliver = disp.kind == "deliver"
-    trace.hops.append(_hop(at, dst, "deliver" if deliver else f"drop:{disp.reason}"))
+    trace.hops.append(ending if deliver else _hop(ending.at, ending.dst, f"drop:{disp.reason}"))
     trace.disposition = disp
     if deliver:
-        trace.deliver_node = at
+        trace.deliver_node = ending.at
     return trace
 
 
@@ -154,21 +155,26 @@ def forward(
     otherwise the packet follows the route table. Routers decrement the outer
     hop limit. Terminates with a deliver or drop disposition.
 
-    ``memo`` maps an outer header (source, dst, hop limit, SRH) to its first
-    packet's walk: hops, consumed End/End.X entries and end. Later packets with
-    that header replay it; one that ended at a localSID runs it again on this
-    packet's inner. A memo lives for one ``Simulation.ping`` call, in which
-    routes and dataplanes stay fixed. ``memo=None`` is the plain-walk oracle.
+    ``memo`` maps an outer header (source, hop limit, and the SRH, which
+    names the destination, or the destination when there is none) to its
+    first packet's walk: hops, consumed End/End.X entries, last packet, end
+    and deliver hop. The walk, its SRH rewrites and its hops are built once
+    per flow. Each later packet with that header replays it, counting the
+    consumed entries; one that ended at a localSID runs it again on this
+    packet's inner, which is all the work done per packet. A memo lives for
+    one ``Simulation.ping`` call, in which routes and dataplanes stay fixed.
+    ``memo=None`` is the plain-walk oracle.
     """
-    key = (source, pkt.dst, pkt.hop_limit, pkt.srh)
+    key = (source, pkt.hop_limit, pkt.srh or pkt.dst)
     flow = memo.get(key) if memo is not None else None
     if flow is not None:
-        hops, consumed, at, last, end = flow
+        hops, consumed, last, end, ending = flow
         for entry in consumed:
             entry.rx_counter += 1
         if isinstance(end, NodeDataplane):
-            end = end.process_local(replace(last, inner=pkt.inner))
-        return _settle(TraceRecord(hops=list(hops)), at, last.dst, end)
+            end = end.process_local(OuterPacket(
+                last.src, last.dst, last.next_header, last.hop_limit, last.srh, pkt.inner))
+        return _settle(TraceRecord(hops=list(hops)), ending, end)
     trace = TraceRecord()
     consumed: list = []
     current = source
@@ -203,9 +209,10 @@ def forward(
         current = hit[1][0]
     else:
         raise SimError("forwarding did not terminate")
+    ending = _hop(current, pkt.dst, "deliver")
     if memo is not None:
-        memo[key] = (tuple(trace.hops), consumed, current, pkt, end)
-    return _settle(trace, current, pkt.dst, disp)
+        memo[key] = (tuple(trace.hops), consumed, pkt, end, ending)
+    return _settle(trace, ending, disp)
 
 
 def waypoints(trace: TraceRecord) -> list[str]:

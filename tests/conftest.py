@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from srv6sim.dataplane import Disposition
+from srv6sim.dataplane import OUTER_HOP_LIMIT, Disposition
+from srv6sim.net_types import (
+    PROTO_IPV4_ENCAP,
+    PROTO_IPV6_ENCAP,
+    PROTO_ROUTING,
+    OuterPacket,
+    Srh,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -24,11 +31,21 @@ def random_v4(rng: random.Random) -> IPv4Address:
 
 def scalar_tx(dp, packet):
     """The tx-path oracle for ``graph.run_vector``: one packet through
-    steer -> H.Encaps -> FIB lookup, with no vector and no memo."""
+    steer -> H.Encaps -> FIB lookup, with no vector and no memo. The SRH is
+    built here from the installed policy, not taken from the dataplane's
+    stored header, so a stale header shows as a difference."""
     bsid = dp.steer_lookup(packet.dst)
     if bsid is None:
         return Disposition(kind="drop", reason="no steering match")
-    outer = dp.h_encaps(packet, bsid)
+    policy = dp.policies[bsid]
+    assert packet.family == policy.family and dp.encap_source is not None
+    srh = Srh(
+        next_header=PROTO_IPV4_ENCAP if policy.family == "v4" else PROTO_IPV6_ENCAP,
+        segments_left=len(policy.segments) - 1,
+        segment_list=tuple(reversed(policy.segments)),
+    )
+    outer = OuterPacket(src=dp.encap_source, dst=policy.segments[0], next_header=PROTO_ROUTING,
+                        hop_limit=OUTER_HOP_LIMIT, srh=srh, inner=packet.encode())
     if dp.fib_lookup(outer.dst) is None:
         return Disposition(kind="drop", reason="no route")
     return Disposition(kind="forward", packet=outer)

@@ -13,6 +13,8 @@
   fresh ``parse_configmap_doc`` of the stored text.
 - ``render_configmap_doc`` (cached policy items) and the single map (cached
   entries) against one ``yaml.dump`` of the whole document or map.
+- The SRH each installed policy keeps, and the per-destination lookups of
+  ``run_vector``, against ``scalar_tx``, which builds its SRH per packet.
 """
 
 from collections import Counter
@@ -45,13 +47,13 @@ from srv6sim.k8s import (
     render_configmap_doc,
 )
 from srv6sim.graph import run_vector
-from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
+from srv6sim.net_types import InnerPacket, OuterPacket, Srh, encode_outer, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.schema import YamlLoader
 from srv6sim.sim import Simulation
-from srv6sim.underlay import compute_routes, forward
+from srv6sim.underlay import compute_routes, forward, waypoints
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, scalar_tx
 
 
 def linear_lpm(table: dict, addr):
@@ -607,3 +609,124 @@ def test_changed_policy_is_rendered_alone(fanout, monkeypatch):
     assert f"{doc.node}: 1 replaced" in sim.apply_configmaps([changed])
     assert [item["bsid"] for item in items] == ["cafe::77"]
     assert entries == ([doc.node] if fanout == "single-map" else [])
+
+
+# -- the encap header each policy keeps ------------------------------------
+
+# master's four BSIDs in full_cm.yaml, and the waypoints a replacement
+# segment list may take
+HDR_BSIDS = tuple(parse_v6(f"cafe::{b}") for b in ("4", "5", "1c2", "1c3"))
+HDR_ROUTERS = st.lists(st.integers(1, 8).map(lambda r: parse_v6(f"fcff:{r}::1")), max_size=2)
+HDR_SOURCES = (parse_v6("fd10::1000"), parse_v6("fd10::2000"))
+# inner destinations: worker2's and worker1's pods (steered), master's own
+# pod and a foreign address (not steered), in both families
+HDR_DSTS = (
+    "fd90:0:12::2", "fd90:0:11::2", "fd90:0:10::2", "fd99::1",
+    "172.16.135.1", "172.16.166.128", "172.16.231.1", "10.9.0.1",
+)
+HDR_STEP = st.one_of(
+    # (destination index, a fresh equal address object instead of the shared one)
+    st.tuples(st.just("vector"), st.lists(
+        st.tuples(st.integers(0, len(HDR_DSTS) - 1), st.booleans()), min_size=1, max_size=12),
+        st.none()),
+    # (BSID, waypoints, final segment: its own, the other family's DT SID, unrouted)
+    st.tuples(st.just("install"), st.sampled_from(HDR_BSIDS),
+              st.tuples(HDR_ROUTERS, st.sampled_from(["own", "other", "lost"]))),
+    st.tuples(st.just("remove"), st.sampled_from(HDR_BSIDS), st.none()),
+    st.tuples(st.just("source"), st.sampled_from(HDR_SOURCES), st.none()),
+)
+
+
+def _hdr_vector(picks) -> list[InnerPacket]:
+    shared = [parse_addr(text) for text in HDR_DSTS]
+    vector = []
+    for i, (k, fresh) in enumerate(picks):
+        dst = type(shared[k])(int(shared[k])) if fresh else shared[k]
+        src = parse_addr("fd90:0:10::2" if dst.version == 6 else "172.16.231.1")
+        vector.append(InnerPacket(src=src, dst=dst, payload=b"h%d" % i))
+    return vector
+
+
+def _hdr_step(sim: Simulation, step, original: dict, steering: dict) -> None:
+    """Apply one dataplane mutation to master of ``sim``."""
+    op, arg, extra = step
+    dp = sim.dataplanes["master"]
+    if op == "source":
+        dp.set_encap_source(arg)
+    elif op == "remove":
+        dp.remove_policy(arg)
+    elif op == "install":
+        waypoints, final = extra
+        own = original[arg].segments[-1]  # the egress node's End.DT SID
+        last = {"own": own, "other": IPv6Address(int(own) ^ 1), "lost": parse_v6("fcee::1")}[final]
+        dp.install_policy(replace(original[arg], segments=tuple(waypoints) + (last,)))
+        for match, bsid in steering.items():
+            if bsid == arg:
+                dp.install_steering(SteeringRule(match, bsid))
+
+
+def _tx_signature(disp) -> tuple:
+    return disp.kind, disp.reason, disp.packet and encode_outer(disp.packet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(HDR_STEP, min_size=1, max_size=8))
+def test_stored_encap_header_follows_policy_changes(steps):
+    """Policy replacement, removal and reinstall and a new encap source,
+    interleaved with vectors of mixed destinations and families: after every
+    step ``run_vector`` equals the per-packet ``scalar_tx`` (which builds its
+    own SRH), and ``ping`` equals the plain walk of a twin simulation."""
+    memoised, plain = _started("full_cm"), _started("full_cm")
+    dp = memoised.dataplanes["master"]
+    original, steering = dict(dp.policies), dict(dp.steering)
+    probe = _hdr_vector([(k, False) for k in range(len(HDR_DSTS))])
+    for step in steps:
+        _hdr_step(memoised, step, original, steering)
+        _hdr_step(plain, step, original, steering)
+        vectors = [probe] + ([_hdr_vector(step[1])] if step[0] == "vector" else [])
+        for vector in vectors:
+            assert list(map(_tx_signature, run_vector(dp, vector))) == [
+                _tx_signature(scalar_tx(dp, p)) for p in vector
+            ]
+        for dst, family in (("pod-worker1", "v4"), ("pod-worker2", "v6"), ("pod-worker2", "v4")):
+            got = memoised.ping("pod-master", dst, count=3, family=family)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(srv6sim.sim, "forward", lambda *args: forward(*args[:5]))
+                want = plain.ping("pod-master", dst, count=3, family=family)
+            assert _fates(got.traces) == _fates(want.traces)
+            assert (got.delivered, got.drop_reasons) == (want.delivered, want.drop_reasons)
+    assert memoised.report_json() == plain.report_json()
+    assert memoised.state_dump() == plain.state_dump()
+
+
+def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
+    """A policy's SRH is built once, on first use, and kept with the policy.
+    After that, a 768-packet ping builds an SRH only at the End hops of its
+    flow's first walk: none at the headend and none in the replays.
+    Re-installing the policy as it is keeps its SRH; replacing its segments
+    builds exactly one new SRH."""
+    sim = _started("full_cm")
+    built = []
+    post_init = Srh.__post_init__
+    monkeypatch.setattr(Srh, "__post_init__", lambda srh: (built.append(srh), post_init(srh)))
+
+    def ping(count):
+        return sim.ping("pod-master", "pod-worker2", count=count, family="v6")
+
+    dp = sim.dataplanes["master"]
+    policy = dp.policies[parse_v6("cafe::5")]
+    assert ping(1).delivered == 1 and built[0] is policy.srh
+    built.clear()
+    report = ping(768)
+    assert report.delivered == 768
+    assert len(built) == len(waypoints(report.traces[0])) == 2  # End at R6 and R8
+    vector = [InnerPacket(src=parse_addr("fd90:0:10::2"), dst=parse_addr("fd90:0:12::2"),
+                          payload=b"%d" % i) for i in range(5)]
+    built.clear()
+    dp.install_policy(replace(policy))
+    run_vector(dp, vector)
+    assert built == [] and dp.policies[policy.bsid].srh is policy.srh
+    dp.install_policy(replace(policy, segments=policy.segments[1:]))
+    outers = [d.packet for d in run_vector(dp, vector)]
+    assert len(built) == 1 and all(outer.srh is built[0] for outer in outers)
+    assert built[0].segment_list == policy.segments[:0:-1]

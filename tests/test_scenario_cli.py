@@ -3,7 +3,7 @@ import json
 import pytest
 
 from srv6sim.cli import main
-from srv6sim.errors import ValidationError
+from srv6sim.errors import SimError, ValidationError
 from srv6sim.net_types import InnerPacket, OuterPacket, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
@@ -95,6 +95,38 @@ def test_cli_trace(capsys):
     assert main(["trace", "--scenario", FULL_CM, "pod-worker2", "pod-worker1"]) == 0
     out = capsys.readouterr().out
     assert "action=end" in out and "action=deliver" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_ping_count_must_be_positive(count, capsys):
+    assert main(["ping", "--scenario", BASIC, "pod-master", "pod-worker2", f"--count={count}"]) == 2
+    assert f"--count {count} is not positive" in capsys.readouterr().err
+    sim = Simulation(load_scenario(BASIC)).start()
+    with pytest.raises(SimError, match="not positive"):
+        sim.ping("pod-master", "pod-worker2", count=int(count))
+    assert sim.traces_forwarded == 0
+
+
+def test_trace_between_pods_on_one_node(tmp_path, capsys):
+    """The local FIB delivers between two pods of one node: the trace is
+    one deliver hop there, and ping still reports no trace."""
+    path = tmp_path / "two-on-master.yaml"
+    pod = '  - {name: pod-master, node: master, v4: "172.16.231.1", v6: "fd90:0:10::2"}\n'
+    path.write_text(_basic(pod, pod + pod.replace("pod-master", "pod-m2")
+                           .replace(".231.1", ".231.2").replace("10::2", "10::3")))
+    assert main(["ping", "--scenario", str(path), "pod-master", "pod-m2"]) == 0
+    assert "4 sent, 4 delivered, 0 dropped" in capsys.readouterr().out
+    assert main(["trace", "--scenario", str(path), "pod-master", "pod-m2"]) == 0
+    assert capsys.readouterr().out == "hop master dst=fd90:0:10::3 action=deliver\n"
+    sim = Simulation(load_scenario(path)).start()
+    for family, dst in (("v4", "172.16.231.2"), ("v6", "fd90:0:10::3")):
+        trace = sim.trace("pod-master", "pod-m2", family=family)
+        assert trace.delivered and trace.deliver_node == "master"
+        assert [(h.at, str(h.dst), h.action) for h in trace.hops] == [("master", dst, "deliver")]
+        assert trace.disposition.inner == InnerPacket(
+            src=sim.pods["pod-master"].addrs[family], dst=parse_addr(dst), payload=b"ping-0")
+    assert sim.ping("pod-master", "pod-m2", count=2).traces == []
+    assert sim.traces_forwarded == 0
 
 
 def test_cli_show(capsys):
