@@ -78,9 +78,9 @@ class Agent:
         self.external_peers = set(external_peers or ())
         self.events = events if events is not None else []
         self.metrics = metrics if metrics is not None else Counter()
-        # control-plane state
-        self.prefix_map: dict[IPv6Address, set[Prefix]] = {}
-        # (endpoint, family) -> the tunnel's policy, queued or configured
+        # control-plane state, per tunnel: (endpoint, family) -> its prefixes,
+        # and the tunnel's policy, queued or configured
+        self.prefix_map: dict[tuple[IPv6Address, str], set[Prefix]] = {}
         self.pending: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
         self.installed: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
         self.last_doc: Optional[ConfigMapDoc] = None
@@ -179,40 +179,27 @@ class Agent:
             self._event("unknown-message", repr(message))
 
     def on_step1(self, update: Step1Update) -> None:
-        prefixes = self.prefix_map.setdefault(update.next_hop, set())
+        key = (update.next_hop, family_of(update.prefix))
+        prefixes = self.prefix_map.setdefault(key, set())
         if update.withdraw:
             if update.prefix not in prefixes:
                 return
             prefixes.discard(update.prefix)
-            self._teardown_prefix(update.next_hop, update.prefix)
+            self.dp.remove_steering(update.prefix)
+            policy = None if prefixes else self.installed.pop(key, None)
+            if policy is not None:  # the tunnel's last prefix went: queue its policy again
+                self._remove_own(policy)
+                self.pending[key] = policy
             self._event("step1-withdraw", f"{update.prefix} via {update.next_hop}")
             return
         if update.prefix in prefixes:
             return  # duplicate advertisement
         prefixes.add(update.prefix)
         self.metrics["step1_received"] += 1
-        family = family_of(update.prefix)
-        key = (update.next_hop, family)
         if key in self.pending:
             self._try_install(update.next_hop, self.pending.pop(key))
-        elif key in self.installed:
-            # new prefix for an endpoint whose tunnel already exists
-            policy = self.installed[key]
-            self.dp.install_steering(SteeringRule(match=update.prefix, bsid=policy.bsid))
-
-    def _teardown_prefix(self, endpoint: IPv6Address, prefix: Prefix) -> None:
-        self.dp.remove_steering(prefix)
-        family = family_of(prefix)
-        remaining = [
-            p for p in self.prefix_map.get(endpoint, ()) if family_of(p) == family
-        ]
-        if remaining:
-            return
-        key = (endpoint, family)
-        policy = self.installed.pop(key, None)
-        if policy is not None:
-            self.dp.remove_policy(policy.bsid)
-            self.pending[key] = policy
+        elif key in self.installed:  # a new prefix for an existing tunnel
+            self.dp.install_steering(SteeringRule(update.prefix, self.installed[key].bsid))
 
     def on_policy(self, sender: str, update: SrPolicySafiUpdate) -> None:
         if self.mode == "configmap":
@@ -226,47 +213,54 @@ class Agent:
         self.metrics["step2_received"] += 1
         key = (update.endpoint, update.family)
         if update.withdraw:
-            self.pending.pop(key, None)
-            policy = self.installed.pop(key, None)
-            if policy is not None:
-                self.dp.remove_policy(policy.bsid)
+            if self._uninstall(key) is not None:
                 self._event("policy-withdrawn", str(update.endpoint))
             return
-        self._try_install(
-            update.endpoint,
-            SrPolicyEntry(bsid=update.bsid, segments=update.segment_sids, family=update.family),
-        )
+        policy = SrPolicyEntry(bsid=update.bsid, segments=update.segment_sids, family=update.family)
+        self._try_install(update.endpoint, policy)
 
     def _try_install(self, endpoint: IPv6Address, policy: SrPolicyEntry) -> None:
         """Install the tunnel to ``endpoint`` if its prefixes are known, else queue.
 
         Replacing an existing (endpoint, family) tunnel atomically swaps the
         policy; the binding SID may change, in which case the old policy is
-        removed after the new one is installed.
+        removed after the new one is installed, unless another tunnel took
+        its BSID meanwhile (a ConfigMap document may swap two BSIDs). In bgp
+        mode a BSID names one tunnel: a policy whose BSID another tunnel
+        holds is refused, and the dataplane stays as it was.
         """
         key = (endpoint, policy.family)
-        matching = [
-            p for p in self.prefix_map.get(endpoint, ()) if family_of(p) == policy.family
-        ]
+        matching = self.prefix_map.get(key)
         if not matching:
             self.pending[key] = policy
             self._event("policy-pending", f"{addr_text(endpoint)} {policy.family}")
             return
         previous = self.installed.get(key)
+        if self.mode == "bgp" and self.dp.policies.get(policy.bsid, previous) != previous:
+            self._event("policy-bsid-conflict",
+                        f"{addr_text(endpoint)} {policy.family} {addr_text(policy.bsid)}")
+            return
         self.dp.install_policy(policy)
         for prefix in matching:
             self.dp.install_steering(SteeringRule(match=prefix, bsid=policy.bsid))
         if previous is not None and previous.bsid != policy.bsid:
-            self.dp.remove_policy(previous.bsid)
+            self._remove_own(previous)
         self.installed[key] = policy
         self.pending.pop(key, None)
         self._event("policy-installed", f"{addr_text(endpoint)} {policy.family}")
 
-    def _uninstall(self, key: tuple[IPv6Address, str]) -> None:
+    def _uninstall(self, key: tuple[IPv6Address, str]) -> Optional[SrPolicyEntry]:
+        """Retire the tunnel ``key``; its policy, if it was installed."""
+        self.pending.pop(key, None)
         policy = self.installed.pop(key, None)
         if policy is not None:
+            self._remove_own(policy)
+        return policy
+
+    def _remove_own(self, policy: SrPolicyEntry) -> None:
+        """Remove a tunnel's policy unless another tunnel has since taken its BSID."""
+        if self.dp.policies.get(policy.bsid) == policy:
             self.dp.remove_policy(policy.bsid)
-        self.pending.pop(key, None)
 
     # -- configmap mode ----------------------------------------------------
 
@@ -293,16 +287,12 @@ class Agent:
                 self.dp.install_localsid(LocalSidEntry(sid=sid, behavior=behavior))
             self._event("localsids-updated", str(sorted(doc.localsids)))
         for entry in diff.removes:
-            if entry.egress_node == self.infra:
-                continue
-            self._uninstall((entry.egress_node, entry.family))
-        for entry in list(diff.adds) + list(diff.replaces):
-            if entry.egress_node == self.infra:
-                continue
-            self._try_install(
-                entry.egress_node,
-                SrPolicyEntry(bsid=entry.bsid, segments=entry.segment_list, family=entry.family),
-            )
+            if entry.egress_node != self.infra:
+                self._uninstall((entry.egress_node, entry.family))
+        for entry in diff.adds + diff.replaces:
+            if entry.egress_node != self.infra:
+                policy = SrPolicyEntry(entry.bsid, entry.segment_list, entry.family)
+                self._try_install(entry.egress_node, policy)
         self.last_doc = doc
         if not diff.empty:
             self._event("configmap-applied", diff.summary())

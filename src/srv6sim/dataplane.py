@@ -7,8 +7,9 @@ state comparison across runs and control-plane modes.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from ipaddress import IPv6Address
 from typing import Optional
@@ -154,11 +155,16 @@ class LpmIndex(Mapping):
 class NodeDataplane:
     """Mutable SRv6 state of one cluster node (or underlay router)."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, metrics: Optional[Counter] = None):
         self.name = name
+        # shared with the owning simulation; "localsid_changes" keys its route cache
+        self.metrics = metrics if metrics is not None else Counter()
         self.localsids: dict[IPv6Address, LocalSidEntry] = {}
         self.policies: dict[IPv6Address, SrPolicyEntry] = {}
         self.steering: dict[Prefix, IPv6Address] = {}
+        # BSID -> prefixes steered to it, built at the first remove_policy (a bring-up
+        # has none); lists, as a BSID steers few prefixes and hashing one is slow
+        self._steered: Optional[dict[IPv6Address, list[Prefix]]] = None
         self.encap_source: Optional[IPv6Address] = None
         self.fib: dict[Prefix, str] = {}
         self.version = 0  # bumped on every effective mutation
@@ -172,10 +178,12 @@ class NodeDataplane:
             return
         self.localsids[entry.sid] = entry
         self.version += 1
+        self.metrics["localsid_changes"] += 1
 
     def remove_localsid(self, sid: IPv6Address) -> None:
         if self.localsids.pop(sid, None) is not None:
             self.version += 1
+            self.metrics["localsid_changes"] += 1
 
     def install_policy(self, entry: SrPolicyEntry) -> None:
         if self.policies.get(entry.bsid) == entry:
@@ -184,11 +192,25 @@ class NodeDataplane:
         self.version += 1
 
     def remove_policy(self, bsid: IPv6Address) -> None:
+        """Remove the policy bound to ``bsid`` and the steering rules that use it."""
         if self.policies.pop(bsid, None) is not None:
-            dangling = [p for p, b in self.steering.items() if b == bsid]
-            for prefix in dangling:
+            if self._steered is None:
+                self._steered = {}
+                for prefix, steered_to in self.steering.items():
+                    self._steered.setdefault(steered_to, []).append(prefix)
+            for prefix in self._steered.pop(bsid, ()):
                 del self.steering[prefix]
             self.version += 1
+
+    def _reindex(self, prefix: Prefix, old, new) -> None:
+        """Move ``prefix`` from BSID ``old``'s index entry to ``new``'s; None is no entry."""
+        if self._steered is not None:
+            if old is not None:
+                self._steered[old].remove(prefix)
+                if not self._steered[old]:
+                    del self._steered[old]
+            if new is not None:
+                self._steered.setdefault(new, []).append(prefix)
 
     def install_steering(self, rule: SteeringRule) -> None:
         policy = self.policies.get(rule.bsid)
@@ -201,14 +223,18 @@ class NodeDataplane:
                 f"steering prefix {rule.match} does not match policy family "
                 f"{policy.family}"
             )
-        if self.steering.get(rule.match) == rule.bsid:
+        previous = self.steering.get(rule.match)
+        if previous == rule.bsid:
             return
         self.steering[rule.match] = rule.bsid
         self.version += 1
+        self._reindex(rule.match, previous, rule.bsid)
 
     def remove_steering(self, match: Prefix) -> None:
-        if self.steering.pop(match, None) is not None:
+        bsid = self.steering.pop(match, None)
+        if bsid is not None:
             self.version += 1
+            self._reindex(match, bsid, None)
 
     def set_encap_source(self, addr: IPv6Address) -> None:
         if self.encap_source == addr:
@@ -271,8 +297,10 @@ class NodeDataplane:
                 return Disposition(kind="drop", reason="no SRH")
             if pkt.srh.segments_left == 0:
                 return Disposition(kind="drop", reason="no more segments")
-            srh = replace(pkt.srh, segments_left=pkt.srh.segments_left - 1)
-            out = replace(pkt, srh=srh, dst=srh.active_segment)
+            srh = Srh(pkt.srh.next_header, pkt.srh.segments_left - 1, pkt.srh.segment_list,
+                      pkt.srh.flags, pkt.srh.tag)
+            out = OuterPacket(pkt.src, srh.active_segment, pkt.next_header, pkt.hop_limit,
+                              srh, pkt.inner)
             if behavior.kind == "EndX":
                 return Disposition(
                     kind="forward_via", packet=out, next_hop=behavior.next_hop

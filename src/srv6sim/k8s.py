@@ -202,6 +202,10 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
         keys = set()  # one set per document above; per policy only to locate the duplicate
         for i, p in enumerate(policies):
             schema.unique((p.egress_node, p.traffic), keys, "policy for", f"{path}.policies[{i}]")
+    if len({p.bsid for p in policies}) < len(policies):  # a BSID names one policy
+        bsids = set()
+        for i, p in enumerate(policies):
+            schema.unique(str(p.bsid), bsids, "bsid", f"{path}.policies[{i}].bsid")
     return ConfigMapDoc(node=node, localsids=localsids, policies=tuple(policies))
 
 
@@ -218,6 +222,7 @@ def decodes_to_itself(doc: ConfigMapDoc) -> bool:
         and len({(p.egress_node, p.traffic) for p in doc.policies}) == len(doc.policies)
         and all(k in LOCALSID_KINDS for k in doc.localsids)
         and all(isinstance(a, IPv6Address) for a in addrs)
+        and len({p.bsid for p in doc.policies}) == len(doc.policies)
     )
 
 

@@ -104,7 +104,7 @@ class Simulation:
         self.router_sids: dict[str, IPv6Network] = {}
         self.dataplanes: dict[str, NodeDataplane] = {}
         for router in scenario.routers:
-            dp = NodeDataplane(router.name)
+            dp = NodeDataplane(router.name, self.metrics)
             dp.install_localsid(
                 LocalSidEntry(sid=router.end_sid, behavior=Behavior("End"))
             )
@@ -112,7 +112,7 @@ class Simulation:
             self.router_sids[router.name] = router.sid_prefix
         for node in scenario.nodes:
             self.topology.attach(node.name, node.router)
-            dp = NodeDataplane(node.name)
+            dp = NodeDataplane(node.name, self.metrics)
             dp.add_fib_route(parse_prefix("::/0"), node.router)
             self.dataplanes[node.name] = dp
 
@@ -152,7 +152,7 @@ class Simulation:
             )
         self.pods = {p.name: p for p in scenario.pods}
         self.started = False
-        self._routes: tuple[Optional[tuple], RouteTable] = (None, {})  # (key, routes)
+        self._routes: tuple[Optional[int], RouteTable] = (None, {})  # (key, routes)
         self._map_items: dict[str, tuple[str, str]] = {}  # node -> (text, its single-map entry)
 
     # -- lifecycle ---------------------------------------------------------
@@ -291,12 +291,12 @@ class Simulation:
     def current_routes(self) -> RouteTable:
         """Routes to every router's SID block and every node's infra address and
         localSIDs; recomputed only when a localSID changes (topology is fixed)."""
-        key = tuple(tuple(self.dataplanes[n.name].localsids) for n in self.scenario.nodes)
+        key = self.metrics["localsid_changes"]
         if key != self._routes[0]:
             advertised = {prefix: router for router, prefix in self.router_sids.items()}
-            for node, sids in zip(self.scenario.nodes, key):
+            for node in self.scenario.nodes:
                 advertised[IPv6Network((node.infra, 128))] = node.name
-                for sid in sids:
+                for sid in self.dataplanes[node.name].localsids:
                     advertised[IPv6Network((sid, 128))] = node.name
             self._routes = (key, compute_routes(self.topology, advertised))
         return self._routes[1]

@@ -9,7 +9,7 @@ smallest sequence of link names, so the first link name decides.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import IPv6Address
 from typing import Optional
@@ -200,7 +200,8 @@ def forward(
             if pkt.hop_limit <= 1:
                 disp = end = Disposition(kind="drop", reason="ttl")
                 break
-            pkt = replace(pkt, hop_limit=pkt.hop_limit - 1)
+            pkt = OuterPacket(pkt.src, pkt.dst, pkt.next_header, pkt.hop_limit - 1, pkt.srh,
+                              pkt.inner)
         table = routes.get(current)
         hit = table.lookup(pkt.dst) if table is not None else None
         if hit is None:

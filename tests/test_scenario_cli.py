@@ -208,9 +208,11 @@ BAD_DOCS += [
     ("{node: master, policies: [{egress_node: 'fd11::1000', bsid: 'cafe::9', "
      "traffic: IPv6, segment_list: []}]}", ".policies[0].segment_list", "empty segment_list"),
     ("{node: 5}", ".node", "node 5 is not a string"),
+    (f"{{node: master, policies: [{POLICY}, {POLICY.replace('IPv6', 'IPv4')}]}}",
+     ".policies[1].bsid", "duplicate bsid 'cafe::9'"),
 ]
 BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-not-a-list",
-               "duplicate-policy", "empty-segment-list", "node-not-a-string"]
+               "duplicate-policy", "empty-segment-list", "node-not-a-string", "duplicate-bsid"]
 V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
 
 
