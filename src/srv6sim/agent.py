@@ -287,10 +287,10 @@ class Agent:
                 self.dp.install_localsid(LocalSidEntry(sid=sid, behavior=behavior))
             self._event("localsids-updated", str(sorted(doc.localsids)))
         for entry in diff.removes:
-            if entry.egress_node != self.infra:
+            if entry.egress_node is not self.infra and entry.egress_node != self.infra:
                 self._uninstall((entry.egress_node, entry.family))
         for entry in diff.adds + diff.replaces:
-            if entry.egress_node != self.infra:
+            if entry.egress_node is not self.infra and entry.egress_node != self.infra:
                 policy = SrPolicyEntry(entry.bsid, entry.segment_list, entry.family)
                 self._try_install(entry.egress_node, policy)
         self.last_doc = doc

@@ -19,7 +19,7 @@ from ipaddress import IPv6Address
 
 from .dataplane import BEHAVIOR_END_DT4, BEHAVIOR_END_DT6
 from .errors import DecodeError, SimError, TruncationError, ValidationError
-from .net_types import Prefix
+from .net_types import Prefix, canon
 from .schema import address, boolean, entries, integer, load, mapping, section
 
 SAFI_SR_POLICY = 73
@@ -168,7 +168,7 @@ def decode_safi73(data: bytes) -> SrPolicySafiUpdate:
         if type_code == SUBTLV_BINDING_SID:
             if len(value) != 18:
                 raise DecodeError(f"binding SID sub-TLV length {len(value)} != 18")
-            bsid = IPv6Address(value[2:18])
+            bsid = canon(IPv6Address(value[2:18]))
         elif type_code == SUBTLV_PREFERENCE:
             if len(value) != 6:
                 raise DecodeError(f"preference sub-TLV length {len(value)} != 6")
@@ -191,7 +191,7 @@ def decode_safi73(data: bytes) -> SrPolicySafiUpdate:
                         raise DecodeError(
                             f"type-B segment length {len(seg_value)} != 20"
                         )
-                    sid = IPv6Address(seg_value[2:18])
+                    sid = canon(IPv6Address(seg_value[2:18]))
                     code = struct.unpack("!H", seg_value[18:20])[0]
                     segments.append(Segment(sid=sid, behavior_code=code))
                 else:
@@ -205,10 +205,10 @@ def decode_safi73(data: bytes) -> SrPolicySafiUpdate:
     return SrPolicySafiUpdate(
         distinguisher=distinguisher,
         color=color,
-        endpoint=IPv6Address(endpoint),
+        endpoint=canon(IPv6Address(endpoint)),
         bsid=bsid,
         segments=tuple(segments),
-        next_hop=IPv6Address(next_hop),
+        next_hop=canon(IPv6Address(next_hop)),
         weight=weight,
         preference=preference,
         priority=priority,

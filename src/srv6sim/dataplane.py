@@ -186,8 +186,11 @@ class NodeDataplane:
             self.metrics["localsid_changes"] += 1
 
     def install_policy(self, entry: SrPolicyEntry) -> None:
-        if self.policies.get(entry.bsid) == entry:
+        previous = self.policies.get(entry.bsid)
+        if previous == entry:
             return
+        if previous is not None and previous.family != entry.family:
+            self.remove_policy(entry.bsid)  # its steering rules are of the old family
         self.policies[entry.bsid] = entry
         self.version += 1
 
@@ -224,7 +227,7 @@ class NodeDataplane:
                 f"{policy.family}"
             )
         previous = self.steering.get(rule.match)
-        if previous == rule.bsid:
+        if previous is rule.bsid or previous is not None and previous == rule.bsid:
             return
         self.steering[rule.match] = rule.bsid
         self.version += 1

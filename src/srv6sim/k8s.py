@@ -8,13 +8,14 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import IPv6Address
+from operator import is_not
 from typing import Optional
 
 import yaml
 
 from . import schema
 from .errors import NotEligibleError, PoolExhaustedError, ValidationError
-from .net_types import Addr, Prefix
+from .net_types import Addr, Prefix, canon
 
 # libyaml's emitter where PyYAML has it; it folds long scalars differently
 # from the pure-Python one, see render_configmap_doc.
@@ -132,7 +133,7 @@ class IpamAllocator:
         base = int(pool.cidr.network_address)
         offset = blocks[block_index] * pool.block_addrs + count % pool.block_addrs
         self._counts[pool_name][node] = count + 1
-        return pool.cidr.network_address.__class__(base + offset)
+        return canon(pool.cidr.network_address.__class__(base + offset))
 
 
 # -- ConfigMap documents ---------------------------------------------------
@@ -209,21 +210,27 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
     return ConfigMapDoc(node=node, localsids=localsids, policies=tuple(policies))
 
 
-def decodes_to_itself(doc: ConfigMapDoc) -> bool:
-    """True only if ``parse_configmap_doc(render_configmap_doc(doc)) == doc``."""
-    addrs = list(doc.localsids.values())
+def decodes_to_itself(doc: ConfigMapDoc) -> Optional[ConfigMapDoc]:
+    """``doc`` with canonical addresses (``net_types.canon``) if
+    ``parse_configmap_doc(render_configmap_doc(doc)) == doc``, else None."""
+    addrs, policies = list(doc.localsids.values()), []
     for p in doc.policies:
         if (p.traffic not in TRAFFIC_KINDS or not isinstance(p.segment_list, tuple)
                 or not p.segment_list):
-            return False
-        addrs += [p.egress_node, p.bsid, *p.segment_list]
-    return (
-        isinstance(doc.node, str) and doc.node != "" and isinstance(doc.policies, tuple)
-        and len({(p.egress_node, p.traffic) for p in doc.policies}) == len(doc.policies)
-        and all(k in LOCALSID_KINDS for k in doc.localsids)
-        and all(isinstance(a, IPv6Address) for a in addrs)
-        and len({p.bsid for p in doc.policies}) == len(doc.policies)
-    )
+            return None
+        fields = (p.egress_node, p.bsid, *p.segment_list)
+        same = tuple(map(canon, fields))  # an entry of canonical addresses is kept as it is
+        policies.append(PolicyDocEntry(*same[:2], same[2:], p.traffic)
+                        if any(map(is_not, same, fields)) else p)
+        addrs += fields
+    if (isinstance(doc.node, str) and doc.node != "" and isinstance(doc.policies, tuple)
+            and all(k in LOCALSID_KINDS for k in doc.localsids)
+            and all(isinstance(a, IPv6Address) for a in addrs)
+            and len({(p.egress_node, p.traffic) for p in policies}) == len(policies)
+            and len({p.bsid for p in policies}) == len(policies)):
+        return ConfigMapDoc(doc.node, {k: canon(a) for k, a in doc.localsids.items()},
+                            tuple(policies))
+    return None
 
 
 def _dump(data, dumper) -> str:
@@ -304,40 +311,22 @@ class PolicyDiff:
         return not (self.adds or self.replaces or self.removes)
 
     def summary(self) -> str:
-        if self.empty:
-            return "0 changes"
-        parts = []
-        if self.adds:
-            parts.append(f"{len(self.adds)} added")
-        if self.replaces:
-            parts.append(f"{len(self.replaces)} replaced")
-        if self.removes:
-            parts.append(f"{len(self.removes)} removed")
-        return ", ".join(parts)
+        counts = ((self.adds, "added"), (self.replaces, "replaced"), (self.removes, "removed"))
+        return ", ".join(f"{len(ps)} {verb}" for ps, verb in counts if ps) or "0 changes"
 
 
 def diff_policies(old: ConfigMapDoc, new: ConfigMapDoc) -> PolicyDiff:
     """Diff keyed by (egress_node, traffic); a policy is replaced iff its
     bsid or segment list changed. Omission means removal."""
-
-    def keyed(doc):
-        return {(p.egress_node, p.traffic): p for p in doc.policies}
-
-    old_map, new_map = keyed(old), keyed(new)
+    old_map = {(p.egress_node, p.traffic): p for p in old.policies}
+    new_map = {(p.egress_node, p.traffic): p for p in new.policies}
+    adds, replaces = [], []
+    for key, p in new_map.items():
+        was = old_map.get(key)
+        if was is None:
+            adds.append(p)
+        elif (was.bsid, was.segment_list) != (p.bsid, p.segment_list):  # tuples try `is` first
+            replaces.append(p)
+    removes = [p for key, p in old_map.items() if key not in new_map]
     order = lambda p: (addr_text(p.egress_node), p.traffic)
-    adds = sorted(
-        (p for k, p in new_map.items() if k not in old_map), key=order
-    )
-    removes = sorted(
-        (p for k, p in old_map.items() if k not in new_map), key=order
-    )
-    replaces = sorted(
-        (
-            p
-            for k, p in new_map.items()
-            if k in old_map
-            and (old_map[k].bsid != p.bsid or old_map[k].segment_list != p.segment_list)
-        ),
-        key=order,
-    )
-    return PolicyDiff(tuple(adds), tuple(replaces), tuple(removes))
+    return PolicyDiff(*(tuple(sorted(ps, key=order)) for ps in (adds, replaces, removes)))

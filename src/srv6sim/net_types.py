@@ -4,12 +4,18 @@ The outer IPv6 header is the standard 40-byte fixed header. The routing
 extension header carried inside it is the segment-routing header (routing
 type 4): the segment list is stored in reverse path order and Segments Left
 indexes the active SID.
+
+Every address the package stores is canonical: one live object per value,
+the one ``canon`` returns (hash-consing; Filliâtre & Conchon, ML Workshop
+2006). Equal addresses are then mostly the same object, but ``is`` is only a
+fast path in front of ``==``, never a replacement for it.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import struct
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
@@ -36,10 +42,24 @@ PROTO_OPAQUE = 253
 SRH_ROUTING_TYPE = 4
 
 
+_canonical = {cls: weakref.WeakValueDictionary() for cls in (IPv4Address, IPv6Address)}
+
+
+def canon(addr: Addr) -> Addr:
+    """The live canonical object equal to ``addr``, which becomes it if there
+    is none. The tables, one per class keyed by ``int(addr)``, hold no strong
+    reference. A scoped IPv6 address (``fe80::1%eth0``) is left as it is."""
+    table = _canonical.get(addr.__class__)
+    if table is None or getattr(addr, "_scope_id", None) is not None:
+        return addr
+    ref = table.data.get(addr._ip)  # _ip is int(addr); a hit skips two Python-level calls
+    return (ref and ref()) or table.setdefault(addr._ip, addr)
+
+
 def parse_addr(text: str) -> Addr:
-    """Parse a textual IPv4 or IPv6 address into its canonical binary form."""
+    """Parse a textual IPv4 or IPv6 address into its canonical object."""
     try:
-        return ipaddress.ip_address(text.strip())
+        return canon(ipaddress.ip_address(text.strip()))
     except ValueError as exc:
         raise AddrParseError(f"malformed address {text!r}") from exc
 
@@ -117,9 +137,9 @@ class InnerPacket:
         return header + self.payload
 
 
-# Addresses are immutable, so the decoded packets of one flow share theirs.
-_v4_from_bytes = lru_cache(maxsize=4096)(IPv4Address)
-_v6_from_bytes = lru_cache(maxsize=4096)(IPv6Address)
+# The decoded packets of one flow share their canonical addresses.
+_v4_from_bytes = lru_cache(maxsize=4096)(lambda data: canon(IPv4Address(data)))
+_v6_from_bytes = lru_cache(maxsize=4096)(lambda data: canon(IPv6Address(data)))
 
 
 def decode_inner(data: bytes) -> InnerPacket:

@@ -181,16 +181,16 @@ class Simulation:
 
     def _write_docs(self, docs: list[ConfigMapDoc]) -> None:
         """Write rendered documents, the single map as one write, recording
-        each document that its text decodes back to."""
+        each document that its text decodes back to, with canonical addresses."""
         if self.scenario.configmap_fanout == "per-node":
             for doc in docs:
-                self.store.write(configmap_key(doc.node), render_configmap_doc(doc),
-                                 doc if decodes_to_itself(doc) else None)
+                same = decodes_to_itself(doc)
+                self.store.write(configmap_key(doc.node), render_configmap_doc(same or doc), same)
         elif docs:
             texts, decoded = (dict(part) for part in self._single_map())
             for doc in docs:
-                texts[doc.node] = render_configmap_doc(doc)
-                decoded[doc.node] = doc if decodes_to_itself(doc) else None
+                decoded[doc.node] = same = decodes_to_itself(doc)
+                texts[doc.node] = render_configmap_doc(same or doc)
             self.store.write(SINGLE_MAP_KEY, self._map_text(texts), (texts, decoded))
 
     def _map_text(self, texts: dict) -> str:
@@ -321,6 +321,7 @@ class Simulation:
         dp = self.dataplanes[src.node]
         routes = self.current_routes()
         memo: dict = {}  # forward's flow memo; nothing changes routes or dataplanes in a call
+        want = dst.addrs[family]
         remaining = count
         while remaining > 0:
             batch = min(remaining, VECTOR_MAX)
@@ -343,7 +344,7 @@ class Simulation:
                 if (
                     trace.delivered
                     and trace.deliver_node == dst.node
-                    and trace.disposition.inner.dst == dst.addrs[family]
+                    and (trace.disposition.inner.dst is want or trace.disposition.inner.dst == want)
                 ):
                     report.delivered += 1
                     self.tunnel_counts[f"{src.node}->{dst.node}/{family}"] += 1

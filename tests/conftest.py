@@ -1,6 +1,7 @@
 import random
 from ipaddress import IPv4Address, IPv6Address
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,20 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.fixture
 def scenarios_dir() -> Path:
     return SCENARIOS
+
+
+@pytest.fixture
+def address_eq(monkeypatch) -> SimpleNamespace:
+    """Counts ``IPv4Address.__eq__`` and ``IPv6Address.__eq__`` calls in
+    ``.calls``; set it to 0 to start a new count. ``!=`` counts too, as it
+    falls back to ``__eq__``."""
+    counter = SimpleNamespace(calls=0)
+    for cls in (IPv4Address, IPv6Address):
+        def counted(a, b, eq=cls.__eq__):
+            counter.calls += 1
+            return eq(a, b)
+        monkeypatch.setattr(cls, "__eq__", counted)
+    return counter
 
 
 def random_v6(rng: random.Random) -> IPv6Address:

@@ -106,7 +106,7 @@ def test_bsid_index_matches_linear_remove_policy(ops):
         assert_index_is_inverse(indexed)
 
 
-def test_bsid_swap_touches_only_its_own_rules(monkeypatch):
+def test_bsid_swap_touches_only_its_own_rules(address_eq):
     """On a node with 1,000 steering rules over 500 policies, moving one
     policy to a new BSID compares a handful of addresses; the linear scan
     compares every rule's BSID."""
@@ -128,16 +128,13 @@ def test_bsid_swap_touches_only_its_own_rules(monkeypatch):
             dp.install_steering(SteeringRule(parse_prefix(f"fd90:7:{j}::/64"), new))
         dp.remove_policy(old)
 
-    compared = []
-    eq = IPv6Address.__eq__
-    monkeypatch.setattr(IPv6Address, "__eq__", lambda a, b: (compared.append(a), eq(a, b))[1])
     counts = {}
     for cls in (NodeDataplane, LinearDataplane):
         dp = node(cls)
         assert len(dp.steering) == 998
-        compared.clear()
+        address_eq.calls = 0
         swap(dp)
-        counts[cls] = len(compared)
+        counts[cls] = address_eq.calls
         assert len(dp.steering) == 998 and len(dp.policies) == 499
         assert set(steered_inverse(dp.steering)[parse_v6("cafe:1::7")]) == {
             parse_prefix("fd90:7:0::/64"), parse_prefix("fd90:7:1::/64")}
@@ -171,6 +168,22 @@ def test_configmap_bsid_swap_keeps_both_tunnels():
     fresh = load_scenario(SCENARIOS / "full_cm.yaml")
     fresh.configmaps = [swapped if d.node == "master" else d for d in fresh.configmaps]
     assert sim.state_dump() == Simulation(fresh).start().state_dump()
+
+
+def test_policy_of_another_family_drops_the_bsids_steering_rules():
+    """Re-installing master's v6 policy ``cafe::5`` as v4 through the
+    dataplane API drops the v6 rules steered to it, so each v6 packet drops
+    with a reason instead of the ping raising FamilyMismatchError."""
+    sim = Simulation(load_scenario(SCENARIOS / "full_cm.yaml")).start()
+    dp = sim.dataplanes["master"]
+    bsid = parse_v6("cafe::5")
+    assert dp.policies[bsid].family == "v6" and bsid in dp.steering.values()
+    dp.install_policy(replace(dp.policies[bsid], family="v4"))
+    assert dp.policies[bsid].family == "v4" and bsid not in dp.steering.values()
+    assert_index_is_inverse(dp)
+    report = sim.ping("pod-master", "pod-worker2", count=4, family="v6")
+    assert (report.delivered, report.drop_reasons) == (0, ["no steering match"] * 4)
+    assert sim.ping("pod-master", "pod-worker2", count=4, family="v4").delivered == 4
 
 
 def test_duplicate_bsids_do_not_decode_to_themselves():
