@@ -17,8 +17,8 @@ from . import schema
 from .errors import NotEligibleError, PoolExhaustedError, ValidationError
 from .net_types import Addr, Prefix, canon
 
-# libyaml's emitter where PyYAML has it; it folds long scalars differently
-# from the pure-Python one, see render_configmap_doc.
+# libyaml's emitter where PyYAML has it, for heads and documents dumped whole;
+# it folds long scalars differently from the pure-Python one, see render_configmap_doc.
 _FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 addr_text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; addresses are immutable
 
@@ -237,60 +237,59 @@ def _dump(data, dumper) -> str:
     return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=False)
 
 
-# (PolicyDocEntry, dumper) -> the entry's block-sequence item, oldest evicted first
-_item_cache: dict[tuple, str] = {}
-_ITEM_CACHE_MAX = 4096
+# IPv6Address._ip -> the unscoped address as a YAML scalar, one entry per value
+_scalars: dict[int, str] = {}
+_BASE60 = re.compile(r"[1-9][0-9]*(?::[0-5]?[0-9])+")  # a YAML 1.1 int, e.g. 1:2:3:4:5:6:7:8
+_NEXT_SEGMENT = "\n  - "
 
 
-def _policy_items(policies: tuple, dumper) -> list[str]:
-    """Each policy's ``- bsid: ...`` item as it appears under ``policies:``.
+def _scalar(addr: IPv6Address) -> str:
+    """Record and return the unscoped ``addr`` as PyYAML writes it in a block
+    collection: single-quoted where it ends in ``:`` (``::``, ``1::``) or
+    YAML 1.1 reads it as a base-60 int."""
+    text = str(addr)
+    if text.endswith(":") or _BASE60.fullmatch(text):
+        text = f"'{text}'"
+    _scalars[addr._ip] = text
+    return text
 
-    A top-level sequence and one under a mapping key are both written at
-    column 0, so the items of a dumped list are the items of the document.
-    The uncached ones are dumped together and split where an item starts;
-    every scalar inside an item is indented.
-    """
-    items = []
-    for p in policies:
-        try:
-            items.append(_item_cache.get((p, dumper)))
-        except TypeError:  # e.g. a list segment_list: rendered, not cached
-            items.append(None)
-    misses = [i for i, item in enumerate(items) if item is None]
-    if not misses:
-        return items
-    data = [
-        {
-            "bsid": addr_text(p.bsid),
-            "egress_node": addr_text(p.egress_node),
-            "segment_list": [addr_text(s) for s in p.segment_list],
-            "traffic": p.traffic,
-        }
-        for p in (policies[i] for i in misses)
-    ]
-    for i, item in zip(misses, re.split(r"(?<=\n)(?=- )", _dump(data, dumper))):
-        items[i] = item
-        try:
-            _item_cache[policies[i], dumper] = item
-        except TypeError:
-            continue
-        if len(_item_cache) > _ITEM_CACHE_MAX:
-            del _item_cache[next(iter(_item_cache))]
-    return items
+
+def _policies_text(policies) -> Optional[str]:
+    """The ``policies:`` block as one ``yaml.dump`` writes it under either
+    dumper, or None unless every entry holds unscoped ``IPv6Address``es (a
+    scope is free text), a segment, and IPv4 or IPv6 traffic."""
+    get, items = _scalars.get, ["policies:\n"]
+    for p in policies:  # the address tests are inline: a call per address costs ~25% more
+        b, e = p.bsid, p.egress_node
+        segments = [s.__class__ is IPv6Address and s._scope_id is None
+                    and (get(s._ip) or _scalar(s)) for s in p.segment_list]
+        if not (b.__class__ is e.__class__ is IPv6Address and b._scope_id is e._scope_id is None
+                and segments and all(segments) and p.traffic in TRAFFIC_KINDS):
+            return None
+        bsid, egress = get(b._ip) or _scalar(b), get(e._ip) or _scalar(e)
+        items.append(f"- bsid: {bsid}\n  egress_node: {egress}\n  segment_list:\n"
+                     f"  - {_NEXT_SEGMENT.join(segments)}\n  traffic: {p.traffic}\n")
+    return "".join(items) if policies else "policies: []\n"
 
 
 def render_configmap_doc(doc: ConfigMapDoc) -> str:
     """Serialize in the reference deployment's field layout: the same text
-    as one ``yaml.dump`` of the whole document, built from cached items."""
+    as one ``yaml.dump`` of the whole document, whose policies are written
+    directly where ``_policies_text`` can."""
     # Addresses and short printable ASCII words never fold.
     words = [doc.node, *doc.localsids, *(p.traffic for p in doc.policies)]
     short = all(w.isascii() and w.isprintable() and len(w) <= 63 for w in words)
     dumper = _FAST_DUMPER if short else yaml.SafeDumper
-    head = _dump({"localsids": {k: addr_text(v) for k, v in doc.localsids.items()},
-                  "node": doc.node}, dumper)
-    if not doc.policies:
-        return head + "policies: []\n"
-    return "".join([head, "policies:\n", *_policy_items(doc.policies, dumper)])
+    data = {"localsids": {k: addr_text(v) for k, v in doc.localsids.items()}, "node": doc.node}
+    policies = _policies_text(doc.policies)
+    if policies is not None:
+        return _dump(data, dumper) + policies
+    data["policies"] = [
+        {"bsid": addr_text(p.bsid), "egress_node": addr_text(p.egress_node),
+         "segment_list": [addr_text(s) for s in p.segment_list], "traffic": p.traffic}
+        for p in doc.policies
+    ]
+    return _dump(data, dumper)
 
 
 def configmap_key(node: str) -> str:

@@ -11,8 +11,8 @@
   against the plain walk, ``memo=None``.
 - The decoded ConfigMap documents the store keeps per version against a
   fresh ``parse_configmap_doc`` of the stored text.
-- ``render_configmap_doc`` (cached policy items) and the single map (cached
-  entries) against one ``yaml.dump`` of the whole document or map.
+- ``render_configmap_doc`` (policies written without PyYAML) and the single
+  map (cached entries) against one ``yaml.dump`` of the whole document or map.
 - The SRH each installed policy keeps, and the per-destination lookups of
   ``run_vector``, against ``scalar_tx``, which builds its SRH per packet.
 """
@@ -23,10 +23,9 @@ from ipaddress import IPv4Address, IPv6Address, IPv6Network, ip_network
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import srv6sim.k8s
 import srv6sim.sim
 from srv6sim.errors import ValidationError
 from srv6sim.bgp import SessionBus, parse_policy_file
@@ -393,10 +392,16 @@ def test_flow_memo_runs_decap_per_packet():
 # -- decoded ConfigMap documents in the store ------------------------------
 
 CM_NODES = ("master", "worker1", "worker2")  # the nodes of full_cm.yaml
+# Texts PyYAML quotes (one ending in ":", or a YAML 1.1 base-60 int), texts it
+# leaves plain, and a scoped address with the integer of fe80::1.
+EDGE_ADDRS = tuple(IPv6Address(a) for a in (
+    "::", "1::", "0:1::", "1:2:3:4:5:6:7:8", "1:0:2:0:3:0:4:0", "1:2:3:4:5:6:7:60", "fe80::1%eth0",
+))
 # Mostly IPv6 addresses that repeat; an IPv4 one makes a document that
 # renders but does not decode.
 CM_ADDRS = st.one_of(
     st.sampled_from([IPv6Address(f"fcdd::{i}") for i in range(4)]), V6, V6,
+    st.sampled_from(EDGE_ADDRS),
     st.integers(0, 2**32 - 1).map(IPv4Address),
 )
 
@@ -540,7 +545,7 @@ def test_single_map_is_loaded_at_most_once_per_version(monkeypatch):
     assert loads == {raw: 1}
 
 
-# -- cached policy items in render_configmap_doc ---------------------------
+# -- policies written directly by render_configmap_doc ---------------------
 
 
 def full_dump(doc: ConfigMapDoc) -> str:
@@ -561,11 +566,17 @@ def full_dump(doc: ConfigMapDoc) -> str:
     return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=False)
 
 
+def edge_docs(node: str) -> list[ConfigMapDoc]:
+    """One document per ``EDGE_ADDRS`` address, which fills every field."""
+    return [ConfigMapDoc(node, {"DT6": a}, (PolicyDocEntry(a, a, (a, a), "IPv6"),))
+            for a in EDGE_ADDRS]
+
+
 @st.composite
 def doc_series(draw):
-    """Documents drawn from one pool of entries, so that later renders reuse
-    items of earlier ones, under either dumper. Some segment lists are
-    lists, which cannot be cached; some documents have no policies."""
+    """Documents drawn from one pool of entries, so that later renders meet
+    addresses of earlier ones, under either dumper. Some segment lists are
+    lists; some documents have no policies."""
     pool = draw(st.lists(CM_POLICIES, min_size=1, max_size=6))
     policies = st.lists(st.sampled_from(pool), max_size=6).map(tuple)
     docs = st.builds(ConfigMapDoc, node=ANY_NODE, localsids=CM_LOCALSIDS, policies=policies)
@@ -574,25 +585,36 @@ def doc_series(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(doc_series())
+@example(edge_docs("master"))  # libyaml's emitter where PyYAML has it
+@example(edge_docs("x" * 64))  # a word that may fold: the pure-Python emitter
 def test_rendered_documents_match_full_dump(docs):
     for doc in docs + docs:
         assert render_configmap_doc(doc) == full_dump(doc)
 
 
+@pytest.mark.parametrize("texts", [("fe80::1", "fe80::1%eth0"), ("fe80::2%eth0", "fe80::2")])
+def test_scoped_address_keeps_its_scope(texts):
+    """A scoped address and the unscoped one with its integer, rendered one
+    after the other in either order, each keep their own text."""
+    for text in texts:
+        a = IPv6Address(text)
+        doc = ConfigMapDoc("master", {"DT6": a}, (PolicyDocEntry(a, a, (a,), "IPv6"),))
+        assert render_configmap_doc(doc) == full_dump(doc)
+
+
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
 def test_changed_policy_is_rendered_alone(fanout, monkeypatch):
-    """Re-applying a document dumps only what changed: no policy item and no
-    map entry when nothing did; one item, and in the single map one entry,
-    when one policy did."""
+    """Re-applying a document, or changing one policy in it, passes no policy
+    to PyYAML: the policies are written directly. The single map dumps no
+    entry when nothing changed, and one when one policy did."""
     scenario = load_scenario(SCENARIOS / "full_cm.yaml")
     scenario.configmap_fanout = fanout
-    monkeypatch.setattr(srv6sim.k8s, "_item_cache", {})
     sim = Simulation(scenario).start()
-    items, entries = [], []
+    policies, entries = [], []
     dump, safe_dump = yaml.dump, yaml.safe_dump
 
     def counting_dump(data, *args, **kwargs):
-        items.extend(data if isinstance(data, list) else ())
+        policies.extend(data.get("policies", ()) if isinstance(data, dict) else data)
         return dump(data, *args, **kwargs)
 
     def counting_safe_dump(data, *args, **kwargs):
@@ -603,12 +625,15 @@ def test_changed_policy_is_rendered_alone(fanout, monkeypatch):
     monkeypatch.setattr(yaml, "safe_dump", counting_safe_dump)
     doc = scenario.configmaps[0]
     sim.apply_configmaps([doc])
-    assert (items, entries) == ([], [])
+    assert (policies, entries) == ([], [])
     first = replace(doc.policies[0], bsid=IPv6Address("cafe::77"))
     changed = replace(doc, policies=(first, *doc.policies[1:]))
     assert f"{doc.node}: 1 replaced" in sim.apply_configmaps([changed])
-    assert [item["bsid"] for item in items] == ["cafe::77"]
+    assert policies == []
     assert entries == ([doc.node] if fanout == "single-map" else [])
+    stored = sim.store.entries[configmap_key(doc.node) if fanout == "per-node" else SINGLE_MAP_KEY][0]
+    text = stored if fanout == "per-node" else yaml.safe_load(stored)[doc.node]
+    assert parse_configmap_doc(text) == changed
 
 
 # -- the encap header each policy keeps ------------------------------------
