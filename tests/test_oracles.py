@@ -592,7 +592,10 @@ def test_rendered_documents_match_full_dump(docs):
         assert render_configmap_doc(doc) == full_dump(doc)
 
 
-@pytest.mark.parametrize("texts", [("fe80::1", "fe80::1%eth0"), ("fe80::2%eth0", "fe80::2")])
+@pytest.mark.parametrize("texts", [
+    ("fe80::1", "fe80::1%eth0"), ("fe80::1%eth0", "fe80::1"),
+    ("fe80::2%eth0", "fe80::2"),  # a value that no earlier render has met
+])
 def test_scoped_address_keeps_its_scope(texts):
     """A scoped address and the unscoped one with its integer, rendered one
     after the other in either order, each keep their own text."""
