@@ -39,25 +39,18 @@ BEHAVIOR_END_DT4 = 19
 class Behavior:
     """Endpoint behavior bound to a localSID."""
 
-    kind: str  # End | EndX | EndDT4 | EndDT6
-    next_hop: Optional[IPv6Address] = None  # EndX only
-    table_id: int = 0  # EndDT4/EndDT6 only
+    kind: str  # End | EndDT4 | EndDT6
 
-    _KINDS = ("End", "EndX", "EndDT6", "EndDT4")
+    _KINDS = ("End", "EndDT6", "EndDT4")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise SimError(f"unknown behavior kind {self.kind!r}")
-        if self.kind == "EndX" and self.next_hop is None:
-            raise SimError("EndX requires a next hop")
 
     def render(self) -> str:
         if self.kind == "End":
             return "End"
-        if self.kind == "EndX":
-            return f"End.X nh {self.next_hop}"
-        suffix = "4" if self.kind == "EndDT4" else "6"
-        return f"End.DT{suffix} tbl {self.table_id}"
+        return "End.DT4 tbl 0" if self.kind == "EndDT4" else "End.DT6 tbl 0"
 
 
 @dataclass
@@ -103,9 +96,8 @@ class SteeringRule:
 class Disposition:
     """Result of endpoint processing for one packet."""
 
-    kind: str  # forward | forward_via | deliver | drop
+    kind: str  # forward | deliver | drop
     packet: Optional[OuterPacket] = None
-    next_hop: Optional[IPv6Address] = None
     inner: Optional[InnerPacket] = None
     reason: Optional[str] = None
 
@@ -267,18 +259,12 @@ class NodeDataplane:
         return hit[1] if hit else None
 
     def h_encaps(self, inner: InnerPacket, bsid: IPv6Address) -> OuterPacket:
-        """Encapsulate ``inner`` in the SRH of the policy bound to ``bsid``;
-        per packet, only the inner is encoded."""
-        policy = self.policies.get(bsid)
-        if policy is None:
-            raise DanglingPolicyError(f"no policy installed for BSID {bsid}")
-        if inner.family != policy.family:
-            raise FamilyMismatchError(
-                f"inner family {inner.family} != policy family {policy.family}"
-            )
+        """Encapsulate ``inner`` in the SRH of the policy bound to ``bsid``, which
+        ``steer_lookup`` returned: steering points only at installed policies
+        of its own family. Per packet, only the inner is encoded."""
         if self.encap_source is None:
             raise SimError(f"{self.name}: encap source not configured")
-        srh = policy.srh
+        srh = self.policies[bsid].srh
         return OuterPacket(
             src=self.encap_source,
             dst=srh.active_segment,
@@ -295,7 +281,7 @@ class NodeDataplane:
             raise SimError(f"{self.name}: {pkt.dst} is not a localSID")
         entry.rx_counter += 1
         behavior = entry.behavior
-        if behavior.kind in ("End", "EndX"):
+        if behavior.kind == "End":
             if pkt.srh is None:
                 return Disposition(kind="drop", reason="no SRH")
             if pkt.srh.segments_left == 0:
@@ -304,10 +290,6 @@ class NodeDataplane:
                       pkt.srh.flags, pkt.srh.tag)
             out = OuterPacket(pkt.src, srh.active_segment, pkt.next_header, pkt.hop_limit,
                               srh, pkt.inner)
-            if behavior.kind == "EndX":
-                return Disposition(
-                    kind="forward_via", packet=out, next_hop=behavior.next_hop
-                )
             return Disposition(kind="forward", packet=out)
         # End.DT4 / End.DT6
         if pkt.srh is not None and pkt.srh.segments_left > 0:

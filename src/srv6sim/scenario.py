@@ -4,6 +4,7 @@ control-plane mode, parsed from YAML."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 from typing import Optional
@@ -22,7 +23,7 @@ class RouterConfig:
     name: str
     end_sid: IPv6Address
 
-    @property
+    @cached_property  # built once: load_scenario checks it, Simulation advertises it
     def sid_prefix(self) -> IPv6Network:
         return IPv6Network((self.end_sid, 32), strict=False)
 
@@ -88,10 +89,11 @@ def load_scenario(source) -> Scenario:
     fanout = one_of(data.get("configmap_fanout", "per-node"), ("per-node", "single-map"),
                     "configmap_fanout", f"{where}.configmap_fanout")
 
-    routers, router_names = [], set()
+    routers, router_names, sid_blocks = [], set(), set()
     for rpath, r in entries(data, "routers", where):
         name = unique(string(r, "name", rpath), router_names, "router name", rpath)
         routers.append(RouterConfig(name, address(r, "end_sid", rpath)))
+        unique(str(routers[-1].sid_prefix), sid_blocks, "SID block", f"{rpath}.end_sid")
     links = []
     for lpath, l in entries(data, "links", where):
         a, b = (one_of(string(l, end, lpath), router_names, "router", f"{lpath}.{end}")
@@ -189,6 +191,6 @@ def load_scenario(source) -> Scenario:
         configmaps=configmaps,
         injector=string(data, "injector", where, None),
         injector_registered=boolean(data, "injector_registered", where, True),
-        convergence_steps=integer(data, "convergence_steps", where, 10000),
+        convergence_steps=integer(data, "convergence_steps", where, 10000, low=0),
         source=where,
     )

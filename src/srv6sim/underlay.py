@@ -61,7 +61,7 @@ class Topology:
 class Hop:
     at: str
     dst: IPv6Address
-    action: str  # source | transit | end | endx | deliver | drop:<reason>
+    action: str  # source | transit | end | deliver | drop:<reason>
 
 
 # Hops are immutable, so the packets of one flow share theirs.
@@ -157,7 +157,7 @@ def forward(
 
     ``memo`` maps an outer header (source, hop limit, and the SRH, which
     names the destination, or the destination when there is none) to its
-    first packet's walk: hops, consumed End/End.X entries, last packet, end
+    first packet's walk: hops, consumed End entries, last packet, end
     and deliver hop. The walk, its SRH rewrites and its hops are built once
     per flow. Each later packet with that header replays it, counting the
     consumed entries; one that ended at a localSID runs it again on this
@@ -188,8 +188,7 @@ def forward(
                 end = dp  # the inner decides: replays run this localSID again
                 break
             consumed.append(entry)
-            action = "end" if disp.kind == "forward" else "endx"
-            trace.hops.append(_hop(current, pkt.dst, action))
+            trace.hops.append(_hop(current, pkt.dst, "end"))
             pkt = disp.packet
         else:
             trace.hops.append(
@@ -218,4 +217,4 @@ def forward(
 
 def waypoints(trace: TraceRecord) -> list[str]:
     """Ordered vertices at which a segment was consumed (Segments Left fell)."""
-    return [h.at for h in trace.hops if h.action in ("end", "endx")]
+    return [h.at for h in trace.hops if h.action == "end"]

@@ -42,6 +42,13 @@ def steered_inverse(steering: dict) -> dict:
     return inverse
 
 
+def assert_steering_points_at_its_family(dp: NodeDataplane) -> None:
+    """Every steering rule points at an installed policy of its own family."""
+    for prefix, bsid in dp.steering.items():
+        assert bsid in dp.policies and dp.policies[bsid].family == family_of(prefix), (
+            dp.name, prefix, bsid)
+
+
 def assert_index_is_inverse(dp: NodeDataplane) -> None:
     """Once built, the index lists each steered prefix once, under its BSID,
     and has no entry for a BSID nothing is steered to."""
@@ -294,9 +301,7 @@ class BsidMachine(RuleBasedStateMachine):
     @invariant()
     def steering_references_installed_policies_of_its_family(self):
         for name in EGRESS:
-            dp = self.sim.dataplanes[name]
-            for prefix, bsid in dp.steering.items():
-                assert bsid in dp.policies and dp.policies[bsid].family == family_of(prefix)
+            assert_steering_points_at_its_family(self.sim.dataplanes[name])
 
     @invariant()
     def bsid_index_is_the_inverse_of_steering(self):

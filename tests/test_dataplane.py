@@ -88,21 +88,10 @@ def test_dt_decap_and_family_check():
     assert egress6.process_local(outer).reason == "family mismatch"
 
 
-def test_endx_forces_next_hop():
-    dp = make_headend()
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
-    outer = dp.h_encaps(inner, parse_v6("cafe::1"))
-    mid = NodeDataplane("mid")
-    nh = parse_v6("fe80::9")
-    mid.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("EndX", next_hop=nh)))
-    disp = mid.process_local(outer)
-    assert disp.kind == "forward_via" and disp.next_hop == nh
-
-
 def test_behavior_validation():
     with pytest.raises(SimError, match="unknown behavior kind"):
         Behavior("End.X")
-    with pytest.raises(SimError, match="requires a next hop"):
+    with pytest.raises(SimError, match="unknown behavior kind"):
         Behavior("EndX")
 
 

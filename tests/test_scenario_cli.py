@@ -226,6 +226,8 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         (_with_routers('  - {end_sid: "fcff:99::1"}\n'), "routers[1]", "'name'"),
         (_with_routers('  - {name: R1, end_sid: "fcff:99::1"}\n'),
          "routers[1]", "duplicate router name 'R1'"),
+        (_with_routers('  - {name: R2, end_sid: "fcff:1::2"}\n'),
+         "routers[1].end_sid", "duplicate SID block 'fcff:1::/32'"),
         (_basic('end_sid: "fcff:1::1"', 'end_sid: "zz"'),
          "routers[0].end_sid", "malformed address 'zz'"),
         (_basic('infra: "fd11::1000"', 'infra: "fd11::zz"'),
@@ -245,6 +247,8 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         (_basic("seed: 7", "seed: abc"), ".seed", "'abc' is not an integer"),
         (_basic("seed: 7", "seed: 7\nconvergence_steps: many"),
          ".convergence_steps", "'many' is not an integer"),
+        (_basic("seed: 7", "seed: 7\nconvergence_steps: -5"),
+         ".convergence_steps", "convergence_steps -5 is outside"),
         (_basic("name: pod-worker2", "name: pod-worker1"),
          "pods[2]", "duplicate pod name 'pod-worker1'"),
         (_basic("worker2", "worker1", count=5), "nodes[2]", "duplicate node name 'worker1'"),
@@ -305,9 +309,11 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
+        "shared-sid-block",
         "malformed-end-sid", "malformed-infra", "malformed-pod-prefix",
         "malformed-pinned-localsid", "malformed-pod-address", "pool-without-name",
         "pool-without-cidr", "duplicate-pool", "non-integer-seed", "non-integer-convergence-steps",
+        "negative-convergence-steps",
         "duplicate-pod", "duplicate-node", "node-named-like-router", "router-not-a-mapping",
         "node-not-a-mapping", "routers-not-a-list", "families-not-a-list",
         "configmaps-not-a-list", "configmap-not-a-mapping", "unknown-configmap-fanout",
@@ -329,6 +335,20 @@ def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
     assert main(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert located in err and "Traceback" not in err
+
+
+def test_zero_convergence_budget_is_valid(tmp_path):
+    """A single-node cluster sends no message, so it converges in 0 steps."""
+    path = tmp_path / "solo.yaml"
+    path.write_text(
+        "families: [v6]\nconvergence_steps: 0\nbsid_pool: bsids\n"
+        'routers: [{name: R1, end_sid: "fcff:1::1"}]\n'
+        'nodes: [{name: solo, infra: "fd10::1000", router: R1, pod_prefix_v6: "fd90::/64",\n'
+        "         localsid_pool: sids}]\n"
+        'pools: [{name: sids, cidr: "fcff:0:0:10aa::/64"}, {name: bsids, cidr: "cafe::/64"}]\n'
+    )
+    assert load_scenario(path).convergence_steps == 0
+    assert main(["run", "--scenario", str(path)]) == 0
 
 
 def test_isolated_router_drops_only_its_own_traffic(tmp_path, capsys):
