@@ -195,7 +195,6 @@ class Agent:
         if update.prefix in prefixes:
             return  # duplicate advertisement
         prefixes.add(update.prefix)
-        self.metrics["step1_received"] += 1
         if key in self.pending:
             self._try_install(update.next_hop, self.pending.pop(key))
         elif key in self.installed:  # a new prefix for an existing tunnel

@@ -18,7 +18,6 @@ from .errors import DanglingPolicyError, FamilyMismatchError, SimError
 from .net_types import (
     PROTO_IPV4_ENCAP,
     PROTO_IPV6_ENCAP,
-    PROTO_ROUTING,
     Addr,
     InnerPacket,
     OuterPacket,
@@ -208,6 +207,11 @@ class NodeDataplane:
                 self._steered.setdefault(new, []).append(prefix)
 
     def install_steering(self, rule: SteeringRule) -> None:
+        """Steer ``rule.match`` to its BSID's policy. Refused, with the dataplane
+        unchanged, for an unknown BSID, a policy of another family, or a node
+        without an encap source: ``h_encaps`` relies on all three."""
+        if self.encap_source is None:
+            raise SimError(f"{self.name}: encap source not configured")
         policy = self.policies.get(rule.bsid)
         if policy is None:
             raise DanglingPolicyError(
@@ -260,19 +264,11 @@ class NodeDataplane:
 
     def h_encaps(self, inner: InnerPacket, bsid: IPv6Address) -> OuterPacket:
         """Encapsulate ``inner`` in the SRH of the policy bound to ``bsid``, which
-        ``steer_lookup`` returned: steering points only at installed policies
-        of its own family. Per packet, only the inner is encoded."""
-        if self.encap_source is None:
-            raise SimError(f"{self.name}: encap source not configured")
-        srh = self.policies[bsid].srh
-        return OuterPacket(
-            src=self.encap_source,
-            dst=srh.active_segment,
-            next_header=PROTO_ROUTING,
-            hop_limit=OUTER_HOP_LIMIT,
-            srh=srh,
-            inner=inner.encode(),
-        )
+        ``steer_lookup`` returned: steering exists only on a node with an encap
+        source and points only at installed policies of its own family. Per
+        packet, only the inner is encoded."""
+        return OuterPacket(self.encap_source, OUTER_HOP_LIMIT, self.policies[bsid].srh,
+                           inner.encode())
 
     def process_local(self, pkt: OuterPacket) -> Disposition:
         """Execute the behavior bound to ``pkt.dst`` and account the packet."""
@@ -282,17 +278,14 @@ class NodeDataplane:
         entry.rx_counter += 1
         behavior = entry.behavior
         if behavior.kind == "End":
-            if pkt.srh is None:
-                return Disposition(kind="drop", reason="no SRH")
             if pkt.srh.segments_left == 0:
                 return Disposition(kind="drop", reason="no more segments")
             srh = Srh(pkt.srh.next_header, pkt.srh.segments_left - 1, pkt.srh.segment_list,
                       pkt.srh.flags, pkt.srh.tag)
-            out = OuterPacket(pkt.src, srh.active_segment, pkt.next_header, pkt.hop_limit,
-                              srh, pkt.inner)
+            out = OuterPacket(pkt.src, pkt.hop_limit, srh, pkt.inner)
             return Disposition(kind="forward", packet=out)
         # End.DT4 / End.DT6
-        if pkt.srh is not None and pkt.srh.segments_left > 0:
+        if pkt.srh.segments_left > 0:
             return Disposition(kind="drop", reason="premature decap")
         inner = decode_inner(pkt.inner)
         wanted = "v4" if behavior.kind == "EndDT4" else "v6"

@@ -1,9 +1,9 @@
 """Address, prefix and packet types with bit-exact wire codecs.
 
-The outer IPv6 header is the standard 40-byte fixed header. The routing
-extension header carried inside it is the segment-routing header (routing
-type 4): the segment list is stored in reverse path order and Segments Left
-indexes the active SID.
+Every outer packet carries a segment-routing header (routing type 4): the
+segment list is stored in reverse path order and Segments Left indexes the
+active SID, which is the outer destination. ``encode_srh``/``decode_srh``
+are the header's wire-format oracle.
 
 Every address the package stores is canonical: one live object per value,
 the one ``canon`` returns (hash-consing; Filliâtre & Conchon, ML Workshop
@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
-from typing import Optional, Union
+from typing import Union
 
 from .errors import (
     AddrParseError,
@@ -32,10 +32,9 @@ from .errors import (
 Addr = Union[IPv4Address, IPv6Address]
 Prefix = Union[IPv4Network, IPv6Network]
 
-# Protocol numbers used in outer/SRH next_header chaining.
+# Protocol numbers an SRH's next_header names.
 PROTO_IPV4_ENCAP = 4
 PROTO_IPV6_ENCAP = 41
-PROTO_ROUTING = 43
 # Inner packets carry an opaque payload; the inner protocol number is fixed.
 PROTO_OPAQUE = 253
 
@@ -278,78 +277,24 @@ def decode_srh(data: bytes) -> Srh:
 
 @dataclass(frozen=True)
 class OuterPacket:
-    """IPv6 envelope, optionally carrying an SRH, around serialized inner bytes."""
+    """IPv6 envelope carrying an SRH around serialized inner bytes. The
+    destination is the SRH's active segment (RFC 8754 §4.1), so it is not
+    stored; ``encode_srh`` gives the routing header's wire bytes."""
 
     src: IPv6Address
-    dst: IPv6Address
-    next_header: int
     hop_limit: int
-    srh: Optional[Srh] = None
+    srh: Srh
     inner: bytes = b""
 
     def __post_init__(self):
         if not 0 <= self.hop_limit <= 255:
             raise MalformedPacketError(f"hop_limit {self.hop_limit} out of range")
-        if self.srh is not None:
-            if self.next_header != PROTO_ROUTING:
-                raise MalformedPacketError(
-                    "outer next_header must be 43 when an SRH is present"
-                )
-            if self.srh.next_header not in (PROTO_IPV4_ENCAP, PROTO_IPV6_ENCAP):
-                raise MalformedPacketError(
-                    f"SRH next_header {self.srh.next_header} does not name an "
-                    "encapsulated family (4 or 41)"
-                )
-            if self.dst is not self.srh.active_segment and self.dst != self.srh.active_segment:
-                raise MalformedPacketError(
-                    f"outer dst {self.dst} != active segment {self.srh.active_segment}"
-                )
+        if self.srh.next_header not in (PROTO_IPV4_ENCAP, PROTO_IPV6_ENCAP):
+            raise MalformedPacketError(
+                f"SRH next_header {self.srh.next_header} does not name an "
+                "encapsulated family (4 or 41)"
+            )
 
-
-def encode_outer(p: OuterPacket) -> bytes:
-    srh_bytes = encode_srh(p.srh) if p.srh is not None else b""
-    header = struct.pack(
-        "!IHBB16s16s",
-        6 << 28,
-        len(srh_bytes) + len(p.inner),
-        p.next_header,
-        p.hop_limit,
-        p.src.packed,
-        p.dst.packed,
-    )
-    return header + srh_bytes + p.inner
-
-
-def decode_outer(data: bytes) -> OuterPacket:
-    if len(data) < 40:
-        raise TruncationError("outer packet shorter than the 40-byte IPv6 header")
-    version = data[0] >> 4
-    if version != 6:
-        raise MalformedPacketError(f"outer version nibble {version} != 6")
-    payload_length = struct.unpack_from("!H", data, 4)[0]
-    if payload_length != len(data) - 40:
-        raise TruncationError(
-            f"payload length {payload_length} != buffer {len(data) - 40}"
-        )
-    next_header = data[6]
-    hop_limit = data[7]
-    src = IPv6Address(data[8:24])
-    dst = IPv6Address(data[24:40])
-    rest = data[40:]
-    srh = None
-    if next_header == PROTO_ROUTING:
-        if len(rest) < 8:
-            raise TruncationError("routing header truncated")
-        srh_len = 8 + 8 * rest[1]
-        if len(rest) < srh_len:
-            raise TruncationError("SRH extends past end of packet")
-        srh = decode_srh(rest[:srh_len])
-        rest = rest[srh_len:]
-    return OuterPacket(
-        src=src,
-        dst=dst,
-        next_header=next_header,
-        hop_limit=hop_limit,
-        srh=srh,
-        inner=rest,
-    )
+    @property
+    def dst(self) -> IPv6Address:
+        return self.srh.active_segment

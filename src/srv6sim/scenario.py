@@ -23,7 +23,7 @@ class RouterConfig:
     name: str
     end_sid: IPv6Address
 
-    @cached_property  # built once: load_scenario checks it, Simulation advertises it
+    @cached_property  # built once, by the Simulation that advertises it
     def sid_prefix(self) -> IPv6Network:
         return IPv6Network((self.end_sid, 32), strict=False)
 
@@ -93,7 +93,11 @@ def load_scenario(source) -> Scenario:
     for rpath, r in entries(data, "routers", where):
         name = unique(string(r, "name", rpath), router_names, "router name", rpath)
         routers.append(RouterConfig(name, address(r, "end_sid", rpath)))
-        unique(str(routers[-1].sid_prefix), sid_blocks, "SID block", f"{rpath}.end_sid")
+        block = int(routers[-1].end_sid) >> 96  # the /32; formatted only in the error
+        if block in sid_blocks:
+            raise ValidationError(f"duplicate SID block {str(routers[-1].sid_prefix)!r}",
+                                  path=f"{rpath}.end_sid")
+        sid_blocks.add(block)
     links = []
     for lpath, l in entries(data, "links", where):
         a, b = (one_of(string(l, end, lpath), router_names, "router", f"{lpath}.{end}")

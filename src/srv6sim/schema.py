@@ -87,7 +87,9 @@ def integer(data: dict, key: str, where: str, default=REQUIRED, low=None, high=N
     if value is not None and (
         (low is not None and value < low) or (high is not None and value > high)
     ):
-        raise ValidationError(f"{key} {value} is outside [{low}, {high}]", path=f"{where}.{key}")
+        bound = (f"is below {low}" if high is None else f"is above {high}" if low is None
+                 else f"is outside [{low}, {high}]")
+        raise ValidationError(f"{key} {value} {bound}", path=f"{where}.{key}")
     return value
 
 

@@ -425,6 +425,3 @@ def _probe(src, dst, family: str, i: int) -> InnerPacket:
     """The ``i``-th inner packet of a ping from pod ``src`` to pod ``dst``."""
     return InnerPacket(src=src.addrs[family], dst=dst.addrs[family], payload=f"ping-{i}".encode())
 
-
-def run_scenario(scenario: Scenario) -> Simulation:
-    return Simulation(scenario).start()

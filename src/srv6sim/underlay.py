@@ -156,24 +156,23 @@ def forward(
     hop limit. Terminates with a deliver or drop disposition.
 
     ``memo`` maps an outer header (source, hop limit, and the SRH, which
-    names the destination, or the destination when there is none) to its
-    first packet's walk: hops, consumed End entries, last packet, end
-    and deliver hop. The walk, its SRH rewrites and its hops are built once
-    per flow. Each later packet with that header replays it, counting the
-    consumed entries; one that ended at a localSID runs it again on this
-    packet's inner, which is all the work done per packet. A memo lives for
+    names the destination) to its first packet's walk: hops, consumed End
+    entries, last packet, end and deliver hop. The walk, its SRH rewrites
+    and its hops are built once per flow. Each later packet with that header
+    replays it, counting the consumed entries; one that ended at a localSID
+    runs it again on this packet's inner, which is all the work done per
+    packet. A memo lives for
     one ``Simulation.ping`` call, in which routes and dataplanes stay fixed.
     ``memo=None`` is the plain-walk oracle.
     """
-    key = (source, pkt.hop_limit, pkt.srh or pkt.dst)
+    key = (source, pkt.hop_limit, pkt.srh)
     flow = memo.get(key) if memo is not None else None
     if flow is not None:
         hops, consumed, last, end, ending = flow
         for entry in consumed:
             entry.rx_counter += 1
         if isinstance(end, NodeDataplane):
-            end = end.process_local(OuterPacket(
-                last.src, last.dst, last.next_header, last.hop_limit, last.srh, pkt.inner))
+            end = end.process_local(OuterPacket(last.src, last.hop_limit, last.srh, pkt.inner))
         return _settle(TraceRecord(hops=list(hops)), ending, end)
     trace = TraceRecord()
     consumed: list = []
@@ -199,8 +198,7 @@ def forward(
             if pkt.hop_limit <= 1:
                 disp = end = Disposition(kind="drop", reason="ttl")
                 break
-            pkt = OuterPacket(pkt.src, pkt.dst, pkt.next_header, pkt.hop_limit - 1, pkt.srh,
-                              pkt.inner)
+            pkt = OuterPacket(pkt.src, pkt.hop_limit - 1, pkt.srh, pkt.inner)
         table = routes.get(current)
         hit = table.lookup(pkt.dst) if table is not None else None
         if hit is None:

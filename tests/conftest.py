@@ -9,7 +9,6 @@ from srv6sim.dataplane import OUTER_HOP_LIMIT, Disposition
 from srv6sim.net_types import (
     PROTO_IPV4_ENCAP,
     PROTO_IPV6_ENCAP,
-    PROTO_ROUTING,
     OuterPacket,
     Srh,
 )
@@ -59,8 +58,9 @@ def scalar_tx(dp, packet):
         segments_left=len(policy.segments) - 1,
         segment_list=tuple(reversed(policy.segments)),
     )
-    outer = OuterPacket(src=dp.encap_source, dst=policy.segments[0], next_header=PROTO_ROUTING,
-                        hop_limit=OUTER_HOP_LIMIT, srh=srh, inner=packet.encode())
+    outer = OuterPacket(src=dp.encap_source, hop_limit=OUTER_HOP_LIMIT, srh=srh,
+                        inner=packet.encode())
+    assert outer.dst == policy.segments[0]
     if dp.fib_lookup(outer.dst) is None:
         return Disposition(kind="drop", reason="no route")
     return Disposition(kind="forward", packet=outer)

@@ -105,6 +105,8 @@ def test_bsid_index_matches_linear_remove_policy(ops):
     steering rules and version, and its index (once built) is the inverse
     of its steering table."""
     indexed, linear = NodeDataplane("n"), LinearDataplane("n")
+    for dp in (indexed, linear):
+        dp.set_encap_source(parse_v6("fd10::1"))
     for op in ops:
         _apply(indexed, op)
         _apply(linear, op)
@@ -119,6 +121,7 @@ def test_bsid_swap_touches_only_its_own_rules(address_eq):
     compares every rule's BSID."""
     def node(cls):
         dp = cls("headend")
+        dp.set_encap_source(parse_v6("fd10::1"))
         for i in range(500):
             bsid = parse_v6(f"cafe::{i:x}")
             dp.install_policy(SrPolicyEntry(bsid=bsid, segments=(parse_v6("fcff:3::1"),),

@@ -7,6 +7,8 @@ sound only while every steering rule points at an installed policy of its
 own family (RFC 9256 §2: a BSID is bound to one policy, whose SID list fixes
 the encapsulation). ``install_steering`` refuses a rule that would break
 this, and ``install_policy`` drops the rules of a BSID whose family changes.
+``install_steering`` also refuses any rule on a node without an encap source,
+so ``h_encaps`` never meets one.
 
 The machine here drives the public ``NodeDataplane`` mutators of a started
 ``full_cm`` simulation in any order and interleaves them with pings and with
@@ -19,7 +21,7 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from srv6sim.dataplane import Behavior, LocalSidEntry, SrPolicyEntry, SteeringRule
-from srv6sim.errors import DanglingPolicyError, FamilyMismatchError
+from srv6sim.errors import DanglingPolicyError, FamilyMismatchError, SimError
 from srv6sim.graph import run_vector
 from srv6sim.net_types import InnerPacket, family_of, parse_addr, parse_prefix, parse_v6
 from srv6sim.scenario import load_scenario
@@ -29,7 +31,7 @@ from srv6sim.underlay import forward
 from conftest import SCENARIOS
 from test_bsid import assert_index_is_inverse, assert_steering_points_at_its_family
 
-DROP_REASONS = {"no steering match", "no route", "ttl", "no SRH", "no more segments",
+DROP_REASONS = {"no steering match", "no route", "ttl", "no more segments",
                 "premature decap", "family mismatch", "misdelivered"}
 FAMILIES = st.sampled_from(("v4", "v6"))
 
@@ -82,8 +84,10 @@ class DatapathMachine(RuleBasedStateMachine):
         before = _state(dp)
         try:
             getattr(dp, method)(*args)
-        except (DanglingPolicyError, FamilyMismatchError):
+        except SimError as exc:
             assert method == "install_steering", (vertex, method, args)
+            assert isinstance(exc, (DanglingPolicyError, FamilyMismatchError)) or (
+                str(exc) == f"{vertex}: encap source not configured"), exc
             assert _state(dp) == before, (vertex, method, args)
 
     # -- mutators ----------------------------------------------------------

@@ -54,8 +54,7 @@ def test_end_drops_when_no_more_segments():
     inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
     outer = dp.h_encaps(inner, parse_v6("cafe::1"))
     from dataclasses import replace
-    srh = replace(outer.srh, segments_left=0)
-    exhausted = replace(outer, srh=srh, dst=srh.active_segment)
+    exhausted = replace(outer, srh=replace(outer.srh, segments_left=0))
     disp = mid.process_local(exhausted)
     assert disp.kind == "drop" and disp.reason == "no more segments"
 
@@ -109,11 +108,22 @@ def test_steering_is_lpm_and_family_scoped():
 
 def test_steering_validation():
     dp = NodeDataplane("n")
+    dp.set_encap_source(parse_v6("fd10::1"))
     with pytest.raises(DanglingPolicyError):
         dp.install_steering(SteeringRule(parse_prefix("fd90::/64"), parse_v6("cafe::9")))
     dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::9"), segments=(S1,), family="v6"))
     with pytest.raises(FamilyMismatchError):
         dp.install_steering(SteeringRule(parse_prefix("10.0.0.0/24"), parse_v6("cafe::9")))
+
+
+def test_steering_refused_without_encap_source():
+    """H.Encaps needs a source address, so a node without one steers nothing."""
+    dp = NodeDataplane("n")
+    dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::9"), segments=(S1,), family="v6"))
+    before = (dp.dump(), dp.version)
+    with pytest.raises(SimError, match="n: encap source not configured"):
+        dp.install_steering(SteeringRule(parse_prefix("fd90::/64"), parse_v6("cafe::9")))
+    assert (dp.dump(), dp.version) == before and dp.steering == {}
 
 
 def test_remove_policy_drops_dependent_steering():

@@ -9,7 +9,6 @@ from srv6sim.errors import (
     AddrParseError,
     FamilyMismatchError,
     MalformedPacketError,
-    SimError,
     TruncationError,
     UnsupportedTypeError,
 )
@@ -18,9 +17,7 @@ from srv6sim.net_types import (
     OuterPacket,
     Srh,
     decode_inner,
-    decode_outer,
     decode_srh,
-    encode_outer,
     encode_srh,
     family_of,
     parse_addr,
@@ -132,42 +129,12 @@ def test_inner_packet_family_mismatch():
 
 
 def test_outer_packet_invariants():
-    sid = parse_v6("fcff:1::1")
-    srh = Srh(next_header=41, segments_left=0, segment_list=(sid,))
+    """The outer destination is the active segment; the SRH names the inner's family."""
+    first, last = parse_v6("fcff:1::1"), parse_v6("fcff:2::1")
+    srh = Srh(next_header=41, segments_left=1, segment_list=(last, first))
+    assert OuterPacket(src=parse_v6("fd10::1"), hop_limit=64, srh=srh).dst == first
     with pytest.raises(MalformedPacketError):
-        OuterPacket(src=parse_v6("fd10::1"), dst=sid, next_header=41,
-                    hop_limit=64, srh=srh)
+        OuterPacket(src=parse_v6("fd10::1"), hop_limit=256, srh=srh)
     with pytest.raises(MalformedPacketError):
-        OuterPacket(src=parse_v6("fd10::1"), dst=parse_v6("fc00::9"),
-                    next_header=43, hop_limit=64, srh=srh)
-
-
-def test_outer_roundtrip_with_and_without_srh():
-    inner = InnerPacket(
-        src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"), payload=b"x"
-    ).encode()
-    sid = parse_v6("fcff:1::1")
-    srh = Srh(next_header=41, segments_left=0, segment_list=(sid,))
-    with_srh = OuterPacket(
-        src=parse_v6("fd10::1"), dst=sid, next_header=43, hop_limit=64,
-        srh=srh, inner=inner,
-    )
-    assert decode_outer(encode_outer(with_srh)) == with_srh
-    plain = OuterPacket(
-        src=parse_v6("fd10::1"), dst=parse_v6("fd11::1"), next_header=41,
-        hop_limit=64, inner=inner,
-    )
-    assert decode_outer(encode_outer(plain)) == plain
-
-
-def test_decode_outer_length_checks():
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2")).encode()
-    pkt = OuterPacket(
-        src=parse_v6("fd10::1"), dst=parse_v6("fd11::1"), next_header=41,
-        hop_limit=64, inner=inner,
-    )
-    raw = encode_outer(pkt)
-    with pytest.raises(TruncationError):
-        decode_outer(raw[:-1])
-    with pytest.raises(SimError):
-        decode_outer(b"\x00" * 40)
+        OuterPacket(src=parse_v6("fd10::1"), hop_limit=64,
+                    srh=Srh(next_header=43, segments_left=0, segment_list=(first,)))

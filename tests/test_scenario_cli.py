@@ -4,7 +4,7 @@ import pytest
 
 from srv6sim.cli import main
 from srv6sim.errors import SimError, ValidationError
-from srv6sim.net_types import InnerPacket, OuterPacket, parse_addr, parse_v6
+from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
 from srv6sim.underlay import forward
@@ -248,7 +248,7 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         (_basic("seed: 7", "seed: 7\nconvergence_steps: many"),
          ".convergence_steps", "'many' is not an integer"),
         (_basic("seed: 7", "seed: 7\nconvergence_steps: -5"),
-         ".convergence_steps", "convergence_steps -5 is outside"),
+         ".convergence_steps", "convergence_steps -5 is below 0"),
         (_basic("name: pod-worker2", "name: pod-worker1"),
          "pods[2]", "duplicate pod name 'pod-worker1'"),
         (_basic("worker2", "worker1", count=5), "nodes[2]", "duplicate node name 'worker1'"),
@@ -359,9 +359,9 @@ def test_isolated_router_drops_only_its_own_traffic(tmp_path, capsys):
         report = sim.ping("pod-master", "pod-worker1", count=2, family=family)
         assert report.delivered == 2, report.drop_reasons
     stray = OuterPacket(
-        src=parse_v6("fd10::1000"), dst=parse_v6("fcff:99::1"), next_header=41,
-        hop_limit=64, inner=InnerPacket(src=parse_addr("fd90::1"),
-                                        dst=parse_addr("fd91::1")).encode(),
+        src=parse_v6("fd10::1000"), hop_limit=64,
+        srh=Srh(next_header=41, segments_left=0, segment_list=(parse_v6("fcff:99::1"),)),
+        inner=InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd91::1")).encode(),
     )
     trace = forward(sim.topology, sim.current_routes(), "master", stray, sim.dataplanes)
     assert trace.drop_reason == "no route"

@@ -10,7 +10,7 @@ from srv6sim.dataplane import (
     SrPolicyEntry,
 )
 from srv6sim.errors import SimError
-from srv6sim.net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
+from srv6sim.net_types import InnerPacket, Srh, parse_addr, parse_prefix, parse_v6
 from srv6sim.underlay import (
     Link,
     Topology,
@@ -150,6 +150,7 @@ def test_forward_drops_without_route():
     from dataclasses import replace
     inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd91::1"))
     outer = src_dp.h_encaps(inner, parse_v6("cafe::9"))
-    stray = replace(outer, dst=parse_v6("feee::1"), srh=None, next_header=41)
+    stray = replace(outer, srh=Srh(next_header=41, segments_left=0,
+                                   segment_list=(parse_v6("feee::1"),)))
     trace = forward(topo, routes, "src", stray, dataplanes)
     assert trace.drop_reason == "no route"
