@@ -90,6 +90,10 @@ class Agent:
         # first field is a logical timestamp: the global event sequence number
         self.events.append((len(self.events), self.name, event, detail))
 
+    def _is_self(self, addr) -> bool:
+        """``addr == self.infra``, integers first: ``IPv6Address.__eq__`` is slow."""
+        return addr is self.infra or addr._ip == self.infra._ip and addr == self.infra
+
     # -- startup -----------------------------------------------------------
 
     def startup(self, configmap_doc: Optional[ConfigMapDoc] = None,
@@ -207,7 +211,7 @@ class Agent:
         if sender not in self.cluster_nodes and sender not in self.external_peers:
             self._event("audit-unregistered-peer", sender)
             return
-        if update.endpoint == self.infra:
+        if self._is_self(update.endpoint):
             return  # no tunnel to self
         self.metrics["step2_received"] += 1
         key = (update.endpoint, update.family)
@@ -286,10 +290,10 @@ class Agent:
                 self.dp.install_localsid(LocalSidEntry(sid=sid, behavior=behavior))
             self._event("localsids-updated", str(sorted(doc.localsids)))
         for entry in diff.removes:
-            if entry.egress_node is not self.infra and entry.egress_node != self.infra:
+            if not self._is_self(entry.egress_node):
                 self._uninstall((entry.egress_node, entry.family))
         for entry in diff.adds + diff.replaces:
-            if entry.egress_node is not self.infra and entry.egress_node != self.infra:
+            if not self._is_self(entry.egress_node):
                 policy = SrPolicyEntry(entry.bsid, entry.segment_list, entry.family)
                 self._try_install(entry.egress_node, policy)
         self.last_doc = doc

@@ -58,6 +58,14 @@ class LocalSidEntry:
     behavior: Behavior
     rx_counter: int = 0
 
+    def decap(self, inner: bytes) -> Disposition:
+        """End.DT4/DT6 with no segments left, on the packet's inner bytes: the
+        only part of a localSID's behavior that its header does not decide."""
+        decoded = decode_inner(inner)
+        if decoded.family != ("v4" if self.behavior.kind == "EndDT4" else "v6"):
+            return Disposition(kind="drop", reason="family mismatch")
+        return Disposition(kind="deliver", inner=decoded)
+
 
 @dataclass(frozen=True)
 class SrPolicyEntry:
@@ -276,22 +284,17 @@ class NodeDataplane:
         if entry is None:
             raise SimError(f"{self.name}: {pkt.dst} is not a localSID")
         entry.rx_counter += 1
-        behavior = entry.behavior
-        if behavior.kind == "End":
-            if pkt.srh.segments_left == 0:
+        srh = pkt.srh
+        if entry.behavior.kind == "End":
+            if srh.segments_left == 0:
                 return Disposition(kind="drop", reason="no more segments")
-            srh = Srh(pkt.srh.next_header, pkt.srh.segments_left - 1, pkt.srh.segment_list,
-                      pkt.srh.flags, pkt.srh.tag)
+            srh = Srh(srh.next_header, srh.segments_left - 1, srh.segment_list, srh.flags, srh.tag)
             out = OuterPacket(pkt.src, pkt.hop_limit, srh, pkt.inner)
             return Disposition(kind="forward", packet=out)
         # End.DT4 / End.DT6
-        if pkt.srh.segments_left > 0:
+        if srh.segments_left > 0:
             return Disposition(kind="drop", reason="premature decap")
-        inner = decode_inner(pkt.inner)
-        wanted = "v4" if behavior.kind == "EndDT4" else "v6"
-        if inner.family != wanted:
-            return Disposition(kind="drop", reason="family mismatch")
-        return Disposition(kind="deliver", inner=inner)
+        return entry.decap(pkt.inner)
 
     def fib_lookup(self, dst: IPv6Address):
         """``"local"`` on an exact localSID hit, else LPM next hop, else None."""

@@ -347,11 +347,12 @@ class Simulation:
                     and (trace.disposition.inner.dst is want or trace.disposition.inner.dst == want)
                 ):
                     report.delivered += 1
-                    self.tunnel_counts[f"{src.node}->{dst.node}/{family}"] += 1
                 else:
                     report.dropped += 1
                     report.drop_reasons.append(trace.drop_reason or "misdelivered")
             remaining -= batch
+        if report.delivered:
+            self.tunnel_counts[f"{src.node}->{dst.node}/{family}"] += report.delivered
         return report
 
     def trace(self, src_pod: str, dst_pod: str, family: str = "v6") -> TraceRecord:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from ipaddress import IPv6Address
 from typing import Optional
 
-from .dataplane import Disposition, LpmIndex, NodeDataplane
+from .dataplane import Disposition, LocalSidEntry, LpmIndex, NodeDataplane
 from .errors import SimError
 from .net_types import OuterPacket, Prefix
 
@@ -156,26 +156,28 @@ def forward(
     hop limit. Terminates with a deliver or drop disposition.
 
     ``memo`` maps an outer header (source, hop limit, and the SRH, which
-    names the destination) to its first packet's walk: hops, consumed End
-    entries, last packet, end and deliver hop. The walk, its SRH rewrites
-    and its hops are built once per flow. Each later packet with that header
-    replays it, counting the consumed entries; one that ended at a localSID
-    runs it again on this packet's inner, which is all the work done per
-    packet. A memo lives for
-    one ``Simulation.ping`` call, in which routes and dataplanes stay fixed.
-    ``memo=None`` is the plain-walk oracle.
+    names the destination) to its first packet's walk: hops, the localSID
+    entries it hit, its end and deliver hop. The walk, its SRH rewrites and
+    its hops are built once per flow. Each later packet with that header
+    replays it, which is all the work done per packet: it counts the entries
+    and, if the walk ended at End.DT with no segments left, runs
+    ``LocalSidEntry.decap`` (decode, family check) on its own inner bytes.
+    Any other end, a localSID drop included, the header decides, so its
+    disposition is shared. A memo lives for one ``Simulation.ping`` call, in
+    which routes and dataplanes stay fixed. ``memo=None`` is the plain-walk
+    oracle.
     """
     key = (source, pkt.hop_limit, pkt.srh)
     flow = memo.get(key) if memo is not None else None
     if flow is not None:
-        hops, consumed, last, end, ending = flow
+        hops, consumed, end, ending = flow
         for entry in consumed:
             entry.rx_counter += 1
-        if isinstance(end, NodeDataplane):
-            end = end.process_local(OuterPacket(last.src, last.hop_limit, last.srh, pkt.inner))
+        if isinstance(end, LocalSidEntry):
+            end = end.decap(pkt.inner)
         return _settle(TraceRecord(hops=list(hops)), ending, end)
     trace = TraceRecord()
-    consumed: list = []
+    consumed: list = []  # every localSID entry the walk hits
     current = source
     is_first = True
     for _ in range(MAX_TRACE_HOPS):
@@ -183,10 +185,10 @@ def forward(
         entry = dp.localsids.get(pkt.dst) if dp is not None else None
         if entry is not None:
             disp = dp.process_local(pkt)
-            if disp.kind in ("drop", "deliver"):
-                end = dp  # the inner decides: replays run this localSID again
-                break
             consumed.append(entry)
+            if disp.kind != "forward":
+                end = entry if entry.behavior.kind != "End" and not pkt.srh.segments_left else disp
+                break
             trace.hops.append(_hop(current, pkt.dst, "end"))
             pkt = disp.packet
         else:
@@ -209,7 +211,7 @@ def forward(
         raise SimError("forwarding did not terminate")
     ending = _hop(current, pkt.dst, "deliver")
     if memo is not None:
-        memo[key] = (tuple(trace.hops), consumed, pkt, end, ending)
+        memo[key] = (tuple(trace.hops), consumed, end, ending)
     return _settle(trace, ending, disp)
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from ipaddress import IPv4Address, IPv6Address
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,12 +26,13 @@ def scenarios_dir() -> Path:
 @pytest.fixture
 def address_eq(monkeypatch) -> SimpleNamespace:
     """Counts ``IPv4Address.__eq__`` and ``IPv6Address.__eq__`` calls in
-    ``.calls``; set it to 0 to start a new count. ``!=`` counts too, as it
-    falls back to ``__eq__``."""
-    counter = SimpleNamespace(calls=0)
+    ``.calls``, and by calling function in ``.callers``; set ``.calls`` to 0
+    to start a new count. ``!=`` counts too, as it falls back to ``__eq__``."""
+    counter = SimpleNamespace(calls=0, callers=Counter())
     for cls in (IPv4Address, IPv6Address):
         def counted(a, b, eq=cls.__eq__):
             counter.calls += 1
+            counter.callers[sys._getframe(1).f_code.co_name] += 1
             return eq(a, b)
         monkeypatch.setattr(cls, "__eq__", counted)
     return counter

@@ -9,6 +9,7 @@ from pathlib import Path
 import srv6sim
 import srv6sim.sim  # noqa: F401  (imports every submodule the tracer reaches)
 from srv6sim.scenario import load_scenario
+from srv6sim.underlay import waypoints
 
 from conftest import SCENARIOS
 
@@ -46,4 +47,8 @@ def test_traced_ping_counts_vectors_and_hops():
     assert tracer.counts["underlay.packets"] == 3
     calls = {name: n for name, (n, _s) in tracer.layer_totals().items()}
     assert calls["graph.run_vector"] == 1 and calls["underlay.forward"] == 3
+    # The first packet's walk looks up each localSID it hits (its End hops and
+    # the End.DT SID); the two replays only decode their inner bytes.
+    assert calls["dataplane.process_local"] == len(waypoints(report.traces[0])) + 1
+    assert calls["net_types.decode_inner"] == 3
     assert srv6sim.sim.run_vector is srv6sim.graph.run_vector  # unpatched again

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from srv6sim import net_types
+from srv6sim.bgp import parse_policy_file
 from srv6sim.k8s import ConfigMapDoc, PolicyDocEntry, decodes_to_itself
 from srv6sim.net_types import canon, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
@@ -162,6 +163,20 @@ def test_ping_compares_no_address_after_its_first_packet(address_eq, family):
     report = sim.ping("pod-master", "pod-worker2", count=256, family=family)
     assert report.delivered == 256
     assert address_eq.calls == first
+
+
+@pytest.mark.parametrize("scenario", ["full_bgp", "full_cm"])
+def test_bring_up_compares_no_address_with_the_agents_own(address_eq, scenario):
+    """An agent checks each tunnel's endpoint against its own infra address
+    (``Agent._is_self``): identity, then the integers, and ``__eq__`` only
+    when those are equal but not identical, which a bring-up never has.
+    full_bgp installs its policies by SAFI-73 injects after the bring-up."""
+    sim = Simulation(load_scenario(SCENARIOS / f"{scenario}.yaml")).start()
+    if scenario == "full_bgp":
+        for path in sorted((SCENARIOS / "policies").glob("*.yaml")):
+            sim.inject(parse_policy_file(path.read_text()))
+        assert sim.metrics["step2_received"]
+    assert not address_eq.callers.keys() & {"_is_self", "on_policy", "on_configmap_change"}
 
 
 def _gen_module():

@@ -376,6 +376,28 @@ def test_flow_memo_replays_header_level_drops():
     assert got[-1].hops[-1].at == "R6" and got[-1].hops is not got[2].hops
 
 
+def test_flow_memo_replays_localsid_header_drops():
+    """Three outer headers share one memo: the tunnel's, one whose walk ends
+    at R6's End SID with no segments left, and one that reaches worker2's
+    End.DT6 SID with a segment left. Their header decides both drops, and
+    each replay still counts the localSID that dropped it."""
+    tunnel = _tunnel_outer("v6")
+    end_sid, dt_sid = parse_v6("fcff:6::1"), tunnel.srh.segment_list[0]
+    assert tunnel.srh.active_segment is end_sid
+    exhausted = replace(tunnel, srh=Srh(next_header=41, segments_left=0, segment_list=(end_sid,)))
+    premature = replace(tunnel, srh=Srh(next_header=41, segments_left=1,
+                                        segment_list=(end_sid, dt_sid)))
+    inners = _inners("v6", 9)
+    outers = [replace(head, inner=inner)
+              for head, inner in zip([tunnel, exhausted, premature] * 3, inners)]
+    got, memo = _walk_twins(outers)
+    assert len(memo) == 3
+    assert [t.drop_reason for t in got] == [None, "no more segments", "premature decap"] * 3
+    assert [t.hops[-1].at for t in got[-3:]] == ["worker2", "R6", "worker2"]
+    assert got[-2].disposition is got[1].disposition
+    assert got[-1].disposition is got[2].disposition
+
+
 def test_flow_memo_runs_decap_per_packet():
     """v4 inners behind a v6 tunnel's outer header reach its End.DT6 SID:
     only they drop, although the first packet of the header delivered."""
@@ -759,3 +781,28 @@ def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
     outers = [d.packet for d in run_vector(dp, vector)]
     assert len(built) == 1 and all(outer.srh is built[0] for outer in outers)
     assert built[0].segment_list == policy.segments[:0:-1]
+
+
+def test_localsid_lookup_runs_only_in_the_first_walk(monkeypatch):
+    """A 768-packet ping looks its localSIDs up in the first packet's walk
+    only: one ``process_local`` call per localSID hit (End at R6 and R8,
+    End.DT6 at worker2). The replays run End.DT on their inner bytes."""
+    sim = _started("full_cm")
+    forwarded, looked_up = [], []
+    process_local = NodeDataplane.process_local
+
+    def spy_forward(*args):
+        forwarded.append(args[3])
+        return forward(*args)
+
+    def spy_process_local(dp, pkt):
+        looked_up.append(len(forwarded))
+        return process_local(dp, pkt)
+
+    monkeypatch.setattr(srv6sim.sim, "forward", spy_forward)
+    monkeypatch.setattr(NodeDataplane, "process_local", spy_process_local)
+    report = sim.ping("pod-master", "pod-worker2", count=768, family="v6")
+    assert report.delivered == len(forwarded) == 768
+    assert looked_up == [1, 1, 1]  # all inside the first forward call
+    assert len(waypoints(report.traces[0])) + 1 == 3
+    assert sim.dataplanes["worker2"].counters()[str(forwarded[0].srh.segment_list[0])] == 768
