@@ -8,7 +8,6 @@ state comparison across runs and control-plane modes.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from ipaddress import IPv6Address
@@ -109,14 +108,14 @@ class Disposition:
     reason: Optional[str] = None
 
 
-class LpmIndex(Mapping):
-    """Read-only prefix -> value mapping with longest-prefix match.
+class LpmIndex:
+    """Prefix -> value table with longest-prefix match.
 
     One hash table per (family, prefix length), keyed by the masked network
     as an int and probed longest first (Waldvogel et al., SIGCOMM 1997).
     """
 
-    def __init__(self, table: Mapping):
+    def __init__(self, table: dict):
         by_len: dict[tuple[int, int], dict[int, tuple]] = {}
         for prefix, value in table.items():
             entries = by_len.setdefault((prefix.version, prefix.prefixlen), {})
@@ -125,30 +124,17 @@ class LpmIndex(Mapping):
         for (version, plen), entries in sorted(by_len.items(), reverse=True):
             width = 32 if version == 4 else 128
             mask = ((1 << plen) - 1) << (width - plen)
-            self._probes[version].append((plen, mask, entries))
+            self._probes[version].append((mask, entries))
 
-    def lookup(self, addr: Addr):
-        """``(prefix, value)`` of the longest prefix containing ``addr``, or None."""
+    def lookup(self, addr: Addr, among=None):
+        """``(prefix, value)`` of the longest prefix containing ``addr``, or None.
+        With ``among``, shorter prefixes are tried while the value is not in it."""
         bits = int(addr)
-        for _plen, mask, entries in self._probes[addr.version]:
+        for mask, entries in self._probes[addr.version]:
             hit = entries.get(bits & mask)
-            if hit is not None:
+            if hit is not None and (among is None or hit[1] in among):
                 return hit
         return None
-
-    def __getitem__(self, prefix: Prefix):
-        for plen, _mask, entries in self._probes[prefix.version]:
-            if plen == prefix.prefixlen and int(prefix.network_address) in entries:
-                return entries[int(prefix.network_address)][1]
-        raise KeyError(prefix)
-
-    def __iter__(self):
-        for probes in self._probes.values():
-            for _plen, _mask, entries in probes:
-                yield from (prefix for prefix, _value in entries.values())
-
-    def __len__(self) -> int:
-        return sum(len(e) for probes in self._probes.values() for _, _, e in probes)
 
 
 class NodeDataplane:

@@ -19,7 +19,7 @@ import yaml
 
 from .agent import Agent
 from .bgp import SessionBus, SrPolicySafiUpdate, encode_safi73
-from .dataplane import Behavior, Disposition, LocalSidEntry, NodeDataplane
+from .dataplane import Behavior, Disposition, LocalSidEntry, LpmIndex, NodeDataplane
 from .errors import (
     ConvergenceError,
     ModeMismatchError,
@@ -43,7 +43,7 @@ from .k8s import (
 from .net_types import InnerPacket, parse_prefix
 from .scenario import Scenario
 from .schema import get, load, present, section
-from .underlay import Hop, RouteTable, Topology, TraceRecord, compute_routes, forward
+from .underlay import Hop, Routes, Topology, TraceRecord, compute_routes, forward
 
 
 def load_configmap_docs(text: str, path: str = "configmap file") -> list[ConfigMapDoc]:
@@ -152,7 +152,7 @@ class Simulation:
             )
         self.pods = {p.name: p for p in scenario.pods}
         self.started = False
-        self._routes: tuple[Optional[int], RouteTable] = (None, {})  # (key, routes)
+        self._routes: tuple[Optional[int], Optional[Routes]] = (None, None)  # (key, routes)
         self._map_items: dict[str, tuple[str, str]] = {}  # node -> (text, its single-map entry)
 
     # -- lifecycle ---------------------------------------------------------
@@ -288,9 +288,10 @@ class Simulation:
 
     # -- forwarding --------------------------------------------------------
 
-    def current_routes(self) -> RouteTable:
+    def current_routes(self) -> Routes:
         """Routes to every router's SID block and every node's infra address and
-        localSIDs; recomputed only when a localSID changes (topology is fixed)."""
+        localSIDs. The prefix index is rebuilt only when a localSID changes; the
+        first hops are computed once, as the topology is fixed."""
         key = self.metrics["localsid_changes"]
         if key != self._routes[0]:
             advertised = {prefix: router for router, prefix in self.router_sids.items()}
@@ -298,7 +299,9 @@ class Simulation:
                 advertised[IPv6Network((node.infra, 128))] = node.name
                 for sid in self.dataplanes[node.name].localsids:
                     advertised[IPv6Network((sid, 128))] = node.name
-            self._routes = (key, compute_routes(self.topology, advertised))
+            routes = self._routes[1]
+            first_hop = routes.first_hop if routes is not None else compute_routes(self.topology)
+            self._routes = (key, Routes(LpmIndex(advertised), first_hop))
         return self._routes[1]
 
     def ping(self, src_pod: str, dst_pod: str, count: int = 4,

@@ -1,9 +1,11 @@
 """Emulated routed backbone: link-state route computation and hop-by-hop
 forwarding of outer packets, with path tracing.
 
-Route computation is Dijkstra over the router graph plus cluster-node
-attachment edges; equal-cost ties are broken by the lexicographically
-smallest sequence of link names, so the first link name decides.
+Routes are one prefix -> origin index plus a first-hop matrix computed once
+per simulation, as the topology is fixed: Dijkstra over the router graph plus
+cluster-node attachment edges, with equal-cost ties broken by the
+lexicographically smallest sequence of link names, so the first link name
+decides.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import IPv6Address
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dataplane import Disposition, LocalSidEntry, LpmIndex, NodeDataplane
 from .errors import SimError
-from .net_types import OuterPacket, Prefix
+from .net_types import OuterPacket
 
 MAX_TRACE_HOPS = 1024
 
@@ -90,8 +92,19 @@ class TraceRecord:
         )
 
 
-# RouteTable: router/node -> indexed prefix -> (neighbor, link name)
-RouteTable = dict[str, LpmIndex]
+class Routes(NamedTuple):
+    """Where each advertised prefix lives and how to reach each vertex."""
+
+    prefixes: LpmIndex  # advertised prefix -> origin vertex
+    first_hop: dict[str, dict[str, tuple[str, str]]]  # vertex -> origin -> (neighbor, link)
+
+    def next_hop(self, vertex: str, addr: IPv6Address) -> Optional[tuple[str, str]]:
+        """``(neighbor, link name)`` toward the longest prefix holding ``addr``
+        whose origin ``vertex`` can reach, itself excluded, or None: a shorter
+        prefix matches where a longer one's origin is out of reach."""
+        hops = self.first_hop.get(vertex, {})
+        hit = self.prefixes.lookup(addr, among=hops)
+        return hops[hit[1]] if hit is not None else None
 
 
 def _best_paths(adj: dict, source: str) -> dict[str, tuple]:
@@ -112,22 +125,16 @@ def _best_paths(adj: dict, source: str) -> dict[str, tuple]:
     return best
 
 
-def compute_routes(topology: Topology, advertised: dict[Prefix, str]) -> RouteTable:
-    """Per-vertex next hops along minimum-cost paths to each prefix origin.
-
-    A prefix whose origin is unreachable from a vertex is left out of that
-    vertex's table, so packets to it drop there with "no route".
-    """
+def compute_routes(topology: Topology) -> dict[str, dict[str, tuple[str, str]]]:
+    """First hops along minimum-cost paths: ``[vertex][origin]`` is the
+    ``(neighbor, link name)`` to leave ``vertex`` by. A vertex has no entry
+    for itself or for an origin it cannot reach."""
     adj = topology.edges()
-    table: RouteTable = {}
-    for vertex in set(topology.routers) | set(topology.attachments):
-        paths = _best_paths(adj, vertex)
-        entry: dict[Prefix, tuple[str, str]] = {}
-        for prefix, origin in advertised.items():
-            if origin != vertex and origin in paths:
-                entry[prefix] = paths[origin][2]
-        table[vertex] = LpmIndex(entry)
-    return table
+    return {
+        vertex: {origin: path[2] for origin, path in _best_paths(adj, vertex).items()
+                 if origin != vertex}
+        for vertex in set(topology.routers) | set(topology.attachments)
+    }
 
 
 def _settle(trace: TraceRecord, ending: Hop, disp: Disposition) -> TraceRecord:
@@ -143,7 +150,7 @@ def _settle(trace: TraceRecord, ending: Hop, disp: Disposition) -> TraceRecord:
 
 def forward(
     topology: Topology,
-    routes: RouteTable,
+    routes: Routes,
     source: str,
     pkt: OuterPacket,
     dataplanes: dict[str, NodeDataplane],
@@ -152,7 +159,7 @@ def forward(
     """Forward ``pkt`` hop by hop starting at ``source``.
 
     At each vertex, a destination matching a local SID executes its behavior;
-    otherwise the packet follows the route table. Routers decrement the outer
+    otherwise the packet follows ``routes``. Routers decrement the outer
     hop limit. Terminates with a deliver or drop disposition.
 
     ``memo`` maps an outer header (source, hop limit, and the SRH, which
@@ -201,12 +208,11 @@ def forward(
                 disp = end = Disposition(kind="drop", reason="ttl")
                 break
             pkt = OuterPacket(pkt.src, pkt.hop_limit - 1, pkt.srh, pkt.inner)
-        table = routes.get(current)
-        hit = table.lookup(pkt.dst) if table is not None else None
+        hit = routes.next_hop(current, pkt.dst)
         if hit is None:
             disp = end = Disposition(kind="drop", reason="no route")
             break
-        current = hit[1][0]
+        current = hit[0]
     else:
         raise SimError("forwarding did not terminate")
     ending = _hop(current, pkt.dst, "deliver")

@@ -3,8 +3,8 @@
 - ``LpmIndex`` (per-length hash tables) against a linear longest-prefix scan.
 - ``SessionBus.pending_sessions()`` (kept sorted incrementally) against a
   sort of every non-empty session.
-- ``Simulation.current_routes()`` (cached) against a fresh
-  ``compute_routes()`` over the advertised prefixes.
+- ``Simulation.current_routes()`` (cached) against routes built afresh
+  from ``compute_routes()`` and the advertised prefixes.
 - libyaml's loader and emitter against PyYAML's pure-Python safe loader
   and dumper.
 - ``underlay.forward`` with a flow memo (what ``Simulation.ping`` uses)
@@ -50,7 +50,7 @@ from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v
 from srv6sim.scenario import load_scenario
 from srv6sim.schema import YamlLoader
 from srv6sim.sim import Simulation
-from srv6sim.underlay import compute_routes, forward, waypoints
+from srv6sim.underlay import Routes, compute_routes, forward, waypoints
 
 from conftest import SCENARIOS, scalar_tx
 
@@ -121,11 +121,11 @@ def test_lpm_index_matches_linear_scan(case):
         elif op == "remove":
             table.pop(prefix, None)
         index = LpmIndex(table)
-        assert dict(index) == table and len(index) == len(table)
-        for _op, other, _value in ops:
-            assert (other in index) == (other in table), other
+        among = {value for _op, _prefix, value in ops}  # a drawn subset of the values
         for addr in probes + [p.network_address for p in table]:
             assert index.lookup(addr) == linear_lpm(table, addr), addr
+            want = linear_lpm({p: v for p, v in table.items() if v in among}, addr)
+            assert index.lookup(addr, among) == want, addr
 
 
 S1 = IPv6Address("fcff:1::1")
@@ -210,16 +210,43 @@ def advertised_oracle(sim: Simulation) -> dict:
 )
 def test_cached_routes_match_fresh_computation(ops):
     sim = Simulation(load_scenario(SCENARIOS / "full_cm.yaml")).start()
-    assert sim.current_routes() == compute_routes(sim.topology, advertised_oracle(sim))
+    sids = [IPv6Address(f"fcee::{k}") for k in range(1, 7)]  # the SIDs ops add and remove
+
+    def assert_fresh():
+        advertised = advertised_oracle(sim)
+        fresh = Routes(LpmIndex(advertised), compute_routes(sim.topology))
+        cached = sim.current_routes()
+        for vertex in fresh.first_hop:
+            for addr in [p.network_address for p in advertised] + sids:
+                assert cached.next_hop(vertex, addr) == fresh.next_hop(vertex, addr), (vertex, addr)
+
+    assert_fresh()
     for op, node, k in ops:
         dp = sim.dataplanes[node]
-        sid = IPv6Address(f"fcee::{k}")
         if op == "install":
-            dp.install_localsid(LocalSidEntry(sid=sid, behavior=Behavior("End")))
+            dp.install_localsid(LocalSidEntry(sid=sids[k - 1], behavior=Behavior("End")))
         else:
-            dp.remove_localsid(sid)
-        fresh = compute_routes(sim.topology, advertised_oracle(sim))
-        assert sim.current_routes() == fresh
+            dp.remove_localsid(sids[k - 1])
+        assert_fresh()
+
+
+def test_first_hops_computed_once_per_simulation(monkeypatch):
+    """Neither ``Simulation()`` nor ``start()`` computes first hops; the
+    first ``current_routes()`` does, and a localSID change rebuilds only the
+    prefix index."""
+    calls = []
+    monkeypatch.setattr(srv6sim.sim, "compute_routes",
+                        lambda topology: calls.append(topology) or compute_routes(topology))
+    sim = Simulation(load_scenario(SCENARIOS / "full_cm.yaml")).start()
+    assert calls == []
+    before = sim.current_routes()
+    sim.dataplanes["worker1"].install_localsid(
+        LocalSidEntry(sid=IPv6Address("fcee::1"), behavior=Behavior("End")))
+    after = sim.current_routes()
+    assert after.prefixes is not before.prefixes
+    assert after.first_hop is before.first_hop and len(calls) == 1
+    assert sim.ping("pod-master", "pod-worker2").delivered == 4
+    assert len(calls) == 1
 
 
 V6 = st.integers(0, 2**128 - 1).map(IPv6Address)

@@ -1,18 +1,26 @@
 import itertools
+from dataclasses import replace
 from ipaddress import IPv6Network
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srv6sim.dataplane import (
     Behavior,
     LocalSidEntry,
+    LpmIndex,
     NodeDataplane,
     SrPolicyEntry,
 )
 from srv6sim.errors import SimError
+from srv6sim.graph import run_vector
 from srv6sim.net_types import InnerPacket, Srh, parse_addr, parse_prefix, parse_v6
+from srv6sim.scenario import load_scenario
+from srv6sim.sim import Simulation
 from srv6sim.underlay import (
     Link,
+    Routes,
     Topology,
     compute_routes,
     forward,
@@ -27,6 +35,11 @@ GRID_LINKS = [
 ]
 
 
+def routes_of(topo, advertised):
+    """Routes as ``Simulation.current_routes`` builds them."""
+    return Routes(LpmIndex(advertised), compute_routes(topo))
+
+
 def make_grid():
     return Topology(
         routers={f"R{i}" for i in range(1, 9)},
@@ -34,22 +47,19 @@ def make_grid():
     )
 
 
-def brute_force_best(topo, src, dst):
-    """All simple paths; minimize (cost, link-name sequence)."""
+def brute_force_best(topo, src):
+    """Every simple path from ``src``; per reachable vertex the minimum
+    (cost, link-name sequence) and that path's vertices."""
     adj = topo.edges()
-    best = None
-    stack = [(src, 0, (), {src})]
+    best = {}
+    stack = [(src, 0, (), (src,))]
     while stack:
-        vertex, cost, names, seen = stack.pop()
-        if vertex == dst:
-            cand = (cost, names)
-            if best is None or cand < best:
-                best = cand
-            continue
+        vertex, cost, names, path = stack.pop()
+        if vertex not in best or (cost, names) < best[vertex][:2]:
+            best[vertex] = (cost, names, path)
         for neighbor, weight, link in adj.get(vertex, []):
-            if neighbor in seen:
-                continue
-            stack.append((neighbor, cost + weight, names + (link,), seen | {neighbor}))
+            if neighbor not in path:
+                stack.append((neighbor, cost + weight, names + (link,), path + (neighbor,)))
     return best
 
 
@@ -57,14 +67,14 @@ def test_dijkstra_matches_brute_force_on_grid():
     topo = make_grid()
     prefix_of = {f"R{i}": parse_prefix(f"fcff:{i}::/32") for i in range(1, 9)}
     advertised = {p: r for r, p in prefix_of.items()}
-    routes = compute_routes(topo, advertised)
+    routes = routes_of(topo, advertised)
     for src, dst in itertools.permutations([f"R{i}" for i in range(1, 9)], 2):
-        cost, names = brute_force_best(topo, src, dst)
-        # walk the route table and accumulate the chosen path
+        cost, names, _ = brute_force_best(topo, src)[dst]
+        # walk the routes and accumulate the chosen path
         walked = []
         current = src
         while current != dst:
-            nh, link = routes[current][prefix_of[dst]]
+            nh, link = routes.next_hop(current, prefix_of[dst].network_address)
             walked.append(link)
             current = nh
         assert sum(1 for _ in walked) == cost, (src, dst)
@@ -74,9 +84,10 @@ def test_dijkstra_matches_brute_force_on_grid():
 def test_deterministic_tie_break_prefers_smaller_link_names():
     topo = make_grid()
     advertised = {parse_prefix("fcff:6::/32"): "R6"}
-    routes = compute_routes(topo, advertised)
+    routes = routes_of(topo, advertised)
     # R1->R6: via R2 (l12,l26) and via R5 (l15,l56) both cost 2
-    assert routes["R1"][parse_prefix("fcff:6::/32")] == ("R2", "l12")
+    assert routes.first_hop["R1"]["R6"] == ("R2", "l12")
+    assert routes.next_hop("R1", parse_v6("fcff:6::1")) == ("R2", "l12")
 
 
 def test_unreachable_origin_left_out():
@@ -85,9 +96,51 @@ def test_unreachable_origin_left_out():
         parse_prefix("fcff:2::/32"): "R2",
         parse_prefix("fcff:9::/32"): "R9",
     }
-    routes = compute_routes(topo, advertised)
-    assert dict(routes["R1"]) == {parse_prefix("fcff:2::/32"): ("R2", "l12")}
-    assert dict(routes["R9"]) == {}
+    routes = routes_of(topo, advertised)
+    assert routes.first_hop["R1"] == {"R2": ("R2", "l12")}
+    assert routes.first_hop["R9"] == {}
+    assert routes.next_hop("R1", parse_v6("fcff:2::1")) == ("R2", "l12")
+    assert routes.next_hop("R1", parse_v6("fcff:9::1")) is None
+    assert routes.next_hop("R9", parse_v6("fcff:2::1")) is None
+
+
+NESTED_SID = """\
+name: nested
+mode: bgp
+families: [v6]
+segment_mode: single
+routers:
+  - {name: R0, end_sid: "fcff:0::1"}
+  - {name: R1, end_sid: "fcff:1::1"}
+  - {name: R9, end_sid: "fcff:9::1"}
+links:
+  - {a: R0, b: R1, name: l01}
+nodes:
+  - {name: A, infra: "fd10::1000", router: R1, pod_prefix_v6: "fd90:a::/64",
+     localsids: {DT6: "fcff:1:0:aa::1"}}
+  - {name: B, infra: "fd11::1000", router: R9, pod_prefix_v6: "fd90:b::/64",
+     localsids: {DT6: "fcff:0:0:bb::1"}}
+pools:
+  - {name: bsids, cidr: "cafe::/118", blockSize: 122}
+bsid_pool: bsids
+pods:
+  - {name: pod-a, node: A, v6: "fd90:a::2"}
+  - {name: pod-b, node: B, v6: "fd90:b::2"}
+"""
+
+
+def test_unreachable_sid_nested_in_a_reachable_block_drops_at_the_block():
+    """B's End.DT6 SID lies in R0's /32, and B sits on the isolated R9. At A
+    the SID's /128 is skipped as unreachable, so R0's /32 leads the packet to
+    R0. There the /128 is still unreachable and R0's own /32 is skipped: "no
+    route" at R0, not the longest match sending it on toward B."""
+    sim = Simulation(load_scenario(NESTED_SID)).start()
+    sid = parse_v6("fcff:0:0:bb::1")
+    trace = sim.trace("pod-a", "pod-b")
+    assert [(h.at, h.dst, h.action) for h in trace.hops] == [
+        ("A", sid, "source"), ("R1", sid, "transit"), ("R0", sid, "transit"),
+        ("R0", sid, "drop:no route"),
+    ]
 
 
 def test_negative_cost_rejected():
@@ -121,7 +174,7 @@ def make_overlay():
         dataplanes[f"R{i}"] = dp
     advertised = {parse_prefix(f"fcff:{i}::/32"): f"R{i}" for i in range(1, 9)}
     advertised[IPv6Network((dt, 128))] = "dst"
-    routes = compute_routes(topo, advertised)
+    routes = routes_of(topo, advertised)
     return topo, routes, dataplanes, src_dp
 
 
@@ -154,3 +207,134 @@ def test_forward_drops_without_route():
                                    segment_list=(parse_v6("feee::1"),)))
     trace = forward(topo, routes, "src", stray, dataplanes)
     assert trace.drop_reason == "no route"
+
+
+# -- drawn scenarios -----------------------------------------------------------
+
+@st.composite
+def drawn_scenarios(draw):
+    """A small bgp-mode scenario as YAML text: 2-8 routers, links of cost 1-3
+    (ties are common) that may leave the graph disconnected, 2-4 nodes
+    attached anywhere. Each node's localSID pool, and sometimes its infra
+    address, nests inside some router's /32 SID block."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          unique=True, max_size=10))
+    names = draw(st.permutations(range(len(pairs))))  # link names do not follow router order
+    links = "".join(
+        f'  - {{a: R{a}, b: R{b}, cost: {draw(st.integers(1, 3))}, name: l{name}}}\n'
+        for (a, b), name in zip(pairs, names)
+    )
+    families = draw(st.sampled_from([["v4"], ["v6"], ["v4", "v6"]]))
+    nodes, pools, pods = [], [], []
+    for k in range(draw(st.integers(2, 4))):
+        infra_block = draw(st.none() | st.integers(0, n - 1))
+        infra = f"fd1{k}::1000" if infra_block is None else f"fcff:{infra_block}:0:{k}::1000"
+        nodes.append(
+            f'  - {{name: n{k}, infra: "{infra}", router: R{draw(st.integers(0, n - 1))}, '
+            f'pod_prefix_v4: "10.{k}.0.0/24", pod_prefix_v6: "fd90:{k}::/64", '
+            f'localsid_pool: sids-n{k}}}\n'
+        )
+        pools.append(f'  - {{name: sids-n{k}, cidr: "fcff:{draw(st.integers(0, n - 1))}:0:'
+                     f'{k}aa::/64", blockSize: 122, nodeSelector: n{k}}}\n')
+        pods.append(f'  - {{name: p{k}, node: n{k}, v4: "10.{k}.0.1", v6: "fd90:{k}::2"}}\n')
+    routers = "".join(f'  - {{name: R{i}, end_sid: "fcff:{i}::1"}}\n' for i in range(n))
+    return (
+        f"name: drawn\nmode: bgp\nfamilies: {families}\n"
+        f"segment_mode: {draw(st.sampled_from(['double', 'single']))}\n"
+        f"routers:\n{routers}links:\n{links or '  []'}\nnodes:\n{''.join(nodes)}"
+        f'pools:\n  - {{name: bsids, cidr: "cafe::/118", blockSize: 122}}\n{"".join(pools)}'
+        f"bsid_pool: bsids\npods:\n{''.join(pods)}"
+    )
+
+
+class BruteForceUnderlay:
+    """All-pairs best paths by enumeration and a linear longest-prefix scan
+    over the advertised prefixes: the underlay ``compute_routes`` and
+    ``forward`` must reproduce."""
+
+    def __init__(self, sim):
+        topo = sim.topology
+        self.routers = topo.routers
+        self.best = {v: brute_force_best(topo, v) for v in topo.routers | set(topo.attachments)}
+        self.advertised = {r.sid_prefix: r.name for r in sim.scenario.routers}
+        self.holder = {r.end_sid: r.name for r in sim.scenario.routers}
+        for node in sim.scenario.nodes:
+            self.advertised[IPv6Network((node.infra, 128))] = node.name
+            for sid in sim.dataplanes[node.name].localsids:
+                self.advertised[IPv6Network((sid, 128))] = node.name
+                self.holder[sid] = node.name
+
+    def origin(self, vertex, addr):
+        """Origin of the longest advertised prefix holding ``addr`` that
+        ``vertex`` can reach, its own prefixes left out; None if none."""
+        held = [(p.prefixlen, o) for p, o in self.advertised.items()
+                if addr in p and o != vertex and o in self.best[vertex]]
+        return max(held)[1] if held else None
+
+    def next_hop(self, vertex, addr):
+        origin = self.origin(vertex, addr)
+        if origin is None:
+            return None
+        _cost, names, path = self.best[vertex][origin]
+        return path[1], names[0]
+
+    def hops(self, source, segments):
+        """``(vertex, dst, action)`` of each hop: the best path to each
+        segment's holder in turn. Where the holder is out of reach, the best
+        path to the origin of the longest prefix that is not, and "no route"
+        where none is left."""
+        hops = []
+        current = source
+        for i, seg in enumerate(segments):
+            leg = [current]
+            while leg[-1] != self.holder[seg] and (origin := self.origin(leg[-1], seg)):
+                leg += self.best[leg[-1]][origin][2][1:]
+                assert len(leg) < 64, leg
+            # the leg's first vertex already has its hop, unless it is the source
+            for v in leg[1 if i else 0:-1]:
+                hops.append((v, seg, "transit" if hops else "source"))
+            current = leg[-1]
+            if current != self.holder[seg]:
+                if len(leg) > 1 or not i:
+                    hops.append((current, seg, "transit" if hops else "source"))
+                return hops + [(current, seg, "drop:no route")]
+            hops.append((current, seg, "end" if i + 1 < len(segments) else "deliver"))
+        return hops
+
+
+def _hops(trace):
+    return [(h.at, h.dst, h.action) for h in trace.hops]
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_scenarios())
+def test_routes_and_traces_match_brute_force_on_drawn_scenarios(text):
+    sim = Simulation(load_scenario(text)).start()
+    oracle = BruteForceUnderlay(sim)
+    routes = sim.current_routes()
+    probes = [p.network_address for p in oracle.advertised]
+    probes += [parse_v6(f"fcff:{r[1:]}:0:ffff::7") for r in sorted(oracle.routers)]  # no SID
+    probes.append(parse_v6("2001:db8::1"))  # outside every prefix
+    for vertex in oracle.best:
+        for addr in probes:
+            assert routes.next_hop(vertex, addr) == oracle.next_hop(vertex, addr), (vertex, addr)
+
+    by_node = {pod.node: pod for pod in sim.scenario.pods}
+    for (a, src), (b, dst) in itertools.permutations(sorted(by_node.items()), 2):
+        for family in sorted(sim.scenario.families):
+            probe = InnerPacket(src=src.addrs[family], dst=dst.addrs[family])
+            disp, = run_vector(sim.dataplanes[a], [probe])
+            assert disp.kind == "forward", (a, b, family)
+            srh = disp.packet.srh
+            segments = srh.segment_list[srh.segments_left::-1]
+            assert oracle.holder[segments[-1]] == b
+            want = oracle.hops(a, segments)
+            assert _hops(sim.trace(src.name, dst.name, family)) == want, (a, b, family)
+            # the hop limit runs out at the h-th router the packet passes
+            visits = [k for k, (v, _dst, action) in enumerate(want)
+                      if v in oracle.routers and action in ("source", "transit", "end")]
+            for h, k in enumerate(visits, 1):
+                outer = replace(disp.packet, hop_limit=h)
+                trace = forward(sim.topology, routes, a, outer, sim.dataplanes)
+                assert _hops(trace) == want[:k + 1] + [(want[k][0], want[k + 1][1], "drop:ttl")]
