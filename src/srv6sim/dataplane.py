@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from ipaddress import IPv6Address
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import DanglingPolicyError, FamilyMismatchError, SimError
 from .net_types import (
@@ -61,7 +61,7 @@ class LocalSidEntry:
         """End.DT4/DT6 with no segments left, on the packet's inner bytes: the
         only part of a localSID's behavior that its header does not decide."""
         decoded = decode_inner(inner)
-        if decoded.family != ("v4" if self.behavior.kind == "EndDT4" else "v6"):
+        if decoded.src.version != (4 if self.behavior.kind == "EndDT4" else 6):
             return Disposition(kind="drop", reason="family mismatch")
         return Disposition(kind="deliver", inner=decoded)
 
@@ -112,14 +112,16 @@ class LpmIndex:
     """Prefix -> value table with longest-prefix match.
 
     One hash table per (family, prefix length), keyed by the masked network
-    as an int and probed longest first (Waldvogel et al., SIGCOMM 1997).
+    as an int and probed longest first (Waldvogel et al., SIGCOMM 1997). A key
+    may be an address, which stands for its host prefix.
     """
 
     def __init__(self, table: dict):
         by_len: dict[tuple[int, int], dict[int, tuple]] = {}
         for prefix, value in table.items():
-            entries = by_len.setdefault((prefix.version, prefix.prefixlen), {})
-            entries[int(prefix.network_address)] = (prefix, value)
+            plen = getattr(prefix, "prefixlen", prefix.max_prefixlen)
+            entries = by_len.setdefault((prefix.version, plen), {})
+            entries[int(getattr(prefix, "network_address", prefix))] = (prefix, value)
         self._probes: dict[int, list] = {4: [], 6: []}  # longest length first
         for (version, plen), entries in sorted(by_len.items(), reverse=True):
             width = 32 if version == 4 else 128
@@ -256,16 +258,17 @@ class NodeDataplane:
         hit = self._lpm("steering", self.steering, dst)
         return hit[1] if hit else None
 
-    def h_encaps(self, inner: InnerPacket, bsid: IPv6Address) -> OuterPacket:
-        """Encapsulate ``inner`` in the SRH of the policy bound to ``bsid``, which
-        ``steer_lookup`` returned: steering exists only on a node with an encap
-        source and points only at installed policies of its own family. Per
-        packet, only the inner is encoded."""
-        return OuterPacket(self.encap_source, OUTER_HOP_LIMIT, self.policies[bsid].srh,
-                           inner.encode())
+    def h_encaps(self, bsid: IPv6Address) -> OuterPacket:
+        """The outer header H.Encaps puts in front of every packet steered to
+        ``bsid`` by ``steer_lookup``, with the SRH its policy keeps: steering
+        exists only on a node with an encap source and points only at installed
+        policies of its own family. Each packet's inner bytes travel beside it."""
+        return OuterPacket(self.encap_source, OUTER_HOP_LIMIT, self.policies[bsid].srh)
 
-    def process_local(self, pkt: OuterPacket) -> Disposition:
-        """Execute the behavior bound to ``pkt.dst`` and account the packet."""
+    def process_local(self, pkt: OuterPacket) -> Union[Disposition, LocalSidEntry]:
+        """Execute the part of the behavior bound to ``pkt.dst`` that its header
+        decides, and count the packet. End.DT with no segments left returns its
+        entry, whose ``decap`` each packet's inner bytes then go through."""
         entry = self.localsids.get(pkt.dst)
         if entry is None:
             raise SimError(f"{self.name}: {pkt.dst} is not a localSID")
@@ -275,12 +278,12 @@ class NodeDataplane:
             if srh.segments_left == 0:
                 return Disposition(kind="drop", reason="no more segments")
             srh = Srh(srh.next_header, srh.segments_left - 1, srh.segment_list, srh.flags, srh.tag)
-            out = OuterPacket(pkt.src, pkt.hop_limit, srh, pkt.inner)
+            out = OuterPacket(pkt.src, pkt.hop_limit, srh)
             return Disposition(kind="forward", packet=out)
         # End.DT4 / End.DT6
         if srh.segments_left > 0:
             return Disposition(kind="drop", reason="premature decap")
-        return entry.decap(pkt.inner)
+        return entry
 
     def fib_lookup(self, dst: IPv6Address):
         """``"local"`` on an exact localSID hit, else LPM next hop, else None."""

@@ -2,52 +2,70 @@
 
 ``run_vector`` takes up to 256 inner packets leaving one node, in the
 per-node vector idiom of VPP, and takes each through steer -> H.Encaps ->
-FIB lookup. Header work is done once per flow: steering and the FIB are
-looked up once per destination in the vector, and H.Encaps reuses the SRH
-its policy got when it was installed. Per packet, only the inner is encoded
-and wrapped. Each packet leaves as a ``Disposition``: ``forward`` with its
-outer packet, or ``drop`` with a reason. ``underlay.forward`` walks the
-later hops once per outer header in a ping and replays that walk for the
-other packets (its flow memo). The per-packet oracle is ``scalar_tx`` in
-``tests/conftest.py``.
+FIB lookup. Header work is done once per flow: steering is looked up once
+per destination in the vector, and H.Encaps and the FIB once per BSID, whose
+policy got its SRH when it was installed. Per packet, only the inner is
+encoded. The packets leave as flows: the inner bytes behind one outer header,
+or dropped with one reason. ``Simulation.ping`` walks each header through the
+underlay once and runs End.DT's ``decap`` per packet. The per-packet oracle is
+``scalar_tx`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-from .dataplane import Disposition, NodeDataplane
+from typing import NamedTuple, Optional
+
+from .dataplane import NodeDataplane
 from .errors import SimError
-from .net_types import InnerPacket
+from .net_types import InnerPacket, OuterPacket
 
 VECTOR_MAX = 256
-_UNSEEN = object()
 
 
-def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Disposition]:
-    """Steer, encapsulate and route ``vector``; one disposition per packet,
-    in vector order."""
+class Flow(NamedTuple):
+    """Packets of one vector that leave alike: behind one outer ``header``, or
+    dropped for one ``reason``. ``packets`` are their inner bytes in vector
+    order, ``starts`` the vector index of each run of them: the flows' runs,
+    sorted by start, give back the vector's order."""
+
+    header: Optional[OuterPacket]
+    reason: Optional[str]
+    packets: list
+    starts: list
+
+
+def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Flow]:
+    """Steer, encapsulate and route ``vector``; its flows, in first-seen order."""
     if not vector:
         raise SimError("empty packet vector")
     if len(vector) > VECTOR_MAX:
         raise SimError(f"vector of {len(vector)} exceeds the {VECTOR_MAX} cap")
     # The dataplane cannot change while one vector runs; a run of packets to
-    # one destination object reuses its route without hashing the address.
-    routed: dict = {}  # inner dst -> [BSID, FIB next hop of its outer dst]
-    last = route = None
-    out = []
-    for inner in vector:
+    # one destination object reuses its flow without hashing the address.
+    flows: dict = {}  # BSID, None for no steering match -> its flow
+    of_dst: dict = {}  # inner dst -> its flow
+    last = flow = None
+    for i, inner in enumerate(vector):
         if inner.dst is not last:
             last = inner.dst
-            route = routed.get(last)
-            if route is None:
-                route = routed[last] = [dp.steer_lookup(last), _UNSEEN]
-        if route[0] is None:
-            out.append(Disposition(kind="drop", reason="no steering match"))
-            continue
-        outer = dp.h_encaps(inner, route[0])
-        if route[1] is _UNSEEN:
-            route[1] = dp.fib_lookup(outer.dst)
-        if route[1] is None:
-            out.append(Disposition(kind="drop", reason="no route"))
+            found = of_dst.get(last)
+            if found is None:
+                found = of_dst[last] = _flow(dp, flows, last)
+            if found is not flow:
+                flow = found
+                flow.starts.append(i)
+        flow.packets.append(inner.encode())
+    return list(flows.values())
+
+
+def _flow(dp: NodeDataplane, flows: dict, dst) -> Flow:
+    """The flow of the packets to ``dst``, made when its BSID is first seen."""
+    bsid = dp.steer_lookup(dst)
+    if bsid not in flows:
+        if bsid is None:
+            flows[bsid] = Flow(None, "no steering match", [], [])
         else:
-            out.append(Disposition(kind="forward", packet=outer))
-    return out
+            header = dp.h_encaps(bsid)
+            routed = dp.fib_lookup(header.dst) is not None
+            flows[bsid] = Flow(header, None, [], []) if routed else Flow(None, "no route", [], [])
+    return flows[bsid]

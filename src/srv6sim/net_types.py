@@ -17,7 +17,7 @@ import ipaddress
 import struct
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
 from typing import Union
 
@@ -109,7 +109,7 @@ class InnerPacket:
         return family_of(self.src)
 
     def encode(self) -> bytes:
-        if self.family == "v4":
+        if self.src.version == 4:
             header = struct.pack(
                 "!BBHHHBBH4s4s",
                 0x45,  # version 4, IHL 5
@@ -142,7 +142,9 @@ _v6_from_bytes = lru_cache(maxsize=4096)(lambda data: canon(IPv6Address(data)))
 
 
 def decode_inner(data: bytes) -> InnerPacket:
-    """Inverse of :meth:`InnerPacket.encode`; family read from the version nibble."""
+    """Inverse of :meth:`InnerPacket.encode`; family read from the version nibble.
+    The byte layout guarantees ``InnerPacket``'s checks (both addresses come from
+    one version's decoder, the hop limit is one byte), so they do not run again."""
     if not data:
         raise TruncationError("empty inner packet")
     version = data[0] >> 4
@@ -154,13 +156,9 @@ def decode_inner(data: bytes) -> InnerPacket:
             raise TruncationError(
                 f"IPv4 total length {total_length} != buffer {len(data)}"
             )
-        return InnerPacket(
-            src=_v4_from_bytes(data[12:16]),
-            dst=_v4_from_bytes(data[16:20]),
-            hop_limit=data[8],
-            payload=data[20:],
-        )
-    if version == 6:
+        src, dst = _v4_from_bytes(data[12:16]), _v4_from_bytes(data[16:20])
+        hop_limit, payload = data[8], data[20:]
+    elif version == 6:
         if len(data) < 40:
             raise TruncationError("IPv6 inner packet shorter than 40 bytes")
         payload_length = struct.unpack_from("!H", data, 4)[0]
@@ -168,13 +166,13 @@ def decode_inner(data: bytes) -> InnerPacket:
             raise TruncationError(
                 f"IPv6 payload length {payload_length} != buffer {len(data) - 40}"
             )
-        return InnerPacket(
-            src=_v6_from_bytes(data[8:24]),
-            dst=_v6_from_bytes(data[24:40]),
-            hop_limit=data[7],
-            payload=data[40:],
-        )
-    raise MalformedPacketError(f"inner version nibble {version} is neither 4 nor 6")
+        src, dst = _v6_from_bytes(data[8:24]), _v6_from_bytes(data[24:40])
+        hop_limit, payload = data[7], data[40:]
+    else:
+        raise MalformedPacketError(f"inner version nibble {version} is neither 4 nor 6")
+    pkt = object.__new__(InnerPacket)
+    pkt.__dict__.update(src=src, dst=dst, hop_limit=hop_limit, payload=payload)
+    return pkt
 
 
 @dataclass(frozen=True)
@@ -206,13 +204,6 @@ class Srh:
                 raise MalformedPacketError(f"{name} out of 8-bit range")
         if not 0 <= self.tag <= 0xFFFF:
             raise MalformedPacketError("tag out of 16-bit range")
-
-    def __hash__(self) -> int:  # immutable, and hashed per packet by flow memos
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.next_header, self.segments_left, self.segment_list, self.flags, self.tag))
 
     @property
     def last_entry(self) -> int:
@@ -277,14 +268,14 @@ def decode_srh(data: bytes) -> Srh:
 
 @dataclass(frozen=True)
 class OuterPacket:
-    """IPv6 envelope carrying an SRH around serialized inner bytes. The
-    destination is the SRH's active segment (RFC 8754 §4.1), so it is not
-    stored; ``encode_srh`` gives the routing header's wire bytes."""
+    """The outer IPv6 header and its SRH, shared by the packets of one flow,
+    whose inner bytes travel beside it. The destination is the SRH's active
+    segment (RFC 8754 §4.1), so it is not stored; ``encode_srh`` gives the
+    routing header's wire bytes."""
 
     src: IPv6Address
     hop_limit: int
     srh: Srh
-    inner: bytes = b""
 
     def __post_init__(self):
         if not 0 <= self.hop_limit <= 255:

@@ -294,11 +294,11 @@ class Simulation:
         first hops are computed once, as the topology is fixed."""
         key = self.metrics["localsid_changes"]
         if key != self._routes[0]:
-            advertised = {prefix: router for router, prefix in self.router_sids.items()}
-            for node in self.scenario.nodes:
-                advertised[IPv6Network((node.infra, 128))] = node.name
+            advertised: dict = {prefix: router for router, prefix in self.router_sids.items()}
+            for node in self.scenario.nodes:  # an address key stands for its /128
+                advertised[node.infra] = node.name
                 for sid in self.dataplanes[node.name].localsids:
-                    advertised[IPv6Network((sid, 128))] = node.name
+                    advertised[sid] = node.name
             routes = self._routes[1]
             first_hop = routes.first_hop if routes is not None else compute_routes(self.topology)
             self._routes = (key, Routes(LpmIndex(advertised), first_hop))
@@ -307,7 +307,8 @@ class Simulation:
     def ping(self, src_pod: str, dst_pod: str, count: int = 4,
              family: str = "v6") -> PingReport:
         """Synthesize ``count`` inner packets and push them through the full
-        steer/encap/underlay/decap pipeline."""
+        steer/encap/underlay/decap pipeline, in frames: the underlay walks each
+        flow's header once, and End.DT's ``decap`` runs on each packet."""
         if count < 1:
             raise SimError(f"ping count {count} is not positive")
         if src_pod not in self.pods or dst_pod not in self.pods:
@@ -315,45 +316,46 @@ class Simulation:
         src, dst = self.pods[src_pod], self.pods[dst_pod]
         if family not in src.addrs or family not in dst.addrs:
             raise SimError(f"pods lack {family} addresses")
-        report = PingReport(src_pod=src_pod, dst_pod=dst_pod, family=family)
-        report.sent = count
+        report = PingReport(src_pod=src_pod, dst_pod=dst_pod, family=family, sent=count)
         if src.node == dst.node:
             # local FIB path: no encapsulation involved
             report.delivered = count
             return report
         dp = self.dataplanes[src.node]
         routes = self.current_routes()
-        memo: dict = {}  # forward's flow memo; nothing changes routes or dataplanes in a call
+        walks: dict = {}  # outer header -> its walk; nothing changes routes or dataplanes in a call
         want = dst.addrs[family]
-        remaining = count
-        while remaining > 0:
-            batch = min(remaining, VECTOR_MAX)
-            vector = [_probe(src, dst, family, i) for i in range(batch)]
-            # Free the packets, and each disposition once it is forwarded,
-            # so that only the traces outlive their packet.
-            dispositions = run_vector(dp, vector)[::-1]
-            del vector
-            while dispositions:
-                disp = dispositions.pop()
-                if disp.kind == "drop":
-                    report.dropped += 1
-                    report.drop_reasons.append(disp.reason)
+        traces, reasons = report.traces, report.drop_reasons
+        for start in range(0, count, VECTOR_MAX):
+            vector = [_probe(src, dst, family, i) for i in range(min(count - start, VECTOR_MAX))]
+            flows = run_vector(dp, vector)
+            del vector  # only the inner bytes and the traces outlive it
+            for flow in flows:
+                n = len(flow.packets)
+                if flow.header is None:
+                    report.dropped += n
+                    reasons += [flow.reason] * n
                     continue
-                trace = forward(
-                    self.topology, routes, src.node, disp.packet, self.dataplanes, memo
-                )
-                report.traces.append(trace)
-                self.traces_forwarded += 1
-                if (
-                    trace.delivered
-                    and trace.deliver_node == dst.node
-                    and (trace.disposition.inner.dst is want or trace.disposition.inner.dst == want)
-                ):
-                    report.delivered += 1
-                else:
-                    report.dropped += 1
-                    report.drop_reasons.append(trace.drop_reason or "misdelivered")
-            remaining -= batch
+                walk = walks.get(flow.header)
+                if walk is None:  # its process_local calls counted the first packet
+                    walk = walks[flow.header] = forward(
+                        self.topology, routes, src.node, flow.header, self.dataplanes)
+                    n -= 1
+                for entry in walk.consumed:
+                    entry.rx_counter += n
+                self.traces_forwarded += len(flow.packets)
+                end, record, home = walk.end, walk.record, walk.at == dst.node
+                decap = end.decap if isinstance(end, LocalSidEntry) else None
+                delivered = 0
+                for inner in flow.packets:
+                    disp = decap(inner) if decap is not None else end
+                    traces.append(record(disp))
+                    if disp.kind == "deliver" and home and (disp.inner.dst is want or disp.inner.dst == want):
+                        delivered += 1
+                    else:
+                        reasons.append(disp.reason or "misdelivered")
+                report.delivered += delivered
+                report.dropped += len(flow.packets) - delivered
         if report.delivered:
             self.tunnel_counts[f"{src.node}->{dst.node}/{family}"] += report.delivered
         return report

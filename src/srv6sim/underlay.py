@@ -6,6 +6,9 @@ per simulation, as the topology is fixed: Dijkstra over the router graph plus
 cluster-node attachment edges, with equal-cost ties broken by the
 lexicographically smallest sequence of link names, so the first link name
 decides.
+
+``forward`` walks an outer header, once per flow. A packet's trace is its
+flow's walk ended by that packet's disposition (``Walk.record``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import IPv6Address
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .dataplane import Disposition, LocalSidEntry, LpmIndex, NodeDataplane
 from .errors import SimError
@@ -137,88 +140,69 @@ def compute_routes(topology: Topology) -> dict[str, dict[str, tuple[str, str]]]:
     }
 
 
-def _settle(trace: TraceRecord, ending: Hop, disp: Disposition) -> TraceRecord:
-    """End ``trace`` with a deliver or drop disposition at the vertex of
-    ``ending``, the deliver hop there."""
-    deliver = disp.kind == "deliver"
-    trace.hops.append(ending if deliver else _hop(ending.at, ending.dst, f"drop:{disp.reason}"))
-    trace.disposition = disp
-    if deliver:
-        trace.deliver_node = ending.at
-    return trace
+@dataclass
+class Walk:
+    """One walk of an outer header: its hops up to the vertex ``at``, where it
+    ended with destination ``dst``; every localSID entry it hit, in order; and
+    its end, the End.DT entry whose ``decap`` then decides each packet, or the
+    disposition that the header decided."""
+
+    hops: list[Hop]
+    consumed: list[LocalSidEntry]
+    end: Union[LocalSidEntry, Disposition]
+    at: str
+    dst: IPv6Address
+    _tails: dict = field(default_factory=dict)  # drop reason, None to deliver -> hops
+
+    def record(self, disp: Disposition) -> TraceRecord:
+        """The trace of a packet of this walk that ended in ``disp``. The traces
+        of packets that end alike share one hop list."""
+        reason = disp.reason
+        hops = self._tails.get(reason)
+        if hops is None:
+            action = "deliver" if reason is None else f"drop:{reason}"
+            hops = self._tails[reason] = self.hops + [_hop(self.at, self.dst, action)]
+        return TraceRecord(hops, disp, self.at if reason is None else None)
 
 
-def forward(
-    topology: Topology,
-    routes: Routes,
-    source: str,
-    pkt: OuterPacket,
-    dataplanes: dict[str, NodeDataplane],
-    memo: Optional[dict] = None,
-) -> TraceRecord:
-    """Forward ``pkt`` hop by hop starting at ``source``.
+def forward(topology: Topology, routes: Routes, source: str, pkt: OuterPacket,
+            dataplanes: dict[str, NodeDataplane]) -> Walk:
+    """Walk the outer header ``pkt`` hop by hop, starting at ``source``.
 
-    At each vertex, a destination matching a local SID executes its behavior;
-    otherwise the packet follows ``routes``. Routers decrement the outer
-    hop limit. Terminates with a deliver or drop disposition.
-
-    ``memo`` maps an outer header (source, hop limit, and the SRH, which
-    names the destination) to its first packet's walk: hops, the localSID
-    entries it hit, its end and deliver hop. The walk, its SRH rewrites and
-    its hops are built once per flow. Each later packet with that header
-    replays it, which is all the work done per packet: it counts the entries
-    and, if the walk ended at End.DT with no segments left, runs
-    ``LocalSidEntry.decap`` (decode, family check) on its own inner bytes.
-    Any other end, a localSID drop included, the header decides, so its
-    disposition is shared. A memo lives for one ``Simulation.ping`` call, in
-    which routes and dataplanes stay fixed. ``memo=None`` is the plain-walk
-    oracle.
+    At each vertex, a destination matching a local SID executes the part of
+    its behavior that the header decides; otherwise the packet follows
+    ``routes``. Routers decrement the outer hop limit. The walk ends at an
+    End.DT SID with no segments left, or with a drop. No inner bytes take
+    part, so the packets of one flow share one walk.
     """
-    key = (source, pkt.hop_limit, pkt.srh)
-    flow = memo.get(key) if memo is not None else None
-    if flow is not None:
-        hops, consumed, end, ending = flow
-        for entry in consumed:
-            entry.rx_counter += 1
-        if isinstance(end, LocalSidEntry):
-            end = end.decap(pkt.inner)
-        return _settle(TraceRecord(hops=list(hops)), ending, end)
-    trace = TraceRecord()
+    hops: list[Hop] = []
     consumed: list = []  # every localSID entry the walk hits
     current = source
-    is_first = True
     for _ in range(MAX_TRACE_HOPS):
         dp = dataplanes.get(current)
         entry = dp.localsids.get(pkt.dst) if dp is not None else None
         if entry is not None:
-            disp = dp.process_local(pkt)
+            end = dp.process_local(pkt)
             consumed.append(entry)
-            if disp.kind != "forward":
-                end = entry if entry.behavior.kind != "End" and not pkt.srh.segments_left else disp
+            if end is entry or end.kind != "forward":
                 break
-            trace.hops.append(_hop(current, pkt.dst, "end"))
-            pkt = disp.packet
+            hops.append(_hop(current, pkt.dst, "end"))
+            pkt = end.packet
         else:
-            trace.hops.append(
-                _hop(current, pkt.dst, "source" if is_first else "transit")
-            )
-        is_first = False
+            hops.append(_hop(current, pkt.dst, "transit" if hops else "source"))
         if current in topology.routers:
             if pkt.hop_limit <= 1:
-                disp = end = Disposition(kind="drop", reason="ttl")
+                end = Disposition(kind="drop", reason="ttl")
                 break
-            pkt = OuterPacket(pkt.src, pkt.hop_limit - 1, pkt.srh, pkt.inner)
+            pkt = OuterPacket(pkt.src, pkt.hop_limit - 1, pkt.srh)
         hit = routes.next_hop(current, pkt.dst)
         if hit is None:
-            disp = end = Disposition(kind="drop", reason="no route")
+            end = Disposition(kind="drop", reason="no route")
             break
         current = hit[0]
     else:
         raise SimError("forwarding did not terminate")
-    ending = _hop(current, pkt.dst, "deliver")
-    if memo is not None:
-        memo[key] = (tuple(trace.hops), consumed, end, ending)
-    return _settle(trace, ending, disp)
+    return Walk(hops, consumed, end, current, pkt.dst)
 
 
 def waypoints(trace: TraceRecord) -> list[str]:

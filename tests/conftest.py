@@ -2,18 +2,23 @@ import random
 import sys
 from collections import Counter
 from ipaddress import IPv4Address, IPv6Address
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from srv6sim.dataplane import OUTER_HOP_LIMIT, Disposition
+from srv6sim import dataplane
+from srv6sim.dataplane import Disposition, LocalSidEntry
+from srv6sim.graph import VECTOR_MAX
 from srv6sim.net_types import (
     PROTO_IPV4_ENCAP,
     PROTO_IPV6_ENCAP,
     OuterPacket,
     Srh,
 )
+from srv6sim.sim import PingReport, _probe
+from srv6sim.underlay import forward
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -48,12 +53,14 @@ def random_v4(rng: random.Random) -> IPv4Address:
 
 def scalar_tx(dp, packet):
     """The tx-path oracle for ``graph.run_vector``: one packet through
-    steer -> H.Encaps -> FIB lookup, with no vector and no memo. The SRH is
-    built here from the installed policy, not taken from the dataplane's
-    stored header, so a stale header shows as a difference."""
+    steer -> H.Encaps -> FIB lookup, with no vector and no flow. Returns its
+    disposition and, for a forwarded packet, the inner bytes that travel with
+    the outer header (None for a drop). The SRH is built here from the
+    installed policy, not taken from the dataplane's stored header, so a
+    stale header shows as a difference."""
     bsid = dp.steer_lookup(packet.dst)
     if bsid is None:
-        return Disposition(kind="drop", reason="no steering match")
+        return Disposition(kind="drop", reason="no steering match"), None
     policy = dp.policies[bsid]
     assert packet.family == policy.family and dp.encap_source is not None
     srh = Srh(
@@ -61,9 +68,59 @@ def scalar_tx(dp, packet):
         segments_left=len(policy.segments) - 1,
         segment_list=tuple(reversed(policy.segments)),
     )
-    outer = OuterPacket(src=dp.encap_source, hop_limit=OUTER_HOP_LIMIT, srh=srh,
-                        inner=packet.encode())
+    outer = OuterPacket(src=dp.encap_source, hop_limit=dataplane.OUTER_HOP_LIMIT, srh=srh)
     assert outer.dst == policy.segments[0]
     if dp.fib_lookup(outer.dst) is None:
-        return Disposition(kind="drop", reason="no route")
-    return Disposition(kind="forward", packet=outer)
+        return Disposition(kind="drop", reason="no route"), None
+    return Disposition(kind="forward", packet=outer), packet.encode()
+
+
+def dispositions(flows) -> list:
+    """``run_vector``'s flows as ``scalar_tx`` gives each packet, in vector
+    order: ``forward`` with the outer header and the inner bytes, or ``drop``
+    with a reason and None. Each run of a flow takes its next packets."""
+    runs = sorted((start, k) for k, flow in enumerate(flows) for start in flow.starts)
+    ends = [start for start, _k in runs[1:]] + [sum(len(flow.packets) for flow in flows)]
+    left = [iter(flow.packets) for flow in flows]
+    out = []
+    for (start, k), end in zip(runs, ends):
+        header, reason = flows[k].header, flows[k].reason
+        for inner in islice(left[k], end - start):
+            out.append((Disposition(kind="drop", reason=reason), None) if header is None
+                       else (Disposition(kind="forward", packet=header), inner))
+    assert all(next(rest, None) is None for rest in left)
+    return out
+
+
+def forward_packet(topology, routes, source, outer, inner, dataplanes):
+    """One packet through the underlay: the walk of its outer header, then
+    End.DT's ``decap`` of its ``inner`` bytes where the walk ended at one."""
+    walk = forward(topology, routes, source, outer, dataplanes)
+    end = walk.end
+    return walk.record(end.decap(inner) if isinstance(end, LocalSidEntry) else end)
+
+
+def twin_ping(sim, src_pod, dst_pod, count=4, family="v6") -> PingReport:
+    """The per-packet oracle of ``Simulation.ping``: each packet through
+    ``scalar_tx``, then its own walk, then ``decap``, with ping's accounting."""
+    src, dst = sim.pods[src_pod], sim.pods[dst_pod]
+    report = PingReport(src_pod=src_pod, dst_pod=dst_pod, family=family, sent=count)
+    if src.node == dst.node:
+        report.delivered = count
+        return report
+    for i in range(count):
+        disp, inner = scalar_tx(sim.dataplanes[src.node], _probe(src, dst, family, i % VECTOR_MAX))
+        if disp.kind == "forward":
+            trace = forward_packet(sim.topology, sim.current_routes(), src.node, disp.packet,
+                                   inner, sim.dataplanes)
+            report.traces.append(trace)
+            sim.traces_forwarded += 1
+            disp = trace.disposition
+            if trace.deliver_node == dst.node and disp.inner.dst == dst.addrs[family]:
+                report.delivered += 1
+                continue
+        report.dropped += 1
+        report.drop_reasons.append(disp.reason or "misdelivered")
+    if report.delivered:
+        sim.tunnel_counts[f"{src.node}->{dst.node}/{family}"] += report.delivered
+    return report

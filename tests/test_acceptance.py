@@ -47,7 +47,7 @@ from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation, load_configmap_docs
 from srv6sim.underlay import waypoints
 
-from conftest import SCENARIOS, random_v4, random_v6, scalar_tx
+from conftest import SCENARIOS, dispositions, random_v4, random_v6, scalar_tx
 
 BASIC = str(SCENARIOS / "basic.yaml")
 FULL_CM = str(SCENARIOS / "full_cm.yaml")
@@ -79,7 +79,7 @@ def test_criterion_01_srh_codec():
     for name, segs in (("single", (s1,)), ("double", (s1, s2))):
         dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::1"), segments=segs,
                                         family="v6"))
-        sizes[name] = len(encode_srh(dp.h_encaps(inner, parse_v6("cafe::1")).srh))
+        sizes[name] = len(encode_srh(dp.h_encaps(parse_v6("cafe::1")).srh))
     assert sizes["double"] - sizes["single"] == 16
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -93,8 +93,7 @@ def test_criterion_02_dataplane_three_segment_example():
     head.set_encap_source(parse_v6("fd10::1"))
     head.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::1"),
                                       segments=(s1, s2, s3), family="v6"))
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
-    outer = head.h_encaps(inner, parse_v6("cafe::1"))
+    outer = head.h_encaps(parse_v6("cafe::1"))
     assert outer.srh.segment_list == (s3, s2, s1)
     assert outer.srh.segments_left == 2
     assert outer.dst == s1
@@ -122,7 +121,7 @@ def test_criterion_03_end_to_end_inversion():
         head.set_encap_source(random_v6(rng))
         head.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::1"),
                                           segments=sids, family=family))
-        pkt = head.h_encaps(inner, parse_v6("cafe::1"))
+        pkt = head.h_encaps(parse_v6("cafe::1"))
         for sid in sids[:-1]:
             mid = NodeDataplane("mid")
             mid.install_localsid(LocalSidEntry(sid=sid, behavior=Behavior("End")))
@@ -132,7 +131,7 @@ def test_criterion_03_end_to_end_inversion():
         egress = NodeDataplane("egress")
         kind = "EndDT4" if family == "v4" else "EndDT6"
         egress.install_localsid(LocalSidEntry(sid=sids[-1], behavior=Behavior(kind)))
-        disp = egress.process_local(pkt)
+        disp = egress.process_local(pkt).decap(inner.encode())
         assert disp.kind == "deliver", case
         assert disp.inner.encode() == inner.encode(), case
     print("\ncriterion 3: PASS — 1000 encap/(k−1)·End/DT-decap inversions "
@@ -392,14 +391,15 @@ def test_criterion_10_vector_scalar_oracle():
         src = "10.0.0.1" if "." in dst else "fd90::beef"
         return InnerPacket(src=parse_addr(src), dst=parse_addr(dst), payload=b"x")
 
-    def signature(d):
-        return (d.kind, d.reason, d.packet)
+    def signature(sent):
+        d, inner = sent
+        return (d.kind, d.reason, d.packet, inner)
 
     fates = Counter()
     for _ in range(1000):
         n = rng.randint(1, 256)
         vec = [packet() for _ in range(n)]
-        vector_out = run_vector(dp, vec)
+        vector_out = dispositions(run_vector(dp, vec))
         scalar_out = [scalar_tx(dp, p) for p in vec]
         assert Counter(map(signature, vector_out)) == Counter(
             map(signature, scalar_out)
@@ -407,7 +407,7 @@ def test_criterion_10_vector_scalar_oracle():
         assert [signature(d) for d in vector_out] == [
             signature(d) for d in scalar_out
         ]
-        fates.update(d.reason for d in vector_out)
+        fates.update(d.reason for d, _inner in vector_out)
     assert set(fates) == {None, "no route", "no steering match"}
     print("\ncriterion 10: PASS — 1000 vectors (1..256): vector == scalar "
           "dispositions and bytes")

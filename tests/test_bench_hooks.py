@@ -44,11 +44,11 @@ def test_traced_ping_counts_vectors_and_hops():
     assert report.delivered == 3
     assert tracer.counts["graph.vectors"] == 1
     assert tracer.counts["graph.packets"] == 3
-    assert tracer.counts["underlay.packets"] == 3
+    assert tracer.counts["underlay.packets"] == 1  # one walk per flow
     calls = {name: n for name, (n, _s) in tracer.layer_totals().items()}
-    assert calls["graph.run_vector"] == 1 and calls["underlay.forward"] == 3
-    # The first packet's walk looks up each localSID it hits (its End hops and
-    # the End.DT SID); the two replays only decode their inner bytes.
+    assert calls["graph.run_vector"] == 1 and calls["underlay.forward"] == 1
+    # The flow's one walk looks up each localSID it hits (its End hops and the
+    # End.DT SID); End.DT then decodes each packet's inner bytes.
     assert calls["dataplane.process_local"] == len(waypoints(report.traces[0])) + 1
     assert calls["net_types.decode_inner"] == 3
     assert srv6sim.sim.run_vector is srv6sim.graph.run_vector  # unpatched again

@@ -26,9 +26,8 @@ from srv6sim.graph import run_vector
 from srv6sim.net_types import InnerPacket, family_of, parse_addr, parse_prefix, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
-from srv6sim.underlay import forward
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, dispositions, forward_packet
 from test_bsid import assert_index_is_inverse, assert_steering_points_at_its_family
 
 DROP_REASONS = {"no steering match", "no route", "ttl", "no more segments",
@@ -132,8 +131,8 @@ class DatapathMachine(RuleBasedStateMachine):
 
     @rule(src=st.sampled_from(PODS), family=FAMILIES, count=st.sampled_from((1, 3, 257)))
     def ping(self, src, family, count):
-        """Pings from ``src`` to every other pod: ``run_vector``, then
-        ``forward`` with its flow memo; 257 packets take two vectors."""
+        """Pings from ``src`` to every other pod: ``run_vector``, then one
+        walk per flow; 257 packets take two vectors."""
         for dst in PODS:
             if dst != src:
                 report = self.sim.ping(src, dst, count=count, family=family)
@@ -149,11 +148,12 @@ class DatapathMachine(RuleBasedStateMachine):
         pod = POD_OF[node]
         vector = [InnerPacket(pod.addrs[family_of(dst)], dst, payload=b"%d" % i)
                   for i, dst in enumerate(dsts)]
-        routes, memo = self.sim.current_routes(), {}
-        for packet, disp in zip(vector, run_vector(self.sim.dataplanes[node], vector)):
+        routes = self.sim.current_routes()
+        sent = dispositions(run_vector(self.sim.dataplanes[node], vector))
+        for packet, (disp, inner) in zip(vector, sent):
             if disp.kind == "forward":
-                disp = forward(self.sim.topology, routes, node, disp.packet,
-                               self.sim.dataplanes, memo).disposition
+                disp = forward_packet(self.sim.topology, routes, node, disp.packet, inner,
+                                      self.sim.dataplanes).disposition
             if disp.kind == "deliver":
                 assert disp.inner == packet
             else:

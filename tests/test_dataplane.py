@@ -25,8 +25,7 @@ def make_headend():
 
 def test_h_encaps_three_segments():
     dp = make_headend()
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
-    outer = dp.h_encaps(inner, dp.steer_lookup(inner.dst))
+    outer = dp.h_encaps(dp.steer_lookup(parse_addr("fd90::2")))
     # reverse-order storage <S3, S2, S1>, Segments Left 2, dst = S1
     assert outer.srh.segment_list == (S3, S2, S1)
     assert outer.srh.segments_left == 2
@@ -36,8 +35,7 @@ def test_h_encaps_three_segments():
 
 def test_end_advances_segment():
     dp = make_headend()
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
-    outer = dp.h_encaps(inner, dp.steer_lookup(inner.dst))
+    outer = dp.h_encaps(dp.steer_lookup(parse_addr("fd90::2")))
     mid = NodeDataplane("mid")
     mid.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("End")))
     disp = mid.process_local(outer)
@@ -51,8 +49,7 @@ def test_end_drops_when_no_more_segments():
     dp = make_headend()
     mid = NodeDataplane("mid")
     mid.install_localsid(LocalSidEntry(sid=S3, behavior=Behavior("End")))
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
-    outer = dp.h_encaps(inner, parse_v6("cafe::1"))
+    outer = dp.h_encaps(parse_v6("cafe::1"))
     from dataclasses import replace
     exhausted = replace(outer, srh=replace(outer.srh, segments_left=0))
     disp = mid.process_local(exhausted)
@@ -61,8 +58,7 @@ def test_end_drops_when_no_more_segments():
 
 def test_dt_requires_zero_segments_left():
     dp = make_headend()
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
-    outer = dp.h_encaps(inner, parse_v6("cafe::1"))
+    outer = dp.h_encaps(parse_v6("cafe::1"))
     egress = NodeDataplane("egress")
     egress.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("EndDT6")))
     disp = egress.process_local(outer)  # segments_left == 2
@@ -75,16 +71,18 @@ def test_dt_decap_and_family_check():
     head.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::2"),
                                       segments=(S1,), family="v4"))
     inner = InnerPacket(src=parse_addr("10.0.0.1"), dst=parse_addr("10.0.0.2"))
-    outer = head.h_encaps(inner, parse_v6("cafe::2"))
+    outer = head.h_encaps(parse_v6("cafe::2"))
     egress = NodeDataplane("egress")
     egress.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("EndDT4")))
-    disp = egress.process_local(outer)
+    entry = egress.process_local(outer)  # End.DT's header part: it decaps
+    assert entry is egress.localsids[S1] and entry.rx_counter == 1
+    disp = entry.decap(inner.encode())
     assert disp.kind == "deliver"
     assert disp.inner == inner
     # same packet at a DT6 SID is a family mismatch
     egress6 = NodeDataplane("egress6")
     egress6.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("EndDT6")))
-    assert egress6.process_local(outer).reason == "family mismatch"
+    assert egress6.process_local(outer).decap(inner.encode()).reason == "family mismatch"
 
 
 def test_behavior_validation():
@@ -158,7 +156,6 @@ def test_dump_excludes_counters():
     dp = make_headend()
     dp.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("End")))
     before = dp.dump()
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd90::2"))
-    dp.process_local(dp.h_encaps(inner, parse_v6("cafe::1")))
+    dp.process_local(dp.h_encaps(parse_v6("cafe::1")))
     assert dp.dump() == before
     assert dp.counters()[str(S1)] == 1

@@ -13,7 +13,7 @@ from srv6sim.net_types import (
     parse_v6,
 )
 
-from conftest import scalar_tx
+from conftest import dispositions, scalar_tx
 
 
 def make_dp():
@@ -59,25 +59,27 @@ def test_empty_vector_rejected():
 def test_conservation_every_packet_gets_a_disposition():
     rng = random.Random(1)
     vec = [make_packet(rng) for _ in range(100)]
-    out = run_vector(make_dp(), vec)
-    assert len(out) == 100
-    assert {(d.kind, d.reason) for d in out} == {
+    flows = run_vector(make_dp(), vec)
+    assert sum(len(flow.packets) for flow in flows) == 100
+    out = dispositions(flows)
+    assert {(d.kind, d.reason) for d, _inner in out} == {
         ("forward", None), ("drop", "no route"), ("drop", "no steering match"),
     }
 
 
-def _signature(disp):
-    return (disp.kind, disp.reason, disp.packet)
+def _signature(sent):
+    disp, inner = sent
+    return (disp.kind, disp.reason, disp.packet, inner)
 
 
 def test_vector_equals_scalar_tx():
     rng = random.Random(2)
     dp = make_dp()
     vec = [make_packet(rng) for _ in range(64)]
-    vector_out = run_vector(dp, vec)
+    vector_out = dispositions(run_vector(dp, vec))
     scalar_out = [scalar_tx(dp, p) for p in vec]
     assert [_signature(d) for d in vector_out] == [_signature(d) for d in scalar_out]
-    assert {d.reason for d in vector_out} == {None, "no route", "no steering match"}
+    assert {d.reason for d, _inner in vector_out} == {None, "no route", "no steering match"}
 
 
 def test_disposition_multiset_independent_of_batching():
@@ -86,9 +88,24 @@ def test_disposition_multiset_independent_of_batching():
     dp = make_dp()
     whole = Counter()
     for i in range(0, 300, 256):
-        for d in run_vector(dp, packets[i : i + 256]):
+        for d in dispositions(run_vector(dp, packets[i : i + 256])):
             whole[_signature(d)] += 1
     single = Counter()
     for p in packets:
         single[_signature(scalar_tx(dp, p))] += 1
     assert whole == single
+
+
+def test_one_flow_per_bsid_and_drop_reason():
+    """The packets steered to one BSID share one header, and drops are kept
+    with their reasons; a flow's runs give back where its packets were."""
+    dp = make_dp()
+    dsts = ("fd90::1", "fd90::2", "fd99::1", "fd90::1", "fd91::1", "fd91::2", "fd90::3")
+    vector = [InnerPacket(src=parse_addr("fd90::beef"), dst=parse_addr(d), payload=b"%d" % i)
+              for i, d in enumerate(dsts)]
+    flows = run_vector(dp, vector)
+    assert [(f.header is not None, f.reason, f.starts) for f in flows] == [
+        (True, None, [0, 3, 6]), (False, "no steering match", [2]), (False, "no route", [4]),
+    ]
+    assert flows[0].packets == [vector[k].encode() for k in (0, 1, 3, 6)]
+    assert flows[0].header.srh is dp.policies[parse_v6("cafe::1")].srh

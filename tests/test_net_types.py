@@ -1,5 +1,6 @@
 import random
-from ipaddress import IPv6Address
+from dataclasses import replace
+from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,34 @@ def test_inner_packet_roundtrip_both_families():
                 payload=rng.randbytes(rng.randrange(64)),
             )
             assert decode_inner(pkt.encode()) == pkt
+
+
+INNER_PACKETS = st.one_of(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)).map(
+        lambda pair: tuple(map(IPv4Address, pair))),
+    st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1)).map(
+        lambda pair: tuple(map(IPv6Address, pair))),
+).flatmap(lambda addrs: st.builds(
+    InnerPacket, src=st.just(addrs[0]), dst=st.just(addrs[1]),
+    hop_limit=st.integers(0, 255), payload=st.binary(max_size=96)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(INNER_PACKETS)
+def test_decode_inner_needs_no_second_check(pkt):
+    """``decode_inner`` skips ``InnerPacket``'s checks, as its byte layout
+    guarantees them: it inverts ``encode`` for both families and any payload,
+    and every truncation or version nibble other than 4 and 6 still raises."""
+    raw = pkt.encode()
+    decoded = decode_inner(raw)
+    assert decoded == pkt and decoded.family == pkt.family
+    assert replace(decoded) == decoded  # the skipped checks pass
+    for cut in range(len(raw)):
+        with pytest.raises((TruncationError, MalformedPacketError)):
+            decode_inner(raw[:cut])
+    for nibble in set(range(16)) - {4, 6}:
+        with pytest.raises(MalformedPacketError):
+            decode_inner(bytes([nibble << 4 | raw[0] & 0xF]) + raw[1:])
 
 
 def test_inner_packet_family_mismatch():

@@ -7,8 +7,8 @@
   from ``compute_routes()`` and the advertised prefixes.
 - libyaml's loader and emitter against PyYAML's pure-Python safe loader
   and dumper.
-- ``underlay.forward`` with a flow memo (what ``Simulation.ping`` uses)
-  against the plain walk, ``memo=None``.
+- ``Simulation.ping``, which walks each flow once, against ``twin_ping``,
+  which sends every packet through ``scalar_tx``, its own walk and ``decap``.
 - The decoded ConfigMap documents the store keeps per version against a
   fresh ``parse_configmap_doc`` of the stored text.
 - ``render_configmap_doc`` (policies written without PyYAML) and the single
@@ -27,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srv6sim.sim
+from srv6sim import dataplane
 from srv6sim.errors import ValidationError
 from srv6sim.bgp import SessionBus, parse_policy_file
 from srv6sim.dataplane import (
@@ -52,7 +53,7 @@ from srv6sim.schema import YamlLoader
 from srv6sim.sim import Simulation
 from srv6sim.underlay import Routes, compute_routes, forward, waypoints
 
-from conftest import SCENARIOS, scalar_tx
+from conftest import SCENARIOS, dispositions, forward_packet, scalar_tx, twin_ping
 
 
 def linear_lpm(table: dict, addr):
@@ -298,9 +299,9 @@ def test_libyaml_reads_shipped_files_like_pure_python(path):
     assert list(yaml.load_all(text, Loader=YamlLoader)) == list(yaml.load_all(text, Loader=yaml.SafeLoader))
 
 
-# -- flow memo in underlay.forward -----------------------------------------
+# -- frames: one walk per flow in Simulation.ping --------------------------
 
-MEMO_CASES = ("basic", "full_cm", "full_bgp", "full_bgp+inject")
+FRAME_CASES = ("basic", "full_cm", "full_bgp", "full_bgp+inject")
 
 
 def _started(case: str) -> Simulation:
@@ -315,65 +316,91 @@ def _fates(traces) -> list:
     return [(t.hops, t.disposition, t.deliver_node) for t in traces]
 
 
-@pytest.mark.parametrize("case", MEMO_CASES)
-def test_flow_memo_matches_plain_walk(case, monkeypatch):
-    """Twin simulations ping every pod pair in both families, one through
-    the memoised ``forward`` of ``ping`` and one with the memo dropped."""
-    memoised, plain = _started(case), _started(case)
-    memos = []
+def _same_reports(got, want) -> None:
+    assert _fates(got.traces) == _fates(want.traces)
+    assert (got.delivered, got.dropped, got.drop_reasons) == (
+        want.delivered, want.dropped, want.drop_reasons)
 
-    def spy(*args):
-        memos.append(args[5])
-        return forward(*args)
 
-    forwarded = 0
-    for src in sorted(memoised.pods):
-        for dst in sorted(memoised.pods):
+def _pairs(sim: Simulation):
+    for src in sorted(sim.pods):
+        for dst in sorted(sim.pods):
             for family in ("v4", "v6"):
-                if src == dst or any(family not in memoised.pods[p].addrs for p in (src, dst)):
-                    continue
-                memos.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(srv6sim.sim, "forward", spy)
-                    got = memoised.ping(src, dst, count=5, family=family)
-                with monkeypatch.context() as m:
-                    m.setattr(srv6sim.sim, "forward", lambda *args: forward(*args[:5]))
-                    want = plain.ping(src, dst, count=5, family=family)
-                assert _fates(got.traces) == _fates(want.traces)
-                assert (got.delivered, got.drop_reasons) == (want.delivered, want.drop_reasons)
-                if memos:  # one memo per ping, one entry per outer header
-                    assert len(memos) == 5 and all(memo is memos[0] for memo in memos)
-                    assert len(memos[0]) == 1
-                    forwarded += 1
-    assert memoised.report_json() == plain.report_json()
+                if src != dst and all(family in sim.pods[p].addrs for p in (src, dst)):
+                    yield src, dst, family
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_frames_match_per_packet_twin(case):
+    """Twin simulations ping every pod pair in both families, 5 packets and
+    300 (two vectors): ``ping`` walks each flow once, its twin sends every
+    packet through ``scalar_tx``, its own walk and ``decap``."""
+    frames, twin = _started(case), _started(case)
+    forwarded = 0
+    for src, dst, family in _pairs(frames):
+        for count in (5, 300):
+            got = frames.ping(src, dst, count=count, family=family)
+            _same_reports(got, twin_ping(twin, src, dst, count=count, family=family))
+            forwarded += len(got.traces)
+    assert frames.report_json() == twin.report_json()
     assert forwarded or case == "full_bgp"  # full_bgp steers nothing before injects
 
 
-def _walk_twins(outers: list, source: str = "master"):
-    """Forward ``outers`` through one memo on one full_cm simulation and
-    through the plain walk on its twin; the fates and counters must agree."""
-    memoised, plain = _started("full_cm"), _started("full_cm")
-    memo: dict = {}
-    got = [
-        forward(memoised.topology, memoised.current_routes(), source, pkt,
-                memoised.dataplanes, memo)
-        for pkt in outers
-    ]
-    want = [
-        forward(plain.topology, plain.current_routes(), source, pkt, plain.dataplanes)
-        for pkt in outers
-    ]
-    assert _fates(got) == _fates(want)
-    assert memoised.report_json() == plain.report_json()
-    return got, memo
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_frame_size_does_not_change_the_result(case):
+    """A ping of N packets and N one-packet pings leave the same report,
+    counters and drop reasons: the frame size does not change the result."""
+    frames, singles = _started(case), _started(case)
+    for src, dst, family in _pairs(frames):
+        got = frames.ping(src, dst, count=7, family=family)
+        ones = [singles.ping(src, dst, count=1, family=family) for _ in range(7)]
+        assert got.delivered == sum(r.delivered for r in ones)
+        assert got.drop_reasons == [reason for r in ones for reason in r.drop_reasons]
+    assert frames.report_json() == singles.report_json()
 
 
-def _tunnel_outer(family: str) -> OuterPacket:
-    """The outer header master puts on a packet to pod-worker2 in full_cm."""
-    sim = _started("full_cm")
-    inner = InnerPacket(src=sim.pods["pod-master"].addrs[family],
-                        dst=sim.pods["pod-worker2"].addrs[family])
-    return run_vector(sim.dataplanes["master"], [inner])[0].packet
+def _crafted_twins(segments, monkeypatch=None, hop_limit=None):
+    """Two full_cm simulations whose master steers pod-worker2's v6 traffic
+    through ``segments`` (forward order), optionally with another outer hop
+    limit; a 300-packet ping on one and its per-packet twin on the other
+    must agree. Returns the frame ping's report."""
+    if hop_limit is not None:
+        monkeypatch.setattr(dataplane, "OUTER_HOP_LIMIT", hop_limit)
+    frames, twin = _started("full_cm"), _started("full_cm")
+    for sim in (frames, twin):
+        dp = sim.dataplanes["master"]
+        policy = dp.policies[parse_v6("cafe::5")]
+        dp.install_policy(replace(policy, segments=segments(policy.segments)))
+    got = frames.ping("pod-master", "pod-worker2", count=300, family="v6")
+    _same_reports(got, twin_ping(twin, "pod-master", "pod-worker2", count=300, family="v6"))
+    assert frames.report_json() == twin.report_json()
+    assert len({id(t.hops) for t in got.traces}) == 1  # one hop list per flow and fate
+    return got
+
+
+END_R6 = parse_v6("fcff:6::1")
+
+
+def test_frame_shares_header_level_drops(monkeypatch):
+    """Drops that the header decides drop every packet of the flow alike:
+    the hop limit running out at R7 after R6 consumed a segment, and a next
+    SID that nobody advertises (no route at R6)."""
+    got = _crafted_twins(lambda segs: segs, monkeypatch, hop_limit=4)
+    assert set(got.drop_reasons) == {"ttl"} and got.dropped == 300
+    assert [h.action for h in got.traces[0].hops][-3:] == ["end", "transit", "drop:ttl"]
+    got = _crafted_twins(lambda segs: (END_R6, parse_v6("fcff:99::1")))
+    assert set(got.drop_reasons) == {"no route"} and got.traces[-1].hops[-1].at == "R6"
+
+
+def test_frame_shares_localsid_header_drops():
+    """A walk that ends at R6's End SID with no segments left, and one that
+    reaches worker2's End.DT6 SID with a segment left: each localSID counts
+    every packet it dropped."""
+    got = _crafted_twins(lambda segs: (END_R6,))
+    assert set(got.drop_reasons) == {"no more segments"} and got.traces[0].hops[-1].at == "R6"
+    assert got.traces[0].disposition is got.traces[-1].disposition
+    got = _crafted_twins(lambda segs: (segs[-1], END_R6))
+    assert set(got.drop_reasons) == {"premature decap"} and got.traces[0].hops[-1].at == "worker2"
 
 
 def _inners(family: str, n: int) -> list[bytes]:
@@ -384,59 +411,27 @@ def _inners(family: str, n: int) -> list[bytes]:
     ]
 
 
-def test_flow_memo_replays_header_level_drops():
-    """Three outer headers to R6's End SID share one memo: the tunnel's,
-    the same with hop limit 4 (it runs out at R7, after R6 consumed a
-    segment), and one whose next SID nobody advertises (no route at R6)."""
-    tunnel = _tunnel_outer("v6")
-    short = replace(tunnel, hop_limit=4)
-    srh = Srh(next_header=41, segments_left=1,
-              segment_list=(parse_v6("fcff:99::1"), parse_v6("fcff:6::1")))
-    lost = replace(tunnel, srh=srh)
-    inners = _inners("v6", 9)
-    outers = [replace(head, inner=inner)
-              for head, inner in zip([tunnel, short, lost] * 3, inners)]
-    got, memo = _walk_twins(outers)
-    assert len(memo) == 3
-    assert [t.drop_reason for t in got] == [None, "ttl", "no route"] * 3
-    assert [h.action for h in got[-2].hops][-3:] == ["end", "transit", "drop:ttl"]
-    assert got[-1].hops[-1].at == "R6" and got[-1].hops is not got[2].hops
-
-
-def test_flow_memo_replays_localsid_header_drops():
-    """Three outer headers share one memo: the tunnel's, one whose walk ends
-    at R6's End SID with no segments left, and one that reaches worker2's
-    End.DT6 SID with a segment left. Their header decides both drops, and
-    each replay still counts the localSID that dropped it."""
-    tunnel = _tunnel_outer("v6")
-    end_sid, dt_sid = parse_v6("fcff:6::1"), tunnel.srh.segment_list[0]
-    assert tunnel.srh.active_segment is end_sid
-    exhausted = replace(tunnel, srh=Srh(next_header=41, segments_left=0, segment_list=(end_sid,)))
-    premature = replace(tunnel, srh=Srh(next_header=41, segments_left=1,
-                                        segment_list=(end_sid, dt_sid)))
-    inners = _inners("v6", 9)
-    outers = [replace(head, inner=inner)
-              for head, inner in zip([tunnel, exhausted, premature] * 3, inners)]
-    got, memo = _walk_twins(outers)
-    assert len(memo) == 3
-    assert [t.drop_reason for t in got] == [None, "no more segments", "premature decap"] * 3
-    assert [t.hops[-1].at for t in got[-3:]] == ["worker2", "R6", "worker2"]
-    assert got[-2].disposition is got[1].disposition
-    assert got[-1].disposition is got[2].disposition
-
-
-def test_flow_memo_runs_decap_per_packet():
-    """v4 inners behind a v6 tunnel's outer header reach its End.DT6 SID:
-    only they drop, although the first packet of the header delivered."""
-    outer = _tunnel_outer("v6")
+def test_frame_runs_decap_per_packet():
+    """v4 inners behind a v6 tunnel's header reach its End.DT6 SID: only
+    they drop, although the flow's walk ended at End.DT. The records of a
+    fate share one hop list, and each matches the packet's own walk."""
+    frames, twin = _started("full_cm"), _started("full_cm")
+    flow, = run_vector(frames.dataplanes["master"], [
+        InnerPacket(src=parse_addr("fd90:0:10::2"), dst=parse_addr("fd90:0:12::2"))])
+    walk = forward(frames.topology, frames.current_routes(), "master", flow.header,
+                   frames.dataplanes)
     v6, v4 = _inners("v6", 3), _inners("v4", 3)
     inners = [v6[0], v4[0], v6[1], v4[1], v4[2], v6[2]]
-    got, memo = _walk_twins([replace(outer, inner=inner) for inner in inners])
-    assert len(memo) == 1
+    got = [walk.record(walk.end.decap(inner)) for inner in inners]
+    want = [forward_packet(twin.topology, twin.current_routes(), "master",
+                           flow.header, inner, twin.dataplanes)
+            for inner in inners]
+    assert _fates(got) == _fates(want)
     assert [t.drop_reason for t in got] == [None, "family mismatch", None,
                                             "family mismatch", "family mismatch", None]
     assert [t.deliver_node for t in got] == ["worker2", None, "worker2", None, None, "worker2"]
     assert [t.disposition.inner.payload for t in got if t.delivered] == [b"p0", b"p1", b"p2"]
+    assert got[0].hops is got[2].hops and got[1].hops is got[3].hops
 
 
 # -- decoded ConfigMap documents in the store ------------------------------
@@ -743,8 +738,9 @@ def _hdr_step(sim: Simulation, step, original: dict, steering: dict) -> None:
                 dp.install_steering(SteeringRule(match, bsid))
 
 
-def _tx_signature(disp) -> tuple:
-    return disp.kind, disp.reason, disp.packet
+def _tx_signature(sent) -> tuple:
+    disp, inner = sent
+    return disp.kind, disp.reason, disp.packet, inner
 
 
 @settings(max_examples=150, deadline=None)
@@ -753,34 +749,30 @@ def test_stored_encap_header_follows_policy_changes(steps):
     """Policy replacement, removal and reinstall and a new encap source,
     interleaved with vectors of mixed destinations and families: after every
     step ``run_vector`` equals the per-packet ``scalar_tx`` (which builds its
-    own SRH), and ``ping`` equals the plain walk of a twin simulation."""
-    memoised, plain = _started("full_cm"), _started("full_cm")
-    dp = memoised.dataplanes["master"]
+    own SRH), and ``ping`` equals the per-packet ``twin_ping`` of a twin."""
+    frames, twin = _started("full_cm"), _started("full_cm")
+    dp = frames.dataplanes["master"]
     original, steering = dict(dp.policies), dict(dp.steering)
     probe = _hdr_vector([(k, False) for k in range(len(HDR_DSTS))])
     for step in steps:
-        _hdr_step(memoised, step, original, steering)
-        _hdr_step(plain, step, original, steering)
+        _hdr_step(frames, step, original, steering)
+        _hdr_step(twin, step, original, steering)
         vectors = [probe] + ([_hdr_vector(step[1])] if step[0] == "vector" else [])
         for vector in vectors:
-            assert list(map(_tx_signature, run_vector(dp, vector))) == [
+            assert list(map(_tx_signature, dispositions(run_vector(dp, vector)))) == [
                 _tx_signature(scalar_tx(dp, p)) for p in vector
             ]
         for dst, family in (("pod-worker1", "v4"), ("pod-worker2", "v6"), ("pod-worker2", "v4")):
-            got = memoised.ping("pod-master", dst, count=3, family=family)
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(srv6sim.sim, "forward", lambda *args: forward(*args[:5]))
-                want = plain.ping("pod-master", dst, count=3, family=family)
-            assert _fates(got.traces) == _fates(want.traces)
-            assert (got.delivered, got.drop_reasons) == (want.delivered, want.drop_reasons)
-    assert memoised.report_json() == plain.report_json()
-    assert memoised.state_dump() == plain.state_dump()
+            got = frames.ping("pod-master", dst, count=3, family=family)
+            _same_reports(got, twin_ping(twin, "pod-master", dst, count=3, family=family))
+    assert frames.report_json() == twin.report_json()
+    assert frames.state_dump() == twin.state_dump()
 
 
 def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
     """A policy's SRH is built once, on first use, and kept with the policy.
     After that, a 768-packet ping builds an SRH only at the End hops of its
-    flow's first walk: none at the headend and none in the replays.
+    flow's one walk: none at the headend and none per packet.
     Re-installing the policy as it is keeps its SRH; replacing its segments
     builds exactly one new SRH."""
     sim = _started("full_cm")
@@ -805,22 +797,28 @@ def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
     run_vector(dp, vector)
     assert built == [] and dp.policies[policy.bsid].srh is policy.srh
     dp.install_policy(replace(policy, segments=policy.segments[1:]))
-    outers = [d.packet for d in run_vector(dp, vector)]
-    assert len(built) == 1 and all(outer.srh is built[0] for outer in outers)
+    flow, = run_vector(dp, vector)
+    assert len(built) == 1 and flow.header.srh is built[0] and len(flow.packets) == 5
     assert built[0].segment_list == policy.segments[:0:-1]
 
 
 def test_localsid_lookup_runs_only_in_the_first_walk(monkeypatch):
-    """A 768-packet ping looks its localSIDs up in the first packet's walk
-    only: one ``process_local`` call per localSID hit (End at R6 and R8,
-    End.DT6 at worker2). The replays run End.DT on their inner bytes."""
+    """A 768-packet ping (three vectors) is one flow: one ``forward`` call,
+    which looks each localSID up once (End at R6 and R8, End.DT6 at
+    worker2). The headend builds one header per vector and no outer packet
+    per packet; the 768 records share one hop list, and worker2's End.DT
+    counter still reads 768."""
     sim = _started("full_cm")
-    forwarded, looked_up = [], []
+    forwarded, looked_up, outers, walked = [], [], [], []
     process_local = NodeDataplane.process_local
+    post_init = OuterPacket.__post_init__
 
     def spy_forward(*args):
         forwarded.append(args[3])
-        return forward(*args)
+        before = len(outers)
+        walk = forward(*args)
+        walked.append(len(outers) - before)
+        return walk
 
     def spy_process_local(dp, pkt):
         looked_up.append(len(forwarded))
@@ -828,8 +826,11 @@ def test_localsid_lookup_runs_only_in_the_first_walk(monkeypatch):
 
     monkeypatch.setattr(srv6sim.sim, "forward", spy_forward)
     monkeypatch.setattr(NodeDataplane, "process_local", spy_process_local)
+    monkeypatch.setattr(OuterPacket, "__post_init__", lambda pkt: (outers.append(pkt), post_init(pkt)))
     report = sim.ping("pod-master", "pod-worker2", count=768, family="v6")
-    assert report.delivered == len(forwarded) == 768
-    assert looked_up == [1, 1, 1]  # all inside the first forward call
+    assert report.delivered == 768 and len(forwarded) == 1
+    assert looked_up == [1, 1, 1]  # all inside the one forward call
     assert len(waypoints(report.traces[0])) + 1 == 3
+    assert len(outers) - sum(walked) == 3  # the headend's: one header per vector
+    assert len({id(t.hops) for t in report.traces}) == 1
     assert sim.dataplanes["worker2"].counters()[str(forwarded[0].srh.segment_list[0])] == 768

@@ -361,10 +361,9 @@ def test_isolated_router_drops_only_its_own_traffic(tmp_path, capsys):
     stray = OuterPacket(
         src=parse_v6("fd10::1000"), hop_limit=64,
         srh=Srh(next_header=41, segments_left=0, segment_list=(parse_v6("fcff:99::1"),)),
-        inner=InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd91::1")).encode(),
     )
-    trace = forward(sim.topology, sim.current_routes(), "master", stray, sim.dataplanes)
-    assert trace.drop_reason == "no route"
+    walk = forward(sim.topology, sim.current_routes(), "master", stray, sim.dataplanes)
+    assert walk.end.reason == "no route"
     assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker1"]) == 0
 
 

@@ -27,6 +27,8 @@ from srv6sim.underlay import (
     waypoints,
 )
 
+from conftest import forward_packet
+
 GRID_LINKS = [
     ("R1", "R2", "l12"), ("R2", "R3", "l23"), ("R3", "R4", "l34"),
     ("R5", "R6", "l56"), ("R6", "R7", "l67"), ("R7", "R8", "l78"),
@@ -181,8 +183,8 @@ def make_overlay():
 def test_forward_consumes_waypoints_and_delivers():
     topo, routes, dataplanes, src_dp = make_overlay()
     inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd91::1"))
-    outer = src_dp.h_encaps(inner, parse_v6("cafe::9"))
-    trace = forward(topo, routes, "src", outer, dataplanes)
+    outer = src_dp.h_encaps(parse_v6("cafe::9"))
+    trace = forward_packet(topo, routes, "src", outer, inner.encode(), dataplanes)
     assert trace.delivered and trace.deliver_node == "dst"
     assert waypoints(trace) == ["R4", "R3"]
     assert trace.disposition.inner == inner
@@ -191,22 +193,17 @@ def test_forward_consumes_waypoints_and_delivers():
 
 def test_forward_drops_on_ttl_expiry():
     topo, routes, dataplanes, src_dp = make_overlay()
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd91::1"))
-    from dataclasses import replace
-    outer = replace(src_dp.h_encaps(inner, parse_v6("cafe::9")), hop_limit=2)
-    trace = forward(topo, routes, "src", outer, dataplanes)
-    assert not trace.delivered and trace.drop_reason == "ttl"
+    outer = replace(src_dp.h_encaps(parse_v6("cafe::9")), hop_limit=2)
+    walk = forward(topo, routes, "src", outer, dataplanes)
+    assert walk.end.reason == "ttl" and walk.record(walk.end).drop_reason == "ttl"
 
 
 def test_forward_drops_without_route():
     topo, routes, dataplanes, src_dp = make_overlay()
-    from dataclasses import replace
-    inner = InnerPacket(src=parse_addr("fd90::1"), dst=parse_addr("fd91::1"))
-    outer = src_dp.h_encaps(inner, parse_v6("cafe::9"))
+    outer = src_dp.h_encaps(parse_v6("cafe::9"))
     stray = replace(outer, srh=Srh(next_header=41, segments_left=0,
                                    segment_list=(parse_v6("feee::1"),)))
-    trace = forward(topo, routes, "src", stray, dataplanes)
-    assert trace.drop_reason == "no route"
+    assert forward(topo, routes, "src", stray, dataplanes).end.reason == "no route"
 
 
 # -- drawn scenarios -----------------------------------------------------------
@@ -324,9 +321,9 @@ def test_routes_and_traces_match_brute_force_on_drawn_scenarios(text):
     for (a, src), (b, dst) in itertools.permutations(sorted(by_node.items()), 2):
         for family in sorted(sim.scenario.families):
             probe = InnerPacket(src=src.addrs[family], dst=dst.addrs[family])
-            disp, = run_vector(sim.dataplanes[a], [probe])
-            assert disp.kind == "forward", (a, b, family)
-            srh = disp.packet.srh
+            flow, = run_vector(sim.dataplanes[a], [probe])
+            assert flow.header is not None, (a, b, family)
+            srh = flow.header.srh
             segments = srh.segment_list[srh.segments_left::-1]
             assert oracle.holder[segments[-1]] == b
             want = oracle.hops(a, segments)
@@ -335,6 +332,7 @@ def test_routes_and_traces_match_brute_force_on_drawn_scenarios(text):
             visits = [k for k, (v, _dst, action) in enumerate(want)
                       if v in oracle.routers and action in ("source", "transit", "end")]
             for h, k in enumerate(visits, 1):
-                outer = replace(disp.packet, hop_limit=h)
-                trace = forward(sim.topology, routes, a, outer, sim.dataplanes)
+                outer = replace(flow.header, hop_limit=h)
+                walk = forward(sim.topology, routes, a, outer, sim.dataplanes)
+                trace = walk.record(walk.end)  # a ttl drop: the header decides
                 assert _hops(trace) == want[:k + 1] + [(want[k][0], want[k + 1][1], "drop:ttl")]
