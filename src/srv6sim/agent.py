@@ -1,6 +1,7 @@
 """The per-node connectivity agent: startup allocation and advertisement,
 reception of step-1/step-2 or ConfigMap inputs, and idempotent
-reconciliation into the node dataplane.
+reconciliation into the node dataplane. An agent reads its node's record
+(``NodeConfig``) and the scenario's (``Scenario``) where it uses them.
 
 An agent runs in exactly one of two modes for its lifetime: ``bgp`` (both
 control steps over the session bus) or ``configmap`` (step 1 over the bus,
@@ -34,50 +35,25 @@ from .dataplane import (
 from .errors import SimError, ValidationError
 from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, addr_text, diff_policies
 from .net_types import Prefix, family_of
+from .scenario import NodeConfig, Scenario
 
 
 class Agent:
-    def __init__(
-        self,
-        name: str,
-        infra: IPv6Address,
-        dataplane: NodeDataplane,
-        bus: SessionBus,
-        mode: str,
-        cluster_nodes: list[str],
-        pod_prefixes: list[Prefix],
-        families: set[str],
-        router_end_sid: IPv6Address,
-        ipam: Optional[IpamAllocator] = None,
-        bsid_pool: Optional[str] = None,
-        localsid_pool: Optional[str] = None,
-        pinned_localsids: Optional[dict[str, IPv6Address]] = None,
-        external_peers: Optional[set[str]] = None,
-        events: Optional[list] = None,
-        metrics: Optional[Counter] = None,
-        segment_mode: str = "double",
-    ):
-        if mode not in ("bgp", "configmap"):
-            raise SimError(f"unknown agent mode {mode!r}")
-        self.name = name
-        self.infra = infra
+    def __init__(self, node: NodeConfig, scenario: Scenario, dataplane: NodeDataplane,
+                 bus: SessionBus, ipam: IpamAllocator, events: list, metrics: Counter):
+        self.node = node
+        self.scenario = scenario
+        self.name = node.name
+        self.infra = node.infra
+        self.mode = scenario.mode
+        self.cluster_nodes = [n.name for n in scenario.nodes]
+        self.router_end_sid = next(r.end_sid for r in scenario.routers if r.name == node.router)
+        self.external_peers = {scenario.injector} if scenario.injector_registered else set()
         self.dp = dataplane
         self.bus = bus
-        self.mode = mode
-        self.cluster_nodes = list(cluster_nodes)
-        self.pod_prefixes = list(pod_prefixes)
-        self.families = set(families)
-        self.router_end_sid = router_end_sid
         self.ipam = ipam
-        self.bsid_pool = bsid_pool
-        self.localsid_pool = localsid_pool
-        self.pinned_localsids = dict(pinned_localsids or {})
-        if segment_mode not in ("double", "single"):
-            raise SimError(f"unknown segment mode {segment_mode!r}")
-        self.segment_mode = segment_mode
-        self.external_peers = set(external_peers or ())
-        self.events = events if events is not None else []
-        self.metrics = metrics if metrics is not None else Counter()
+        self.events = events
+        self.metrics = metrics
         # control-plane state, per tunnel: (endpoint, family) -> its prefixes,
         # and the tunnel's policy, queued or configured
         self.prefix_map: dict[tuple[IPv6Address, str], set[Prefix]] = {}
@@ -110,7 +86,7 @@ class Agent:
             behavior = Behavior("EndDT4" if kind == "DT4" else "EndDT6")
             self.dp.install_localsid(LocalSidEntry(sid=sid, behavior=behavior))
         # step 1: pod-prefix reachability toward every other cluster node
-        for prefix in self.pod_prefixes:
+        for prefix in self.node.pod_prefixes:
             update = Step1Update(prefix=prefix, next_hop=self.infra)
             sent = self.bus.broadcast(self.name, self.cluster_nodes, update)
             self.metrics["step1_sent"] += 1 if sent else 0
@@ -129,17 +105,17 @@ class Agent:
             if doc is None:
                 raise SimError(f"{self.name}: configmap mode requires a document")
             return dict(doc.localsids)
-        if self.pinned_localsids:
+        families = self.scenario.families
+        if self.node.localsids:
             return {
-                k: v for k, v in self.pinned_localsids.items()
-                if (k == "DT4" and "v4" in self.families)
-                or (k == "DT6" and "v6" in self.families)
+                k: v for k, v in self.node.localsids.items()
+                if (k == "DT4" and "v4" in families) or (k == "DT6" and "v6" in families)
             }
         sids = {}
-        if "v4" in self.families:
-            sids["DT4"] = self.ipam.allocate(self.localsid_pool, self.name)
-        if "v6" in self.families:
-            sids["DT6"] = self.ipam.allocate(self.localsid_pool, self.name)
+        if "v4" in families:
+            sids["DT4"] = self.ipam.allocate(self.node.localsid_pool, self.name)
+        if "v6" in families:
+            sids["DT6"] = self.ipam.allocate(self.node.localsid_pool, self.name)
         return sids
 
     def _double_segment_update(self, kind: str, sid: IPv6Address) -> SrPolicySafiUpdate:
@@ -148,10 +124,10 @@ class Agent:
         In single-segment mode the DT SID alone is advertised; it must then
         be routable in the underlay.
         """
-        bsid = self.ipam.allocate(self.bsid_pool, self.name)
+        bsid = self.ipam.allocate(self.scenario.bsid_pool, self.name)
         code = BEHAVIOR_END_DT4 if kind == "DT4" else BEHAVIOR_END_DT6
         self._distinguisher += 1
-        if self.segment_mode == "single":
+        if self.scenario.segment_mode == "single":
             segments = (Segment(sid=sid, behavior_code=code),)
         else:
             segments = (

@@ -62,7 +62,7 @@ class Scenario:
     segment_mode: str = "double"
     configmap_fanout: str = "per-node"  # or single-map
     configmaps: list[ConfigMapDoc] = field(default_factory=list)
-    injector: Optional[str] = None
+    injector: str = "srv6-pi"  # the bus peer that injects policies
     injector_registered: bool = True
     convergence_steps: int = 10000
     source: str = "<scenario>"  # the file it was loaded from; locates errors
@@ -193,7 +193,7 @@ def load_scenario(source) -> Scenario:
         segment_mode=segment_mode,
         configmap_fanout=fanout,
         configmaps=configmaps,
-        injector=string(data, "injector", where, None),
+        injector=string(data, "injector", where, None) or "srv6-pi",
         injector_registered=boolean(data, "injector_registered", where, True),
         convergence_steps=integer(data, "convergence_steps", where, 10000, low=0),
         source=where,

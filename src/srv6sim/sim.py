@@ -12,7 +12,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from ipaddress import IPv6Network
 from typing import Optional
 
 import yaml
@@ -101,7 +100,6 @@ class Simulation:
         self.topology = Topology(
             routers={r.name for r in scenario.routers}, links=list(scenario.links)
         )
-        self.router_sids: dict[str, IPv6Network] = {}
         self.dataplanes: dict[str, NodeDataplane] = {}
         for router in scenario.routers:
             dp = NodeDataplane(router.name, self.metrics)
@@ -109,7 +107,6 @@ class Simulation:
                 LocalSidEntry(sid=router.end_sid, behavior=Behavior("End"))
             )
             self.dataplanes[router.name] = dp
-            self.router_sids[router.name] = router.sid_prefix
         for node in scenario.nodes:
             self.topology.attach(node.name, node.router)
             dp = NodeDataplane(node.name, self.metrics)
@@ -119,37 +116,17 @@ class Simulation:
         self.bus = SessionBus()
         for node in scenario.nodes:
             self.bus.register(node.name)
-        self.injector = scenario.injector or "srv6-pi"
-        self.bus.register(self.injector)
+        self.bus.register(scenario.injector)
 
         self.ipam = IpamAllocator(scenario.pools)
         self.store = KvStore()
         self.watches: dict[str, WatchHandle] = {}
 
-        router_by_name = {r.name: r for r in scenario.routers}
-        cluster = [n.name for n in scenario.nodes]
-        external = {self.injector} if scenario.injector_registered else set()
-        self.agents: dict[str, Agent] = {}
-        for node in scenario.nodes:
-            self.agents[node.name] = Agent(
-                name=node.name,
-                infra=node.infra,
-                dataplane=self.dataplanes[node.name],
-                bus=self.bus,
-                mode=scenario.mode,
-                cluster_nodes=cluster,
-                pod_prefixes=list(node.pod_prefixes),
-                families=set(scenario.families),
-                router_end_sid=router_by_name[node.router].end_sid,
-                ipam=self.ipam,
-                bsid_pool=scenario.bsid_pool,
-                localsid_pool=node.localsid_pool,
-                pinned_localsids=node.localsids,
-                external_peers=external,
-                events=self.events,
-                metrics=self.metrics,
-                segment_mode=scenario.segment_mode,
-            )
+        self.agents = {
+            node.name: Agent(node, scenario, self.dataplanes[node.name], self.bus, self.ipam,
+                             self.events, self.metrics)
+            for node in scenario.nodes
+        }
         self.pods = {p.name: p for p in scenario.pods}
         self.started = False
         self._routes: tuple[Optional[int], Optional[Routes]] = (None, None)  # (key, routes)
@@ -249,7 +226,7 @@ class Simulation:
         if self.scenario.mode != "bgp":
             raise ModeMismatchError("inject requires bgp mode; use apply-configmap")
         payload = ("safi73", encode_safi73(update))
-        self.bus.broadcast(self.injector, [n.name for n in self.scenario.nodes], payload)
+        self.bus.broadcast(self.scenario.injector, [n.name for n in self.scenario.nodes], payload)
         self.metrics["injects"] += 1
         self.run_to_quiescence()
 
@@ -272,10 +249,10 @@ class Simulation:
             if watch is None:
                 continue
             for _key, _value, _version in poll(self.store, watch):
-                doc = self._read_doc(name)
-                if doc is None:
-                    continue
-                try:
+                try:  # a stored text that does not parse is rejected like a bad document
+                    doc = self._read_doc(name)
+                    if doc is None:
+                        continue
                     diff = agent.on_configmap_change(doc)
                 except ValidationError as exc:
                     self.events.append(
@@ -294,7 +271,7 @@ class Simulation:
         first hops are computed once, as the topology is fixed."""
         key = self.metrics["localsid_changes"]
         if key != self._routes[0]:
-            advertised: dict = {prefix: router for router, prefix in self.router_sids.items()}
+            advertised: dict = {r.sid_prefix: r.name for r in self.scenario.routers}
             for node in self.scenario.nodes:  # an address key stands for its /128
                 advertised[node.infra] = node.name
                 for sid in self.dataplanes[node.name].localsids:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import lru_cache
 from ipaddress import IPv6Address
 from typing import NamedTuple, Optional, Union
 
@@ -62,15 +61,10 @@ class Topology:
         return adj
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):  # immutable, so the packets of one flow share theirs
     at: str
     dst: IPv6Address
     action: str  # source | transit | end | deliver | drop:<reason>
-
-
-# Hops are immutable, so the packets of one flow share theirs.
-_hop = lru_cache(maxsize=4096)(Hop)
 
 
 @dataclass
@@ -82,12 +76,6 @@ class TraceRecord:
     @property
     def delivered(self) -> bool:
         return self.disposition is not None and self.disposition.kind == "deliver"
-
-    @property
-    def drop_reason(self) -> Optional[str]:
-        if self.disposition is not None and self.disposition.kind == "drop":
-            return self.disposition.reason
-        return None
 
     def render(self) -> str:
         return "\n".join(
@@ -161,7 +149,7 @@ class Walk:
         hops = self._tails.get(reason)
         if hops is None:
             action = "deliver" if reason is None else f"drop:{reason}"
-            hops = self._tails[reason] = self.hops + [_hop(self.at, self.dst, action)]
+            hops = self._tails[reason] = self.hops + [Hop(self.at, self.dst, action)]
         return TraceRecord(hops, disp, self.at if reason is None else None)
 
 
@@ -186,10 +174,10 @@ def forward(topology: Topology, routes: Routes, source: str, pkt: OuterPacket,
             consumed.append(entry)
             if end is entry or end.kind != "forward":
                 break
-            hops.append(_hop(current, pkt.dst, "end"))
+            hops.append(Hop(current, pkt.dst, "end"))
             pkt = end.packet
         else:
-            hops.append(_hop(current, pkt.dst, "transit" if hops else "source"))
+            hops.append(Hop(current, pkt.dst, "transit" if hops else "source"))
         if current in topology.routers:
             if pkt.hop_limit <= 1:
                 end = Disposition(kind="drop", reason="ttl")

@@ -43,7 +43,7 @@ from srv6sim.net_types import (
     parse_prefix,
     parse_v6,
 )
-from srv6sim.scenario import load_scenario
+from srv6sim.scenario import NodeConfig, RouterConfig, Scenario, load_scenario
 from srv6sim.sim import Simulation, load_configmap_docs
 from srv6sim.underlay import waypoints
 
@@ -191,13 +191,16 @@ def test_criterion_05_convergence_and_interleaving_invariance():
         bus.register("b")
         ipam = IpamAllocator([IpPool(name="p", cidr=parse_prefix("cafe::/118"),
                                      block_size=122)])
-        agent = Agent(
-            name="a", infra=parse_v6("fd10::1"), dataplane=NodeDataplane("a"),
-            bus=bus, mode="bgp", cluster_nodes=["a", "b"],
-            pod_prefixes=[parse_prefix("fd90:0:10::/64")], families={"v6"},
-            router_end_sid=parse_v6("fcff:1::1"), ipam=ipam, bsid_pool="p",
-            localsid_pool="p",
+        node = NodeConfig(name="a", infra=parse_v6("fd10::1"), router="r1",
+                          pod_prefixes=(parse_prefix("fd90:0:10::/64"),), localsid_pool="p")
+        scenario = Scenario(
+            name="criterion-5", mode="bgp", seed=0, families={"v6"},
+            routers=[RouterConfig(name="r1", end_sid=parse_v6("fcff:1::1"))], links=[],
+            nodes=[node, NodeConfig(name="b", infra=parse_v6("fd11::1"), router="r1",
+                                    pod_prefixes=())],
+            pools=[], pods=[], bsid_pool="p",
         )
+        agent = Agent(node, scenario, NodeDataplane("a"), bus, ipam, events=[], metrics=Counter())
         agent.startup()
         step1 = Step1Update(prefix=parse_prefix("fd90:0:11::/64"),
                             next_hop=parse_v6("fd11::1"))
@@ -259,7 +262,7 @@ def test_criterion_07_bgp_te_injection():
         counters = sim.dataplanes[node].counters()
         agent = sim.agents[node]
         for kind, family in (("DT4", "v4"), ("DT6", "v6")):
-            sid = str(agent.pinned_localsids[kind])
+            sid = str(agent.node.localsids[kind])
             assert counters[sid] == delivered_at[(node, family)], (node, kind)
     print("\ncriterion 7: PASS — 0 delivered pre-inject; 48/48 post-inject; "
           "DT counters == delivered")

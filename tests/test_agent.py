@@ -14,6 +14,7 @@ from srv6sim.dataplane import NodeDataplane
 from srv6sim.errors import SimError, ValidationError
 from srv6sim.k8s import IpPool, IpamAllocator, parse_configmap_doc
 from srv6sim.net_types import parse_prefix, parse_v6
+from srv6sim.scenario import NodeConfig, RouterConfig, Scenario
 
 INFRA_A = parse_v6("fd10::1000")
 INFRA_B = parse_v6("fd11::1000")
@@ -29,24 +30,17 @@ def make_agent(mode="bgp", name="a", infra=INFRA_A, pinned=None):
             IpPool(name="sids", cidr=parse_prefix("fcdd::/64"), block_size=122),
         ]
     )
-    return Agent(
-        name=name,
-        infra=infra,
-        dataplane=NodeDataplane(name),
-        bus=bus,
-        mode=mode,
-        cluster_nodes=["a", "b"],
-        pod_prefixes=[parse_prefix("fd90:0:10::/64")],
-        families={"v6"},
-        router_end_sid=parse_v6("fcff:1::1"),
-        ipam=ipam,
-        bsid_pool="bsids",
-        localsid_pool="sids",
-        pinned_localsids=pinned,
-        external_peers={"pi"},
-        events=[],
-        metrics=Counter(),
+    node = NodeConfig(name=name, infra=infra, router="r1",
+                      pod_prefixes=(parse_prefix("fd90:0:10::/64"),),
+                      localsids=pinned or {}, localsid_pool="sids")
+    peer = NodeConfig(name="b", infra=INFRA_B, router="r1", pod_prefixes=())
+    scenario = Scenario(
+        name="agent", mode=mode, seed=0, families={"v6"},
+        routers=[RouterConfig(name="r1", end_sid=parse_v6("fcff:1::1"))], links=[],
+        nodes=[node, peer], pools=[], pods=[],
+        bsid_pool="bsids", injector="pi",
     )
+    return Agent(node, scenario, NodeDataplane(name), bus, ipam, events=[], metrics=Counter())
 
 
 def policy_for_b(bsid="cafe::99", seg="fcdd::b6"):
@@ -223,7 +217,7 @@ def test_configmap_mode_requires_document():
 
 def test_single_segment_mode():
     agent = make_agent()
-    agent.segment_mode = "single"
+    agent.scenario.segment_mode = "single"
     agent.startup()
     payload = agent.bus.sessions[("a", "b")][1]
     from srv6sim.bgp import decode_safi73

@@ -190,7 +190,7 @@ def test_pending_sessions_match_sorted_scan(ops):
 
 def advertised_oracle(sim: Simulation) -> dict:
     """The advertised map exactly as ``current_routes`` documents it."""
-    advertised = {prefix: router for router, prefix in sim.router_sids.items()}
+    advertised = {router.sid_prefix: router.name for router in sim.scenario.routers}
     for node in sim.scenario.nodes:
         advertised[IPv6Network((node.infra, 128))] = node.name
         for sid in sim.dataplanes[node.name].localsids:
@@ -427,8 +427,8 @@ def test_frame_runs_decap_per_packet():
                            flow.header, inner, twin.dataplanes)
             for inner in inners]
     assert _fates(got) == _fates(want)
-    assert [t.drop_reason for t in got] == [None, "family mismatch", None,
-                                            "family mismatch", "family mismatch", None]
+    assert [t.disposition.reason for t in got] == [None, "family mismatch", None,
+                                                   "family mismatch", "family mismatch", None]
     assert [t.deliver_node for t in got] == ["worker2", None, "worker2", None, None, "worker2"]
     assert [t.disposition.inner.payload for t in got if t.delivered] == [b"p0", b"p1", b"p2"]
     assert got[0].hops is got[2].hops and got[1].hops is got[3].hops
@@ -588,6 +588,33 @@ def test_single_map_is_loaded_at_most_once_per_version(monkeypatch):
     assert len(sim.poll_all()) == 3
     sim.apply_configmaps(scenario.configmaps[:1])
     assert loads == {raw: 1}
+
+
+@pytest.mark.parametrize("fanout", ["per-node", "single-map"])
+def test_unparseable_stored_document_is_rejected_alone(fanout, monkeypatch):
+    """A stored text that does not parse is rejected at its node, as a bad
+    document is: one ``configmap-rejected`` event with the located message.
+    The poll round goes on to the other nodes and ends quiesced."""
+    scenario = load_scenario(SCENARIOS / "full_cm.yaml")
+    scenario.configmap_fanout = fanout
+    sim = Simulation(scenario).start()
+    quiesced = []
+    real = sim.run_to_quiescence
+    monkeypatch.setattr(sim, "run_to_quiescence", lambda: quiesced.append(real()))
+    docs = {doc.node: doc for doc in scenario.configmaps}
+    master, worker1 = docs["master"], docs["worker1"]
+    v4_segment = replace(master.policies[0], segment_list=(IPv4Address("10.0.0.1"),))
+    bad = replace(master, policies=(v4_segment,) + master.policies[1:])
+    fewer = replace(worker1, policies=worker1.policies[1:])
+    assert len(sim.dataplanes["worker1"].policies) == 4
+    unchanged = [] if fanout == "per-node" else ["worker2: 0 changes"]  # the map's new version
+    assert sim.apply_configmaps([bad, fewer]) == ["worker1: 1 removed", *unchanged]
+    where = "srv6-config-master" if fanout == "per-node" else "single-map.master"
+    assert [e[1:] for e in sim.events if e[2] == "configmap-rejected"] == [
+        ("master", "configmap-rejected", f"{where}.policies[0].segment_list[0]: "
+         "expected an IPv6 address, got '10.0.0.1'")]
+    assert len(sim.dataplanes["worker1"].policies) == 3 and quiesced == [0]
+    assert sim.poll_all() == []
 
 
 # -- policies written directly by render_configmap_doc ---------------------

@@ -1,6 +1,7 @@
 """No public API that only tests call.
 
-A public module-level function of the package must be used somewhere in the
+A public module-level function of the package, and a public method or
+property of one of its module-level classes, must be used somewhere in the
 package (other than by its own definition and ``__init__.py``) or by the
 benchmark in ``perfbench/``; tests alone do not keep it alive. A use is a
 name, an attribute, an imported name, or a string that equals the name (the
@@ -10,6 +11,7 @@ against.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,23 +20,29 @@ PACKAGE = ROOT / "src" / "srv6sim"
 ORACLES = ("encode_srh", "decode_srh")
 
 
-def _public_defs(tree: ast.Module) -> list[str]:
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_")]
+def _public_defs(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """``(qualified name, definition)`` of each public function, method and property."""
+    defs = []
+    for node in tree.body:
+        is_class = isinstance(node, ast.ClassDef)
+        owner, members = (f"{node.name}.", node.body) if is_class else ("", [node])
+        defs += [(owner + d.name, d) for d in members
+                 if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not d.name.startswith("_")]
+    return defs
 
 
-def _uses(tree: ast.Module) -> set[str]:
-    used = set()
+def _uses(tree: ast.AST) -> Counter:
+    used = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            used[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            used[node.attr] += 1
         elif isinstance(node, ast.alias):
-            used.add(node.asname or node.name)
+            used[node.asname or node.name] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
+            used[node.value] += 1
     return used
 
 
@@ -44,12 +52,13 @@ def _parse(path: Path) -> ast.Module:
 
 def test_every_public_function_has_a_caller_outside_tests():
     modules = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    used = set()
+    used = Counter()
     for path, tree in modules.items():
         if path.name != "__init__.py":
-            used |= _uses(tree)
+            used += _uses(tree)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        used |= _uses(_parse(path))
+        used += _uses(_parse(path))
     unused = [f"{path.stem}.{name}" for path, tree in modules.items()
-              for name in _public_defs(tree) if name not in used and name not in ORACLES]
-    assert unused == [], f"public functions that only tests call: {unused}"
+              for name, d in _public_defs(tree)
+              if used[d.name] <= _uses(d)[d.name] and d.name not in ORACLES]
+    assert unused == [], f"public functions, methods and properties that only tests call: {unused}"

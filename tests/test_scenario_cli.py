@@ -29,6 +29,12 @@ def test_load_scenarios():
     assert s.auto_step2 is False and s.injector == "srv6-pi"
 
 
+@pytest.mark.parametrize("line, injector", [
+    ("", "srv6-pi"), ("injector: null\n", "srv6-pi"), ("injector: te-peer\n", "te-peer")])
+def test_injector_defaults_to_srv6_pi(line, injector):
+    assert load_scenario(line + "name: x\n").injector == injector
+
+
 def test_scenario_validation_errors():
     with pytest.raises(ValidationError, match="router"):
         load_scenario("nodes:\n- {name: x, infra: '::1', router: ghost}\n")

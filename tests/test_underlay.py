@@ -195,7 +195,7 @@ def test_forward_drops_on_ttl_expiry():
     topo, routes, dataplanes, src_dp = make_overlay()
     outer = replace(src_dp.h_encaps(parse_v6("cafe::9")), hop_limit=2)
     walk = forward(topo, routes, "src", outer, dataplanes)
-    assert walk.end.reason == "ttl" and walk.record(walk.end).drop_reason == "ttl"
+    assert walk.end.reason == "ttl" and walk.record(walk.end).disposition.reason == "ttl"
 
 
 def test_forward_drops_without_route():
