@@ -72,8 +72,7 @@ class Agent:
 
     # -- startup -----------------------------------------------------------
 
-    def startup(self, configmap_doc: Optional[ConfigMapDoc] = None,
-                auto_step2: bool = True) -> None:
+    def startup(self, configmap_doc: Optional[ConfigMapDoc] = None) -> None:
         """Seed the local dataplane and emit the startup advertisements.
 
         The node infrastructure address becomes the encap source. DT
@@ -91,7 +90,7 @@ class Agent:
             sent = self.bus.broadcast(self.name, self.cluster_nodes, update)
             self.metrics["step1_sent"] += 1 if sent else 0
         # step 2 only in bgp mode
-        if self.mode == "bgp" and auto_step2:
+        if self.mode == "bgp" and self.scenario.auto_step2:
             for kind in ("DT4", "DT6"):
                 if kind not in localsids:
                     continue
@@ -249,8 +248,6 @@ class Agent:
         Validation failures leave the previous state untouched; an identical
         document causes zero dataplane mutations.
         """
-        if self.mode != "configmap":
-            raise SimError(f"{self.name} is not in configmap mode")
         if doc.node != self.name:
             raise ValidationError(
                 f"document for {doc.node} delivered to {self.name}"

@@ -5,7 +5,7 @@ IPAM pools with block carving, and the per-node SR-TE policy document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from ipaddress import IPv6Address
 from operator import is_not
@@ -27,48 +27,45 @@ addr_text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; address
 
 
 class KvStore:
-    """Linearizable key/value store; versions are store-wide monotonic."""
+    """Linearizable store of ConfigMap data maps (data key -> text); versions
+    are store-wide monotonic."""
 
     def __init__(self):
-        self.entries: dict[str, tuple[str, int]] = {}
-        self.decoded: dict[str, object] = {}  # None or the decoded value of entries[key]
+        self.entries: dict[str, tuple[dict[str, str], int]] = {}
+        # per entry: data key -> its decoded document; absent or None until read
+        self.decoded: dict[str, dict] = {}
         self._version = 0
         # accounting for the watch cost model
         self.poll_count = 0
         self.scan_units = 0
 
-    def write(self, key: str, value: str, decoded=None) -> int:
+    def write(self, key: str, data: dict[str, str], decoded: dict) -> int:
         self._version += 1
-        self.entries[key] = (value, self._version)
+        self.entries[key] = (data, self._version)
         self.decoded[key] = decoded
         return self._version
 
 
 @dataclass
 class WatchHandle:
-    """Poll-based watch over a set of keys."""
+    """Poll-based watch over one key."""
 
-    keys: tuple[str, ...]
-    last_seen: dict[str, int] = field(default_factory=dict)
+    key: str
+    last_seen: int = 0
 
 
-def poll(store: KvStore, watch: WatchHandle) -> list[tuple[str, str, int]]:
-    """Return (key, value, version) for each watched key whose version
-    advanced since the last poll. One poll cost unit per call, one scan cost
-    unit per returned document the watcher must examine.
+def poll(store: KvStore, watch: WatchHandle) -> list[tuple[str, dict[str, str], int]]:
+    """``[(key, data, version)]`` if the watched key's version advanced since
+    the last poll, else ``[]``. One poll cost unit per call, one scan cost
+    unit per returned entry the watcher must examine.
     """
     store.poll_count += 1
-    changed = []
-    for key in watch.keys:
-        entry = store.entries.get(key)
-        if entry is None:
-            continue
-        value, version = entry
-        if version > watch.last_seen.get(key, 0):
-            watch.last_seen[key] = version
-            changed.append((key, value, version))
-    store.scan_units += len(changed)
-    return changed
+    entry = store.entries.get(watch.key)
+    if entry is None or entry[1] <= watch.last_seen:
+        return []
+    watch.last_seen = entry[1]
+    store.scan_units += 1
+    return [(watch.key, *entry)]
 
 
 # -- IPAM ------------------------------------------------------------------

@@ -170,6 +170,10 @@ def load_scenario(source) -> Scenario:
             addrs[family] = addr
         pods.append(PodConfig(name=name, node=node, addrs=addrs))
 
+    injector = string(data, "injector", where, None) or "srv6-pi"
+    if injector in node_names:  # the bus skips a broadcast's sender: that node would get nothing
+        raise ValidationError(f"injector {injector!r} is also a node name", path=f"{where}.injector")
+
     configmaps, documented = [], set()
     for i, doc in enumerate(section(data, "configmaps", where)):
         cpath = f"{where}.configmaps[{i}]"
@@ -193,7 +197,7 @@ def load_scenario(source) -> Scenario:
         segment_mode=segment_mode,
         configmap_fanout=fanout,
         configmaps=configmaps,
-        injector=string(data, "injector", where, None) or "srv6-pi",
+        injector=injector,
         injector_registered=boolean(data, "injector_registered", where, True),
         convergence_steps=integer(data, "convergence_steps", where, 10000, low=0),
         source=where,

@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-import yaml
-
 from .agent import Agent
 from .bgp import SessionBus, SrPolicySafiUpdate, encode_safi73
 from .dataplane import Behavior, Disposition, LocalSidEntry, LpmIndex, NodeDataplane
@@ -130,77 +128,56 @@ class Simulation:
         self.pods = {p.name: p for p in scenario.pods}
         self.started = False
         self._routes: tuple[Optional[int], Optional[Routes]] = (None, None)  # (key, routes)
-        self._map_items: dict[str, tuple[str, str]] = {}  # node -> (text, its single-map entry)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "Simulation":
         """Start all agents (sorted node order) and quiesce the control plane."""
-        scenario = self.scenario
-        if scenario.mode == "configmap":
-            self._write_docs(scenario.configmaps)
+        configmap = self.scenario.mode == "configmap"
+        if configmap:
+            self._write_docs(self.scenario.configmaps)
         for name in sorted(self.agents):
-            agent = self.agents[name]
             doc = None
-            if scenario.mode == "configmap":
+            if configmap:
                 doc = self._read_doc(name)
-                self.watches[name] = self._make_watch(name)
-            agent.startup(configmap_doc=doc, auto_step2=scenario.auto_step2)
+                key = self._map_key(name)
+                self.watches[name] = WatchHandle(key, self.store.entries[key][1])
+            self.agents[name].startup(configmap_doc=doc)
         self.run_to_quiescence()
         self.started = True
         return self
 
-    def _make_watch(self, node: str) -> WatchHandle:
+    def _map_key(self, node: str) -> str:
+        """The store key of the ConfigMap whose data holds ``node``'s document."""
         single = self.scenario.configmap_fanout == "single-map"
-        keys = (SINGLE_MAP_KEY if single else configmap_key(node),)
-        last_seen = {k: self.store.entries.get(k, ("", 0))[1] for k in keys}
-        return WatchHandle(keys=keys, last_seen=last_seen)
+        return SINGLE_MAP_KEY if single else configmap_key(node)
 
     def _write_docs(self, docs: list[ConfigMapDoc]) -> None:
-        """Write rendered documents, the single map as one write, recording
-        each document that its text decodes back to, with canonical addresses."""
-        if self.scenario.configmap_fanout == "per-node":
-            for doc in docs:
-                same = decodes_to_itself(doc)
-                self.store.write(configmap_key(doc.node), render_configmap_doc(same or doc), same)
-        elif docs:
-            texts, decoded = (dict(part) for part in self._single_map())
-            for doc in docs:
-                decoded[doc.node] = same = decodes_to_itself(doc)
-                texts[doc.node] = render_configmap_doc(same or doc)
-            self.store.write(SINGLE_MAP_KEY, self._map_text(texts), (texts, decoded))
-
-    def _map_text(self, texts: dict) -> str:
-        """``yaml.safe_dump(texts, sort_keys=True)`` of a non-empty map, joined
-        from one dump per entry, each kept while its node's text stays."""
-        items = self._map_items
-        for node, text in texts.items():
-            if items.get(node, (None,))[0] != text:
-                items[node] = (text, yaml.safe_dump({node: text}, sort_keys=True))
-        return "".join(items[node][1] for node in sorted(texts))
-
-    def _single_map(self) -> tuple[dict, dict]:
-        """``({node: text}, {node: document or None})`` of the stored map version."""
-        if self.store.decoded.get(SINGLE_MAP_KEY) is None:
-            text = self.store.entries.get(SINGLE_MAP_KEY, ("",))[0]
-            self.store.decoded[SINGLE_MAP_KEY] = (load(text, SINGLE_MAP_KEY) or {}, {})
-        return self.store.decoded[SINGLE_MAP_KEY]
+        """Write rendered documents, one write per ConfigMap, recording each
+        document that its text decodes back to, with canonical addresses."""
+        maps: dict[str, tuple[dict, dict]] = {}  # key -> (data, decoded) to write
+        for doc in docs:
+            key = self._map_key(doc.node)
+            if key not in maps:
+                maps[key] = (dict(self.store.entries.get(key, ({},))[0]),
+                             dict(self.store.decoded.get(key, {})))
+            data, decoded = maps[key]
+            decoded[doc.node] = same = decodes_to_itself(doc)
+            data[doc.node] = render_configmap_doc(same or doc)
+        for key, (data, decoded) in maps.items():
+            self.store.write(key, data, decoded)
 
     def _read_doc(self, node: str) -> Optional[ConfigMapDoc]:
         """``node``'s stored document, decoded at most once per stored version."""
-        if self.scenario.configmap_fanout == "single-map":
-            texts, decoded = self._single_map()
-            if node not in texts:
-                return None
-            if decoded.get(node) is None:
-                decoded[node] = parse_configmap_doc(texts[node], path=f"single-map.{node}")
-            return decoded[node]
-        key = configmap_key(node)
-        if key not in self.store.entries:
+        key = self._map_key(node)
+        data = self.store.entries.get(key, ({},))[0]
+        if node not in data:
             return None
-        if self.store.decoded.get(key) is None:
-            self.store.decoded[key] = parse_configmap_doc(self.store.entries[key][0], path=key)
-        return self.store.decoded[key]
+        decoded = self.store.decoded[key]
+        if decoded.get(node) is None:
+            path = f"single-map.{node}" if key == SINGLE_MAP_KEY else key
+            decoded[node] = parse_configmap_doc(data[node], path=path)
+        return decoded[node]
 
     def run_to_quiescence(self) -> int:
         """Drain the session bus, one message per step, seeded interleaving."""
@@ -244,22 +221,18 @@ class Simulation:
         """One poll round for every agent, in sorted node order."""
         summaries = []
         for name in sorted(self.agents):
-            agent = self.agents[name]
             watch = self.watches.get(name)
-            if watch is None:
+            if watch is None or not poll(self.store, watch):
                 continue
-            for _key, _value, _version in poll(self.store, watch):
-                try:  # a stored text that does not parse is rejected like a bad document
-                    doc = self._read_doc(name)
-                    if doc is None:
-                        continue
-                    diff = agent.on_configmap_change(doc)
-                except ValidationError as exc:
-                    self.events.append(
-                        (len(self.events), name, "configmap-rejected", str(exc))
-                    )
+            try:  # a stored text that does not parse is rejected like a bad document
+                doc = self._read_doc(name)
+                if doc is None:
                     continue
-                summaries.append(f"{name}: {diff.summary()}")
+                diff = self.agents[name].on_configmap_change(doc)
+            except ValidationError as exc:
+                self.events.append((len(self.events), name, "configmap-rejected", str(exc)))
+                continue
+            summaries.append(f"{name}: {diff.summary()}")
         self.run_to_quiescence()
         return summaries
 

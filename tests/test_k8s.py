@@ -25,30 +25,32 @@ from srv6sim.net_types import parse_prefix, parse_v6
 
 def test_versions_are_store_wide_monotonic():
     store = KvStore()
-    v1 = store.write("a", "1")
-    v2 = store.write("b", "1")
-    v3 = store.write("a", "2")
+    v1 = store.write("a", {"a": "1"}, {})
+    v2 = store.write("b", {"b": "1"}, {})
+    v3 = store.write("a", {"a": "2"}, {})
     assert v1 < v2 < v3
-    assert store.entries["a"] == ("2", v3)
+    assert store.entries["a"] == ({"a": "2"}, v3)
 
 
 def test_write_replaces_the_decoded_value():
     store = KvStore()
-    store.write("a", "1", decoded=1)
-    assert store.decoded["a"] == 1
-    store.write("a", "2")
-    assert store.entries["a"][0] == "2" and store.decoded["a"] is None
+    store.write("a", {"a": "1"}, {"a": 1})
+    assert store.decoded["a"] == {"a": 1}
+    store.write("a", {"a": "2"}, {})
+    assert store.entries["a"][0] == {"a": "2"} and store.decoded["a"] == {}
 
 
 def test_poll_reports_only_new_versions():
     store = KvStore()
-    store.write("k", "v1")
-    watch = WatchHandle(keys=("k",))
-    assert [kv[1] for kv in poll(store, watch)] == ["v1"]
+    store.write("k", {"n": "v1"}, {})
+    watch = WatchHandle(key="k")
+    assert [kv[1] for kv in poll(store, watch)] == [{"n": "v1"}]
     assert poll(store, watch) == []  # unchanged
-    store.write("k", "v2")
-    assert [kv[1] for kv in poll(store, watch)] == ["v2"]
-    assert store.poll_count == 3
+    store.write("other", {"n": "x"}, {})
+    assert poll(store, watch) == []  # another key's write
+    store.write("k", {"n": "v2"}, {})
+    assert poll(store, watch) == [("k", {"n": "v2"}, 3)]
+    assert store.poll_count == 4
     assert store.scan_units == 2
 
 
@@ -159,9 +161,9 @@ def test_duplicate_policy_key_rejected():
 def test_store_roundtrip():
     store = KvStore()
     doc = parse_configmap_doc(DOC_TEXT)
-    version = store.write(configmap_key("master"), render_configmap_doc(doc))
-    value, stored = store.entries["srv6-config-master"]
-    assert parse_configmap_doc(value) == doc and stored == version == 1
+    version = store.write(configmap_key("master"), {"master": render_configmap_doc(doc)}, {})
+    data, stored = store.entries["srv6-config-master"]
+    assert parse_configmap_doc(data["master"]) == doc and stored == version == 1
 
 
 def diff_of(old_text, new_text):

@@ -11,13 +11,12 @@
   which sends every packet through ``scalar_tx``, its own walk and ``decap``.
 - The decoded ConfigMap documents the store keeps per version against a
   fresh ``parse_configmap_doc`` of the stored text.
-- ``render_configmap_doc`` (policies written without PyYAML) and the single
-  map (cached entries) against one ``yaml.dump`` of the whole document or map.
+- ``render_configmap_doc`` (policies written without PyYAML) against one
+  ``yaml.dump`` of the whole document.
 - The SRH each installed policy keeps, and the per-destination lookups of
   ``run_vector``, against ``scalar_tx``, which builds its SRH per packet.
 """
 
-from collections import Counter
 from dataclasses import replace
 from ipaddress import IPv4Address, IPv6Address, IPv6Network, ip_network
 
@@ -286,8 +285,6 @@ def test_libyaml_matches_pure_python_yaml(doc):
     data = yaml.load(text, Loader=yaml.SafeLoader)
     assert text == yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
     assert yaml.load(text, Loader=YamlLoader) == data
-    single_map = yaml.safe_dump({doc.node: text, "other": text}, sort_keys=True)
-    assert yaml.load(single_map, Loader=YamlLoader) == yaml.load(single_map, Loader=yaml.SafeLoader)
 
 
 @pytest.mark.parametrize(
@@ -474,8 +471,8 @@ def cache_docs(draw, nodes):
     return ConfigMapDoc(node=draw(nodes), localsids=draw(CM_LOCALSIDS), policies=tuple(policies))
 
 
-# Node names the single map quotes, or writes as an explicit ``? key``
-# entry: 128 characters or more, or several lines.
+# Node names that YAML would quote, or write as an explicit ``? key``
+# entry (128 characters or more, or several lines); a data map keeps them as keys.
 MAP_NODES = st.one_of(
     st.sampled_from(["yes", "null", "1", "- x", "a: b", "#c", "'q'", "x" * 127, "x" * 128, "y\nz"]),
     st.text(min_size=128, max_size=160),
@@ -500,18 +497,13 @@ def _outcome(read):
         return ("ValidationError", str(exc))
 
 
-def _map_text(latest: dict) -> str:
-    """The single map as written before the store kept decoded values."""
-    return yaml.safe_dump({n: render_configmap_doc(d) for n, d in latest.items()}, sort_keys=True)
-
-
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
 @settings(max_examples=60, deadline=None)
 @given(ops=CACHE_OPS)
 def test_decoded_documents_match_fresh_parse(fanout, ops):
-    """Random writes, applies, writes without a decoded value, and polls.
-    After each, every read equals a fresh parse of the stored text (or
-    raises the same error), and the stored text is the full rendering."""
+    """Random writes, applies, writes of data alone (no decoded value), and
+    polls. After each, every read equals a fresh parse of the stored text
+    (or raises the same error), and the stored data is the full rendering."""
     scenario = load_scenario(SCENARIOS / "full_cm.yaml")
     scenario.configmap_fanout = fanout
     sim = Simulation(scenario).start()
@@ -524,29 +516,31 @@ def test_decoded_documents_match_fresh_parse(fanout, ops):
         elif op == "poll":
             _outcome(sim.poll_all)
         latest.update((doc.node, doc) for doc in docs)
+        rendered = {n: render_configmap_doc(d) for n, d in latest.items()}
         if fanout == "single-map":
-            expected = _map_text(latest)
             if op == "raw":
-                sim.store.write(SINGLE_MAP_KEY, expected)
-            assert sim.store.entries[SINGLE_MAP_KEY][0] == expected
-            stored = {n: (text, f"single-map.{n}")
-                      for n, text in yaml.load(expected, Loader=YamlLoader).items()}
+                sim.store.write(SINGLE_MAP_KEY, dict(rendered), {})
+            expected = {SINGLE_MAP_KEY: rendered}
+            paths = {n: f"single-map.{n}" for n in latest}
         else:
             for doc in docs if op == "raw" else ():
-                sim.store.write(configmap_key(doc.node), render_configmap_doc(doc))
-            stored = {n: (sim.store.entries[configmap_key(n)][0], configmap_key(n)) for n in latest}
-            assert {k: e[0] for k, e in sim.store.entries.items()} == {
-                configmap_key(n): render_configmap_doc(d) for n, d in latest.items()
-            }
-        for node, (text, path) in stored.items():
-            fresh = _outcome(lambda: parse_configmap_doc(text, path=path))
+                sim.store.write(configmap_key(doc.node), {doc.node: rendered[doc.node]}, {})
+            expected = {configmap_key(n): {n: text} for n, text in rendered.items()}
+            paths = {n: configmap_key(n) for n in latest}
+        assert {k: e[0] for k, e in sim.store.entries.items()} == expected
+        for node, path in paths.items():
+            fresh = _outcome(lambda: parse_configmap_doc(rendered[node], path=path))
             assert _outcome(lambda: sim._read_doc(node)) == fresh
             assert _outcome(lambda: sim._read_doc(node)) == fresh
 
 
-def test_per_node_documents_are_not_parsed_back(monkeypatch):
+@pytest.mark.parametrize("fanout", ["per-node", "single-map"])
+def test_stored_documents_are_not_parsed_back(fanout, monkeypatch):
     """Converging and re-applying full_cm.yaml's documents reads every
-    document from the store without parsing its text."""
+    document from the store without parsing its text. A version written as
+    data alone is parsed once per node, however often it is polled and
+    however many nodes its ConfigMap holds, and a later write keeps the
+    documents decoded from it."""
     parsed = []
     real = srv6sim.sim.parse_configmap_doc
 
@@ -556,38 +550,18 @@ def test_per_node_documents_are_not_parsed_back(monkeypatch):
         return real(data, path=path)
 
     monkeypatch.setattr(srv6sim.sim, "parse_configmap_doc", counting)
-    sim = Simulation(load_scenario(SCENARIOS / "full_cm.yaml")).start()
+    scenario = load_scenario(SCENARIOS / "full_cm.yaml")
+    scenario.configmap_fanout = fanout
+    sim = Simulation(scenario).start()
     sim.apply_configmaps(load_scenario(SCENARIOS / "full_cm.yaml").configmaps)
     assert parsed == []
-    # A version written as text alone is parsed, once.
-    key = configmap_key("master")
-    sim.store.write(key, sim.store.entries[key][0])
+    key = sim._map_key("master")
+    sim.store.write(key, dict(sim.store.entries[key][0]), {})
+    nodes = sorted(sim.store.entries[key][0])
+    assert len(sim.poll_all()) == len(nodes) == (3 if fanout == "single-map" else 1)
     sim.poll_all()
-    sim.poll_all()
-    assert parsed == [key]
-
-
-def test_single_map_is_loaded_at_most_once_per_version(monkeypatch):
-    scenario = load_scenario(SCENARIOS / "full_cm.yaml")
-    scenario.configmap_fanout = "single-map"
-    sim = Simulation(scenario)
-    loads = Counter()
-    real = yaml.load
-
-    def counting(stream, Loader):
-        text, version = sim.store.entries.get(SINGLE_MAP_KEY, (None, 0))
-        if stream == text:
-            loads[version] += 1
-        return real(stream, Loader=Loader)
-
-    monkeypatch.setattr(yaml, "load", counting)
-    sim.start()
-    sim.apply_configmaps(load_scenario(SCENARIOS / "full_cm.yaml").configmaps)
-    # A version written as text alone is loaded once for all three readers.
-    raw = sim.store.write(SINGLE_MAP_KEY, sim.store.entries[SINGLE_MAP_KEY][0])
-    assert len(sim.poll_all()) == 3
     sim.apply_configmaps(scenario.configmaps[:1])
-    assert loads == {raw: 1}
+    assert parsed == [key if fanout == "per-node" else f"single-map.{n}" for n in nodes]
 
 
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
@@ -679,12 +653,11 @@ def test_scoped_address_keeps_its_scope(texts):
 
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
 def test_changed_policy_is_rendered_alone(fanout, monkeypatch):
-    """Re-applying a document, or changing one policy in it, passes no policy
-    to PyYAML: the policies are written directly. The single map dumps no
-    entry when nothing changed, and one when one policy did."""
+    """Bringing up, re-applying a document, or changing one policy in it,
+    passes no policy to PyYAML: the policies are written directly. No
+    fan-out dumps a map: the store keeps each ConfigMap as its data map."""
     scenario = load_scenario(SCENARIOS / "full_cm.yaml")
     scenario.configmap_fanout = fanout
-    sim = Simulation(scenario).start()
     policies, entries = [], []
     dump, safe_dump = yaml.dump, yaml.safe_dump
 
@@ -698,17 +671,16 @@ def test_changed_policy_is_rendered_alone(fanout, monkeypatch):
 
     monkeypatch.setattr(yaml, "dump", counting_dump)
     monkeypatch.setattr(yaml, "safe_dump", counting_safe_dump)
+    sim = Simulation(scenario).start()
+    assert (policies, entries) == ([], [])
     doc = scenario.configmaps[0]
     sim.apply_configmaps([doc])
     assert (policies, entries) == ([], [])
     first = replace(doc.policies[0], bsid=IPv6Address("cafe::77"))
     changed = replace(doc, policies=(first, *doc.policies[1:]))
     assert f"{doc.node}: 1 replaced" in sim.apply_configmaps([changed])
-    assert policies == []
-    assert entries == ([doc.node] if fanout == "single-map" else [])
-    stored = sim.store.entries[configmap_key(doc.node) if fanout == "per-node" else SINGLE_MAP_KEY][0]
-    text = stored if fanout == "per-node" else yaml.safe_load(stored)[doc.node]
-    assert parse_configmap_doc(text) == changed
+    assert (policies, entries) == ([], [])
+    assert parse_configmap_doc(sim.store.entries[sim._map_key(doc.node)][0][doc.node]) == changed
 
 
 # -- the encap header each policy keeps ------------------------------------

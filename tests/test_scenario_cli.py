@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
+from srv6sim.bgp import parse_policy_file
 from srv6sim.cli import main
 from srv6sim.errors import SimError, ValidationError
 from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
@@ -33,6 +36,20 @@ def test_load_scenarios():
     ("", "srv6-pi"), ("injector: null\n", "srv6-pi"), ("injector: te-peer\n", "te-peer")])
 def test_injector_defaults_to_srv6_pi(line, injector):
     assert load_scenario(line + "name: x\n").injector == injector
+
+
+def test_router_named_injector_reaches_every_node():
+    """An injector may take a router's name; only a node's name is refused,
+    as the bus skips a broadcast's sender. Injected policies reach all nodes."""
+    text = Path(FULL_BGP).read_text().replace("injector: srv6-pi", "injector: R1")
+    sim = Simulation(load_scenario(text)).start()
+    for path in sorted((SCENARIOS / "policies").glob("*.yaml")):
+        sim.inject(parse_policy_file(path.read_text(), path=str(path)))
+    pods = sorted(sim.pods)
+    for src in pods:
+        for dst in pods:
+            for family in ("v4", "v6") if src != dst else ():
+                assert sim.ping(src, dst, count=2, family=family).delivered == 2
 
 
 def test_scenario_validation_errors():
@@ -155,6 +172,27 @@ def test_cli_apply_configmap(capsys):
     assert "worker2: 1 replaced" in capsys.readouterr().out
     # apply-configmap is refused in bgp mode
     assert main(["apply-configmap", "--scenario", FULL_BGP, "--file", modified]) == 1
+
+
+def test_cli_apply_configmap_list_document(tmp_path, capsys):
+    """A YAML document that is a list of policy documents applies each of them."""
+    manifest = yaml.safe_load((SCENARIOS / "configmap_worker2_modified.yaml").read_text())
+    worker2 = yaml.safe_load(manifest["data"]["srv6"])
+    master = next(d for d in yaml.safe_load(Path(FULL_CM).read_text())["configmaps"]
+                  if d["node"] == "master")
+    master["policies"] = master["policies"][1:]
+    path = tmp_path / "docs.yaml"
+    path.write_text(yaml.safe_dump([worker2, master]))
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["master: 1 removed", "worker2: 1 replaced"]
+
+
+@pytest.mark.parametrize("text", ["", "---\n---\n"], ids=["empty", "empty-documents"])
+def test_cli_apply_configmap_without_documents_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "none.yaml"
+    path.write_text(text)
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 1
+    assert "no documents in file" in capsys.readouterr().err
 
 
 def test_cli_usage_errors(capsys):
@@ -312,6 +350,8 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
          "configmaps[1]", "duplicate configmap for node 'master'"),
         (_basic("nodeSelector: worker1", "nodeSelector: master"),
          "nodes[1].localsid_pool", "pool 'sr-localsids-pool-worker1' selects node 'master'"),
+        (_basic("seed: 7", "seed: 7\ninjector: worker1"),
+         ".injector", "injector 'worker1' is also a node name"),
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
@@ -329,7 +369,7 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         "v6-pod-prefix-in-v4-slot", "v6-pod-address-in-v4-slot", "pod-outside-node-prefix",
         "v4-bsid-pool", "v4-localsid-pool", "non-string-node-selector", "dangling-node-selector",
         "boolean-seed", "boolean-convergence-steps", "boolean-link-cost", "block-size-out-of-range",
-        "duplicate-configmap", "pool-selects-another-node",
+        "duplicate-configmap", "pool-selects-another-node", "injector-named-like-node",
     ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
@@ -377,13 +417,14 @@ def test_isolated_router_drops_only_its_own_traffic(tmp_path, capsys):
 BAD_FILES = [
     ("node: [master\n", "bad-doc.yaml", "not valid YAML"),
     ("kind: ConfigMap\ndata: [1]\n", "bad-doc.yaml.manifest[0].data", "'data' must be a mapping"),
+    ("- {node: master}\n- 5\n", "bad-doc.yaml.doc[0][1]", "document must be a mapping"),
 ]
 
 
 @pytest.mark.parametrize(
     "text, located, message",
     [(doc + "\n", f"doc[0]{located}", message) for doc, located, message in BAD_DOCS] + BAD_FILES,
-    ids=BAD_DOC_IDS + ["invalid-yaml", "manifest-data-not-a-mapping"],
+    ids=BAD_DOC_IDS + ["invalid-yaml", "manifest-data-not-a-mapping", "list-element-not-a-mapping"],
 )
 def test_cli_apply_malformed_configmap_exits_2(tmp_path, capsys, text, located, message):
     path = tmp_path / "bad-doc.yaml"
