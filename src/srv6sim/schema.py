@@ -6,6 +6,12 @@ Keyed readers take ``(data, key, where, default)``: ``where`` locates the
 mapping ``data``, a bad value is reported at ``where.key``, and a missing
 key without a default at ``where``. A null value reads as absent only where
 the default is None.
+
+``load`` builds documents straight from the YAML parser's events: plain
+YAML (untagged, unanchored collections and string, integer, float, boolean
+and null scalars) needs no node graph. Anything else goes through PyYAML's
+composer and constructor, so it loads, or fails, exactly as ``yaml.load``
+with ``YamlLoader`` does.
 """
 
 from __future__ import annotations
@@ -19,16 +25,85 @@ from .net_types import parse_addr, parse_prefix, parse_v6
 YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 REQUIRED = object()
 _VERSION = {"v4": 4, "v6": 6}
+_STR = "tag:yaml.org,2002:str"
+_SCALARS = {f"tag:yaml.org,2002:{name}" for name in ("int", "float", "bool", "null")}
+_NO_KEY = object()
 
 
 def load(text: str, where: str, every: bool = False):
     """The YAML document in ``text``; with ``every``, the list of all of them."""
     try:
+        docs = _plain_documents(text, every)
+        if docs is not None:
+            return docs if every else docs[0]
         if every:
             return list(yaml.load_all(text, Loader=YamlLoader))
         return yaml.load(text, Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"not valid YAML: {exc}", path=where) from None
+
+
+def _plain_documents(text: str, every: bool):
+    """The documents of ``text`` built straight from the parser's events, or
+    None at the first event that plain YAML lacks: an anchor, alias or
+    explicit tag, a tag other than str/int/float/bool/null (merge keys,
+    timestamps), a value its constructor refuses, a collection as a mapping
+    key, or, unless ``every``, other than one document. A parser error
+    raised here is the one the composer would raise at the same event. The
+    loop keeps an explicit stack, so depth is not bounded by recursion.
+    """
+    loader = YamlLoader(text)
+    resolve, constructors = loader.resolve, loader.yaml_constructors
+    docs, tags = [], {}  # tags: plain value -> its resolved tag
+    stack = [[docs, _NO_KEY]]  # open collections: [object, pending mapping key]
+    while True:
+        event = loader.get_event()
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                return None
+            value = event.value
+            if not event.implicit[0]:
+                tag = _STR  # quoted, or a block scalar
+            elif (tag := tags.get(value)) is None:
+                tag = tags[value] = resolve(yaml.ScalarNode, value, event.implicit)
+            if tag != _STR:
+                if tag not in _SCALARS:
+                    return None
+                try:
+                    value = constructors[tag](loader, yaml.ScalarNode(tag, value))
+                except ValueError:  # such as "0b_", which resolves as an int
+                    return None
+        elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            if event.anchor is not None or event.tag is not None:
+                return None
+            value = {} if kind is yaml.MappingStartEvent else []
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            stack.pop()
+            continue
+        elif kind is yaml.DocumentStartEvent:
+            if docs and not every:
+                return None
+            continue
+        elif kind is yaml.StreamEndEvent:
+            return docs if docs or every else None
+        elif kind is yaml.AliasEvent:
+            return None
+        else:  # the stream's start, a document's end
+            continue
+        top = stack[-1]
+        container, key = top
+        if type(container) is list:
+            container.append(value)
+        elif key is _NO_KEY:
+            if kind is not yaml.ScalarEvent:
+                return None
+            top[1] = value
+        else:
+            container[key] = value
+            top[1] = _NO_KEY
+        if kind is not yaml.ScalarEvent:
+            stack.append([value, _NO_KEY])
 
 
 def mapping(value, what: str, where: str) -> dict:

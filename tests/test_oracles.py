@@ -7,6 +7,8 @@
   from ``compute_routes()`` and the advertised prefixes.
 - libyaml's loader and emitter against PyYAML's pure-Python safe loader
   and dumper.
+- ``schema.load``, which builds plain YAML from the parser's events, against
+  ``yaml.load`` / ``yaml.load_all``: the same data, or the same error.
 - ``Simulation.ping``, which walks each flow once, against ``twin_ping``,
   which sends every packet through ``scalar_tx``, its own walk and ``decap``.
 - The decoded ConfigMap documents the store keeps per version against a
@@ -26,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srv6sim.sim
-from srv6sim import dataplane
+from srv6sim import dataplane, schema
 from srv6sim.errors import ValidationError
 from srv6sim.bgp import SessionBus, parse_policy_file
 from srv6sim.dataplane import (
@@ -293,7 +295,152 @@ def test_libyaml_matches_pure_python_yaml(doc):
 )
 def test_libyaml_reads_shipped_files_like_pure_python(path):
     text = path.read_text()
-    assert list(yaml.load_all(text, Loader=YamlLoader)) == list(yaml.load_all(text, Loader=yaml.SafeLoader))
+    assert schema.load(text, str(path), every=True) == list(yaml.load_all(text, Loader=yaml.SafeLoader))
+
+
+# -- schema.load: documents from parser events -----------------------------
+
+# Plain scalars of every implicit type, quoted strings, and keys that may repeat.
+PLAIN_SCALARS = (
+    "a", "b c", "fcff::1", "10.0.0.0/24", "x-y", "0x1f", "0o17", "017", "1_000", "1:30",
+    "-7", "+3", "0b101", "1.5", "1e3", "1.5e+3", "3.", ".inf", "-.Inf", ".NaN", "1:30.5",
+    "yes", "No", "on", "OFF", "true", "y", "~", "null", "NULL", "",
+    '"1"', "'yes'", '"a\\tb"', "''", "'it''s'", '"~"',
+)
+# Each of these sends the text to PyYAML's composer and constructor.
+FALLBACK_SCALARS = (
+    "2001-12-14", "2002-12-14 21:59:43.10 -5", "<<", "=", "&a x", "*a", "!!str 5",
+    "!foo x", "! x", "0b_", "._", "[k]", "{k: v}",
+)
+KEYS = ("a", "b", "1", "yes", "~", "'a'", "1.0")
+
+
+def _flow(node) -> str:
+    kind, flow, body = node
+    if kind == "scalar":
+        return body
+    if kind == "seq":
+        return "[" + ", ".join(_flow(item) for item in body) + "]"
+    return "{" + ", ".join(f"{key}: {_flow(value)}" for key, value in body) + "}"
+
+
+def _block(node, indent: int) -> str:
+    """``node`` as YAML text at ``indent``: a line per entry of a non-empty
+    block collection, else its scalar or flow text on the current line."""
+    kind, flow, body = node
+    if kind == "scalar" or flow or not body:
+        return f"{_flow(node)}\n"
+    pad = " " * indent
+    heads = [(f"{key}:", value) for key, value in body] if kind == "map" else [("-", v) for v in body]
+    return "".join(
+        f"{pad}{head}" + (" " if item[0] == "scalar" or item[1] or not item[2] else "\n")
+        + _block(item, indent + 2)
+        for head, item in heads
+    )
+
+
+@st.composite
+def yaml_nodes(draw, depth: int = 3, fallback: bool = False):
+    """A tree of ``(kind, flow, body)``: a scalar token, or a block or flow
+    sequence or mapping. With ``fallback``, tokens may need PyYAML."""
+    tokens = PLAIN_SCALARS + (FALLBACK_SCALARS if fallback else ())
+    kind = draw(st.sampled_from(("scalar", "seq", "map") if depth else ("scalar",)))
+    if kind == "scalar":
+        return ("scalar", False, draw(st.sampled_from(tokens)))
+    child = yaml_nodes(depth - 1, fallback)
+    if kind == "seq":
+        body = draw(st.lists(child, max_size=3))
+    else:
+        keys = KEYS + (FALLBACK_SCALARS if fallback else ())
+        body = draw(st.lists(st.tuples(st.sampled_from(keys), child), max_size=3))
+    return (kind, draw(st.booleans()), body)
+
+
+@st.composite
+def yaml_texts(draw):
+    """``(text, plain)``: one to three documents, or none; ``plain`` when no
+    token needs PyYAML."""
+    plain = draw(st.booleans())
+    docs = draw(st.lists(yaml_nodes(fallback=not plain), max_size=3))
+    text = "".join(("---\n" if i or draw(st.booleans()) else "") + _block(doc, 0)
+                   for i, doc in enumerate(docs))
+    if draw(st.booleans()):  # malformed: a random cut, or a stray closer
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from(("", "]", "}", ": :", "\n  - x\n- ")))
+    return text, plain
+
+
+def _yaml_outcome(read, where: str):
+    """``("data", repr)`` of what ``read()`` returns, or ``("error", message)``
+    as ``schema.load`` words a YAML error. repr tells ``1`` from ``1.0`` and
+    ``True`` and shows NaN, which equals nothing."""
+    try:
+        return "data", repr(read())
+    except yaml.YAMLError as exc:
+        return "error", str(ValidationError(f"not valid YAML: {exc}", path=where))
+    except ValidationError as exc:
+        return "error", str(exc)
+    except ValueError as exc:
+        return "value", str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(yaml_texts(), st.booleans())
+def test_schema_load_matches_pyyaml_on_drawn_texts(drawn, every):
+    text, plain = drawn
+    where = "drawn.yaml"
+    pyyaml = (lambda: list(yaml.load_all(text, Loader=YamlLoader))) if every else (
+        lambda: yaml.load(text, Loader=YamlLoader))
+    expected = _yaml_outcome(pyyaml, where)
+    assert _yaml_outcome(lambda: schema.load(text, where, every), where) == expected
+    pure = _yaml_outcome((lambda: list(yaml.load_all(text, Loader=yaml.SafeLoader))) if every else (
+        lambda: yaml.load(text, Loader=yaml.SafeLoader)), where)
+    # The two parsers differ on an empty scalar tagged "!": libyaml reads "", pure Python None.
+    if pure[0] == "data" and expected[0] == "data" and "!" not in text:
+        assert pure == expected
+    if plain and expected[0] == "data":  # the fast path built it, unless the stream is empty
+        assert schema._plain_documents(text, every) is not None or expected[1] == "None"
+
+
+@pytest.mark.parametrize("text", [
+    "a: 2001-12-14\n", "base: &b {x: 1}\nuse:\n  <<: *b\n", "a: !!str 5\n", "? [a, b]\n: c\n",
+    "{[a]: b}\n", "a: 1\n---\nb: 2\n", "", "# only a comment\n", "a: 0b_\n", "a: =\n",
+])
+def test_schema_load_falls_back_for_whatever_plain_yaml_lacks(text):
+    assert schema._plain_documents(text, every=False) is None
+    assert _yaml_outcome(lambda: schema.load(text, "t"), "t") == _yaml_outcome(
+        lambda: yaml.load(text, Loader=YamlLoader), "t")
+
+
+def test_schema_load_keeps_the_last_of_duplicate_keys_in_the_first_place():
+    text = "a: 1\nb: 2\na: 3\nyes: 4\ntrue: 5\n"
+    assert schema._plain_documents(text, every=False) == [{"a": 3, "b": 2, True: 5}]
+    assert list(schema.load(text, "t").items()) == list(yaml.load(text, Loader=YamlLoader).items())
+
+
+def test_shipped_files_load_without_pyyaml_constructor(monkeypatch):
+    """Every shipped scenario and policy file is plain YAML: none of them
+    reaches the fallback."""
+    def refused(*args, **kwargs):
+        raise AssertionError("schema.load fell back to yaml.load")
+
+    monkeypatch.setattr(yaml, "load", refused)
+    monkeypatch.setattr(yaml, "load_all", refused)
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        if path.name.startswith("configmap_"):
+            assert srv6sim.sim.load_configmap_docs(path.read_text(), str(path))
+        else:
+            assert load_scenario(path).nodes
+    for path in sorted((SCENARIOS / "policies").glob("*.yaml")):
+        assert parse_policy_file(path.read_text(), path=str(path))
+
+
+def test_schema_load_reads_deeply_nested_flow_sequences():
+    depth = 20_000
+    data = schema.load("[" * depth + "]" * depth, "deep.yaml")
+    for _ in range(depth - 1):
+        (data,) = data
+    assert data == []
 
 
 # -- frames: one walk per flow in Simulation.ping --------------------------

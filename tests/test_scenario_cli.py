@@ -6,7 +6,8 @@ import yaml
 
 from srv6sim.bgp import parse_policy_file
 from srv6sim.cli import main
-from srv6sim.errors import SimError, ValidationError
+from srv6sim.errors import SimError, UnknownNodeError, ValidationError
+from srv6sim.k8s import parse_configmap_doc
 from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
@@ -112,12 +113,36 @@ def test_cli_ping_exit_codes(capsys):
     assert "4 sent, 4 delivered" in capsys.readouterr().out
     # no policies in the TE scenario before injection -> failure exit
     assert main(["ping", "--scenario", FULL_BGP, "pod-master", "pod-worker1"]) == 1
+    assert main(["ping", "--scenario", BASIC, "pod-master", "ghost"]) == 1
+    assert capsys.readouterr().err.endswith("error: \"unknown pod 'pod-master' or 'ghost'\"\n")
 
 
 def test_cli_trace(capsys):
     assert main(["trace", "--scenario", FULL_CM, "pod-worker2", "pod-worker1"]) == 0
     out = capsys.readouterr().out
     assert "action=end" in out and "action=deliver" in out
+
+
+def test_cli_trace_without_a_steering_match_exits_1(capsys):
+    """Before any inject, full_bgp.yaml's nodes steer nothing: the one probe
+    is dropped at its source, so there is no trace to print."""
+    assert main(["trace", "--scenario", FULL_BGP, "pod-master", "pod-worker2"]) == 1
+    assert capsys.readouterr().err == "error: no trace: ['no steering match']\n"
+
+
+def test_cli_run_over_its_step_budget_exits_1(tmp_path, capsys):
+    path = tmp_path / "tight-budget.yaml"
+    path.write_text(_basic("seed: 7", "seed: 7\nconvergence_steps: 3"))
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "error: control plane still busy after 4 steps\n"
+
+
+def test_cli_ping_family_a_pod_lacks_exits_1(tmp_path, capsys):
+    path = tmp_path / "v6-only-worker2.yaml"
+    path.write_text(_basic('node: worker2, v4: "172.16.135.1", ', "node: worker2, "))
+    assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker2", "--family", "v4"]) == 1
+    assert capsys.readouterr().err == "error: pods lack v4 addresses\n"
+    assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker2"]) == 0
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -158,6 +183,31 @@ def test_cli_show(capsys):
     assert main(["show", "--scenario", BASIC, "ghost", "policies"]) == 1
 
 
+# worker1 of basic.yaml after bring-up: its pool's DT SIDs, and one policy and
+# steering rule per family toward each other node.
+SHOWN = {
+    "localsids": ["worker1 SR localSIDs:",
+                  "  fcff:0:0:11aa::  behavior End.DT4 tbl 0  counter 0",
+                  "  fcff:0:0:11aa::1  behavior End.DT6 tbl 0  counter 0"],
+    "policies": ["worker1 SR policies:",
+                 "  bsid cafe::  v4  segments [fcff:1::1, fcff:0:0:aa::]",
+                 "  bsid cafe::1  v6  segments [fcff:1::1, fcff:0:0:aa::1]",
+                 "  bsid cafe::80  v4  segments [fcff:1::1, fcff:0:0:12aa::]",
+                 "  bsid cafe::81  v6  segments [fcff:1::1, fcff:0:0:12aa::1]"],
+    "steering": ["worker1 SR steering policies:",
+                 "  172.16.135.0/26 -> bsid cafe::80",
+                 "  172.16.231.0/26 -> bsid cafe::",
+                 "  fd90:0:10::/64 -> bsid cafe::1",
+                 "  fd90:0:12::/64 -> bsid cafe::81"],
+}
+
+
+@pytest.mark.parametrize("what", sorted(SHOWN))
+def test_cli_show_tables(what, capsys):
+    assert main(["show", "--scenario", BASIC, "worker1", what]) == 0
+    assert capsys.readouterr().out.splitlines() == SHOWN[what]
+
+
 def test_cli_inject_and_mode_mismatch(capsys):
     policy = str(SCENARIOS / "policies" / "worker2-v6.yaml")
     assert main(["inject", "--scenario", FULL_BGP, "--policy", policy]) == 0
@@ -172,6 +222,18 @@ def test_cli_apply_configmap(capsys):
     assert "worker2: 1 replaced" in capsys.readouterr().out
     # apply-configmap is refused in bgp mode
     assert main(["apply-configmap", "--scenario", FULL_BGP, "--file", modified]) == 1
+
+
+def test_apply_configmap_for_an_unknown_node_is_refused(tmp_path, capsys):
+    sim = Simulation(load_scenario(FULL_CM)).start()
+    before = sim.state_dump()
+    with pytest.raises(UnknownNodeError, match="ghost"):
+        sim.apply_configmaps([parse_configmap_doc({"node": "ghost"})])
+    assert sim.state_dump() == before
+    path = tmp_path / "ghost.yaml"
+    path.write_text("node: ghost\n")
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 1
+    assert capsys.readouterr().err == "error: 'ghost'\n"
 
 
 def test_cli_apply_configmap_list_document(tmp_path, capsys):
@@ -254,9 +316,11 @@ BAD_DOCS += [
     ("{node: 5}", ".node", "node 5 is not a string"),
     (f"{{node: master, policies: [{POLICY}, {POLICY.replace('IPv6', 'IPv4')}]}}",
      ".policies[1].bsid", "duplicate bsid 'cafe::9'"),
+    ("{node: ''}", "", "missing node name"),
 ]
 BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-not-a-list",
-               "duplicate-policy", "empty-segment-list", "node-not-a-string", "duplicate-bsid"]
+               "duplicate-policy", "empty-segment-list", "node-not-a-string", "duplicate-bsid",
+               "empty-node-name"]
 V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
 
 
