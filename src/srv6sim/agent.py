@@ -54,9 +54,9 @@ class Agent:
         self.ipam = ipam
         self.events = events
         self.metrics = metrics
-        # control-plane state, per tunnel: (endpoint, family) -> its prefixes,
-        # and the tunnel's policy, queued or configured
-        self.prefix_map: dict[tuple[IPv6Address, str], set[Prefix]] = {}
+        # control-plane state, per tunnel: (endpoint, family) -> its pod prefix
+        # (a node has one per family), and the tunnel's policy, queued or configured
+        self.prefix_map: dict[tuple[IPv6Address, str], Prefix] = {}
         self.pending: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
         self.installed: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
         self.last_doc: Optional[ConfigMapDoc] = None
@@ -150,34 +150,21 @@ class Agent:
     # -- message handling --------------------------------------------------
 
     def handle_message(self, sender: str, message) -> None:
+        """The bus carries step-1 updates and ``("safi73", bytes)`` only."""
         if isinstance(message, Step1Update):
             self.on_step1(message)
-        elif isinstance(message, tuple) and message[0] == "safi73":
-            self.on_policy(sender, decode_safi73(message[1]))
         else:
-            self._event("unknown-message", repr(message))
+            self.on_policy(sender, decode_safi73(message[1]))
 
     def on_step1(self, update: Step1Update) -> None:
+        """Record a node's pod prefix, once per tunnel key: node infra addresses
+        are unique, and a node has at most one pod prefix per family."""
         key = (update.next_hop, family_of(update.prefix))
-        prefixes = self.prefix_map.setdefault(key, set())
-        if update.withdraw:
-            if update.prefix not in prefixes:
-                return
-            prefixes.discard(update.prefix)
-            self.dp.remove_steering(update.prefix)
-            policy = None if prefixes else self.installed.pop(key, None)
-            if policy is not None:  # the tunnel's last prefix went: queue its policy again
-                self._remove_own(policy)
-                self.pending[key] = policy
-            self._event("step1-withdraw", f"{update.prefix} via {update.next_hop}")
-            return
-        if update.prefix in prefixes:
+        if key in self.prefix_map:
             return  # duplicate advertisement
-        prefixes.add(update.prefix)
+        self.prefix_map[key] = update.prefix
         if key in self.pending:
             self._try_install(update.next_hop, self.pending.pop(key))
-        elif key in self.installed:  # a new prefix for an existing tunnel
-            self.dp.install_steering(SteeringRule(update.prefix, self.installed[key].bsid))
 
     def on_policy(self, sender: str, update: SrPolicySafiUpdate) -> None:
         if self.mode == "configmap":
@@ -198,7 +185,7 @@ class Agent:
         self._try_install(update.endpoint, policy)
 
     def _try_install(self, endpoint: IPv6Address, policy: SrPolicyEntry) -> None:
-        """Install the tunnel to ``endpoint`` if its prefixes are known, else queue.
+        """Install the tunnel to ``endpoint`` if its prefix is known, else queue.
 
         Replacing an existing (endpoint, family) tunnel atomically swaps the
         policy; the binding SID may change, in which case the old policy is
@@ -209,7 +196,7 @@ class Agent:
         """
         key = (endpoint, policy.family)
         matching = self.prefix_map.get(key)
-        if not matching:
+        if matching is None:
             self.pending[key] = policy
             self._event("policy-pending", f"{addr_text(endpoint)} {policy.family}")
             return
@@ -219,8 +206,7 @@ class Agent:
                         f"{addr_text(endpoint)} {policy.family} {addr_text(policy.bsid)}")
             return
         self.dp.install_policy(policy)
-        for prefix in matching:
-            self.dp.install_steering(SteeringRule(match=prefix, bsid=policy.bsid))
+        self.dp.install_steering(SteeringRule(match=matching, bsid=policy.bsid))
         if previous is not None and previous.bsid != policy.bsid:
             self._remove_own(previous)
         self.installed[key] = policy

@@ -20,7 +20,7 @@ from ipaddress import IPv6Address
 from .dataplane import BEHAVIOR_END_DT4, BEHAVIOR_END_DT6
 from .errors import DecodeError, SimError, TruncationError, ValidationError
 from .net_types import Prefix, canon
-from .schema import address, boolean, entries, integer, load, mapping, section
+from .schema import address, boolean, entries, integer, load, mapping, section, segment_count
 
 SAFI_SR_POLICY = 73
 AFI_IPV6 = 2
@@ -41,17 +41,12 @@ class Step1Update:
 
     prefix: Prefix
     next_hop: IPv6Address
-    withdraw: bool = False
 
 
 @dataclass(frozen=True)
 class Segment:
     sid: IPv6Address
     behavior_code: int
-
-    def __post_init__(self):
-        if not 0 <= self.behavior_code <= 0xFFFF:
-            raise SimError(f"behavior code {self.behavior_code} out of 16-bit range")
 
 
 @dataclass(frozen=True)
@@ -73,15 +68,11 @@ class SrPolicySafiUpdate:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        if self.safi != SAFI_SR_POLICY:
-            raise SimError(f"safi must be {SAFI_SR_POLICY}, got {self.safi}")
         if not self.segments:
             raise SimError("policy segment list must not be empty")
         for name in ("distinguisher", "color", "weight", "preference"):
             if not 0 <= getattr(self, name) <= U32:
                 raise SimError(f"{name} out of 32-bit range")
-        if not 0 <= self.priority <= 0xFF:
-            raise SimError("priority out of 8-bit range")
 
     @property
     def family(self) -> str:
@@ -231,6 +222,7 @@ def parse_policy_file(text: str, path: str = "policy file") -> SrPolicySafiUpdat
     )
     if not segments:
         raise ValidationError("empty segments", path=f"{where}.segments")
+    segment_count(len(segments), f"{where}.segments")
     code = segments[-1].behavior_code
     if code not in (BEHAVIOR_END_DT4, BEHAVIOR_END_DT6):  # the decap SID selects the family
         raise ValidationError(f"final segment code {code} is not a DT behavior",

@@ -76,10 +76,6 @@ class SrPolicyEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
-            raise SimError(f"policy {self.bsid} has an empty segment list")
-        if self.family not in ("v4", "v6"):
-            raise SimError(f"bad policy family {self.family!r}")
 
     @cached_property
     def srh(self) -> Srh:
@@ -193,14 +189,13 @@ class NodeDataplane:
             self.version += 1
 
     def _reindex(self, prefix: Prefix, old, new) -> None:
-        """Move ``prefix`` from BSID ``old``'s index entry to ``new``'s; None is no entry."""
+        """Move ``prefix`` from BSID ``old``'s index entry, None for none, to ``new``'s."""
         if self._steered is not None:
             if old is not None:
                 self._steered[old].remove(prefix)
                 if not self._steered[old]:
                     del self._steered[old]
-            if new is not None:
-                self._steered.setdefault(new, []).append(prefix)
+            self._steered.setdefault(new, []).append(prefix)
 
     def install_steering(self, rule: SteeringRule) -> None:
         """Steer ``rule.match`` to its BSID's policy. Refused, with the dataplane
@@ -224,12 +219,6 @@ class NodeDataplane:
         self.steering[rule.match] = rule.bsid
         self.version += 1
         self._reindex(rule.match, previous, rule.bsid)
-
-    def remove_steering(self, match: Prefix) -> None:
-        bsid = self.steering.pop(match, None)
-        if bsid is not None:
-            self.version += 1
-            self._reindex(match, bsid, None)
 
     def set_encap_source(self, addr: IPv6Address) -> None:
         if self.encap_source == addr:
@@ -266,12 +255,11 @@ class NodeDataplane:
         return OuterPacket(self.encap_source, OUTER_HOP_LIMIT, self.policies[bsid].srh)
 
     def process_local(self, pkt: OuterPacket) -> Union[Disposition, LocalSidEntry]:
-        """Execute the part of the behavior bound to ``pkt.dst`` that its header
-        decides, and count the packet. End.DT with no segments left returns its
-        entry, whose ``decap`` each packet's inner bytes then go through."""
-        entry = self.localsids.get(pkt.dst)
-        if entry is None:
-            raise SimError(f"{self.name}: {pkt.dst} is not a localSID")
+        """Execute the part of the behavior bound to ``pkt.dst``, a localSID of
+        this node, that its header decides, and count the packet. End.DT with
+        no segments left returns its entry, whose ``decap`` each packet's inner
+        bytes then go through."""
+        entry = self.localsids[pkt.dst]
         entry.rx_counter += 1
         srh = pkt.srh
         if entry.behavior.kind == "End":

@@ -25,13 +25,11 @@ VECTOR_MAX = 256
 class Flow(NamedTuple):
     """Packets of one vector that leave alike: behind one outer ``header``, or
     dropped for one ``reason``. ``packets`` are their inner bytes in vector
-    order, ``starts`` the vector index of each run of them: the flows' runs,
-    sorted by start, give back the vector's order."""
+    order."""
 
     header: Optional[OuterPacket]
     reason: Optional[str]
     packets: list
-    starts: list
 
 
 def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Flow]:
@@ -44,17 +42,15 @@ def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Flow]:
     # one destination object reuses its flow without hashing the address.
     flows: dict = {}  # BSID, None for no steering match -> its flow
     of_dst: dict = {}  # inner dst -> its flow
-    last = flow = None
-    for i, inner in enumerate(vector):
+    last = packets = None
+    for inner in vector:
         if inner.dst is not last:
             last = inner.dst
-            found = of_dst.get(last)
-            if found is None:
-                found = of_dst[last] = _flow(dp, flows, last)
-            if found is not flow:
-                flow = found
-                flow.starts.append(i)
-        flow.packets.append(inner.encode())
+            flow = of_dst.get(last)
+            if flow is None:
+                flow = of_dst[last] = _flow(dp, flows, last)
+            packets = flow.packets
+        packets.append(inner.encode())
     return list(flows.values())
 
 
@@ -63,9 +59,9 @@ def _flow(dp: NodeDataplane, flows: dict, dst) -> Flow:
     bsid = dp.steer_lookup(dst)
     if bsid not in flows:
         if bsid is None:
-            flows[bsid] = Flow(None, "no steering match", [], [])
+            flows[bsid] = Flow(None, "no steering match", [])
         else:
             header = dp.h_encaps(bsid)
             routed = dp.fib_lookup(header.dst) is not None
-            flows[bsid] = Flow(header, None, [], []) if routed else Flow(None, "no route", [], [])
+            flows[bsid] = Flow(header, None, []) if routed else Flow(None, "no route", [])
     return flows[bsid]

@@ -39,6 +39,8 @@ PROTO_IPV6_ENCAP = 41
 PROTO_OPAQUE = 253
 
 SRH_ROUTING_TYPE = 4
+# Hdr Ext Len is one byte of 8-octet units, two per SID: an SRH holds at most 127.
+MAX_SEGMENTS = 127
 
 
 _canonical = {cls: weakref.WeakValueDictionary() for cls in (IPv4Address, IPv6Address)}
@@ -101,8 +103,6 @@ class InnerPacket:
             raise FamilyMismatchError(
                 f"inner src {self.src} and dst {self.dst} are different families"
             )
-        if not 0 <= self.hop_limit <= 255:
-            raise MalformedPacketError(f"hop_limit {self.hop_limit} out of range")
 
     @property
     def family(self) -> str:
@@ -143,8 +143,8 @@ _v6_from_bytes = lru_cache(maxsize=4096)(lambda data: canon(IPv6Address(data)))
 
 def decode_inner(data: bytes) -> InnerPacket:
     """Inverse of :meth:`InnerPacket.encode`; family read from the version nibble.
-    The byte layout guarantees ``InnerPacket``'s checks (both addresses come from
-    one version's decoder, the hop limit is one byte), so they do not run again."""
+    The byte layout guarantees ``InnerPacket``'s check (both addresses come from
+    one version's decoder), so it does not run again."""
     if not data:
         raise TruncationError("empty inner packet")
     version = data[0] >> 4
@@ -193,8 +193,6 @@ class Srh:
         object.__setattr__(self, "segment_list", tuple(self.segment_list))
         if not self.segment_list:
             raise MalformedPacketError("segment list must not be empty")
-        if len(self.segment_list) > 128:
-            raise MalformedPacketError("segment list exceeds 128 entries")
         if not 0 <= self.segments_left <= self.last_entry:
             raise MalformedPacketError(
                 f"segments_left {self.segments_left} > last_entry {self.last_entry}"
@@ -202,8 +200,6 @@ class Srh:
         for name in ("next_header", "flags"):
             if not 0 <= getattr(self, name) <= 0xFF:
                 raise MalformedPacketError(f"{name} out of 8-bit range")
-        if not 0 <= self.tag <= 0xFFFF:
-            raise MalformedPacketError("tag out of 16-bit range")
 
     @property
     def last_entry(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import yaml
 
 from .errors import AddrParseError, ValidationError
-from .net_types import parse_addr, parse_prefix, parse_v6
+from .net_types import MAX_SEGMENTS, parse_addr, parse_prefix, parse_v6
 
 # libyaml where PyYAML has it: the same objects, several times faster.
 YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -39,7 +39,7 @@ def load(text: str, where: str, every: bool = False):
         if every:
             return list(yaml.load_all(text, Loader=YamlLoader))
         return yaml.load(text, Loader=YamlLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a constructor's, e.g. "0b_"
         raise ValidationError(f"not valid YAML: {exc}", path=where) from None
 
 
@@ -214,23 +214,27 @@ def address(data: dict, key: str, where: str, family: str = "v6", default=REQUIR
         raise ValidationError(str(exc), path=f"{where}.{key}") from None
 
 
-def prefix(data: dict, key: str, where: str, family=None, default=REQUIRED):
+def prefix(data: dict, key: str, where: str, family=None):
     """A prefix of ``family``, or of either family if it is None."""
-    value = get(data, key, where, default)
-    if value is None and default is None:
-        return None
-    return _parsed(parse_prefix, value, family, "prefix", f"{where}.{key}")
+    return _parsed(parse_prefix, get(data, key, where), family, "prefix", f"{where}.{key}")
+
+
+def segment_count(count: int, path: str) -> None:
+    """A located ValidationError unless an SRH can hold ``count`` segments."""
+    if count > MAX_SEGMENTS:
+        raise ValidationError(f"{count} segments, more than the {MAX_SEGMENTS} an SRH holds",
+                              path=path)
 
 
 def addresses(data: dict, key: str, where: str) -> tuple:
-    """The non-empty list of IPv6 addresses at ``key``, such as a segment list."""
+    """The segment list at ``key``: 1 to ``MAX_SEGMENTS`` IPv6 addresses."""
     values = data.get(key)
     if not values or not isinstance(values, list):
         section(data, key, where)  # raises unless the list is absent or empty
         raise ValidationError(f"empty {key}", path=f"{where}.{key}")
+    segment_count(len(values), f"{where}.{key}")
     try:
         return tuple(map(parse_v6, map(str, values)))
-    except AddrParseError:
-        for i, value in enumerate(values):
-            _parsed(parse_v6, value, None, "address", f"{where}.{key}[{i}]")
-        raise
+    except AddrParseError:  # the same values fail again, each at its own path
+        return tuple(_parsed(parse_v6, value, None, "address", f"{where}.{key}[{i}]")
+                     for i, value in enumerate(values))

@@ -167,16 +167,14 @@ class Simulation:
         for key, (data, decoded) in maps.items():
             self.store.write(key, data, decoded)
 
-    def _read_doc(self, node: str) -> Optional[ConfigMapDoc]:
-        """``node``'s stored document, decoded at most once per stored version."""
+    def _read_doc(self, node: str) -> ConfigMapDoc:
+        """``node``'s stored document, decoded at most once per stored version.
+        In configmap mode every node has one from the start."""
         key = self._map_key(node)
-        data = self.store.entries.get(key, ({},))[0]
-        if node not in data:
-            return None
         decoded = self.store.decoded[key]
         if decoded.get(node) is None:
             path = f"single-map.{node}" if key == SINGLE_MAP_KEY else key
-            decoded[node] = parse_configmap_doc(data[node], path=path)
+            decoded[node] = parse_configmap_doc(self.store.entries[key][0][node], path=path)
         return decoded[node]
 
     def run_to_quiescence(self) -> int:
@@ -225,10 +223,7 @@ class Simulation:
             if watch is None or not poll(self.store, watch):
                 continue
             try:  # a stored text that does not parse is rejected like a bad document
-                doc = self._read_doc(name)
-                if doc is None:
-                    continue
-                diff = self.agents[name].on_configmap_change(doc)
+                diff = self.agents[name].on_configmap_change(self._read_doc(name))
             except ValidationError as exc:
                 self.events.append((len(self.events), name, "configmap-rejected", str(exc)))
                 continue
@@ -338,9 +333,7 @@ class Simulation:
             "steering": dp.show_steering,
             "encap-source": dp.show_encap_source,
         }
-        if what not in renderers:
-            raise SimError(f"unknown show target {what!r}")
-        return renderers[what]()
+        return renderers[what]()  # the CLI's choices
 
     def state_dump(self) -> dict:
         """Per-cluster-node configured state (no counters), for equality checks."""

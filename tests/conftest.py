@@ -2,7 +2,6 @@ import random
 import sys
 from collections import Counter
 from ipaddress import IPv4Address, IPv6Address
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -75,21 +74,20 @@ def scalar_tx(dp, packet):
     return Disposition(kind="forward", packet=outer), packet.encode()
 
 
-def dispositions(flows) -> list:
-    """``run_vector``'s flows as ``scalar_tx`` gives each packet, in vector
-    order: ``forward`` with the outer header and the inner bytes, or ``drop``
-    with a reason and None. Each run of a flow takes its next packets."""
-    runs = sorted((start, k) for k, flow in enumerate(flows) for start in flow.starts)
-    ends = [start for start, _k in runs[1:]] + [sum(len(flow.packets) for flow in flows)]
-    left = [iter(flow.packets) for flow in flows]
-    out = []
-    for (start, k), end in zip(runs, ends):
-        header, reason = flows[k].header, flows[k].reason
-        for inner in islice(left[k], end - start):
-            out.append((Disposition(kind="drop", reason=reason), None) if header is None
-                       else (Disposition(kind="forward", packet=header), inner))
-    assert all(next(rest, None) is None for rest in left)
-    return out
+def tx_flows(dp, vector) -> list:
+    """The flows ``run_vector(dp, vector)`` must return, from ``scalar_tx``:
+    each packet's result, grouped by the BSID that steers it (None for none)
+    in first-seen order, as ``(outer header, drop reason, inner bytes in
+    vector order)``. A BSID's packets leave alike; two BSIDs may give equal
+    headers or drop for one reason, and still make two flows."""
+    groups: dict = {}
+    for packet in vector:
+        disp, _inner = scalar_tx(dp, packet)
+        header, reason, packets = groups.setdefault(
+            dp.steer_lookup(packet.dst), (disp.packet, disp.reason, []))
+        assert (header, reason) == (disp.packet, disp.reason), packet
+        packets.append(packet.encode())
+    return list(groups.values())
 
 
 def forward_packet(topology, routes, source, outer, inner, dataplanes):

@@ -47,7 +47,7 @@ from srv6sim.scenario import NodeConfig, RouterConfig, Scenario, load_scenario
 from srv6sim.sim import Simulation, load_configmap_docs
 from srv6sim.underlay import waypoints
 
-from conftest import SCENARIOS, dispositions, random_v4, random_v6, scalar_tx
+from conftest import SCENARIOS, random_v4, random_v6, tx_flows
 
 BASIC = str(SCENARIOS / "basic.yaml")
 FULL_CM = str(SCENARIOS / "full_cm.yaml")
@@ -394,23 +394,13 @@ def test_criterion_10_vector_scalar_oracle():
         src = "10.0.0.1" if "." in dst else "fd90::beef"
         return InnerPacket(src=parse_addr(src), dst=parse_addr(dst), payload=b"x")
 
-    def signature(sent):
-        d, inner = sent
-        return (d.kind, d.reason, d.packet, inner)
-
     fates = Counter()
     for _ in range(1000):
         n = rng.randint(1, 256)
         vec = [packet() for _ in range(n)]
-        vector_out = dispositions(run_vector(dp, vec))
-        scalar_out = [scalar_tx(dp, p) for p in vec]
-        assert Counter(map(signature, vector_out)) == Counter(
-            map(signature, scalar_out)
-        )
-        assert [signature(d) for d in vector_out] == [
-            signature(d) for d in scalar_out
-        ]
-        fates.update(d.reason for d, _inner in vector_out)
+        flows = run_vector(dp, vec)
+        assert flows == tx_flows(dp, vec)
+        fates.update(flow.reason for flow in flows)
     assert set(fates) == {None, "no route", "no steering match"}
     print("\ncriterion 10: PASS — 1000 vectors (1..256): vector == scalar "
           "dispositions and bytes")

@@ -119,20 +119,6 @@ def test_policy_replacement_swaps_bsid():
     assert agent.dp.steer_lookup(parse_v6("fd90:0:11::7")) == parse_v6("cafe::aa")
 
 
-def test_step1_withdraw_retires_tunnel_but_keeps_policy_pending():
-    agent = make_agent()
-    agent.startup()
-    agent.on_step1(B_PREFIX)
-    agent.on_policy("b", policy_for_b())
-    agent.on_step1(Step1Update(prefix=B_PREFIX.prefix, next_hop=INFRA_B,
-                               withdraw=True))
-    assert agent.dp.steer_lookup(parse_v6("fd90:0:11::7")) is None
-    assert (INFRA_B, "v6") in agent.pending
-    # prefix re-advertised -> tunnel comes back without a new policy update
-    agent.on_step1(B_PREFIX)
-    assert (INFRA_B, "v6") in agent.installed
-
-
 def test_policy_withdraw_uninstalls():
     from dataclasses import replace
     agent = make_agent()

@@ -1,10 +1,13 @@
 import random
+import struct
 from pathlib import Path
 
 import pytest
 
 from srv6sim.bgp import (
     SAFI_SR_POLICY,
+    SUBTLV_BINDING_SID,
+    SUBTLV_SEGMENT_LIST,
     Segment,
     SessionBus,
     SrPolicySafiUpdate,
@@ -92,6 +95,26 @@ def test_decode_rejects_wrong_safi():
         decode_safi73(bytes(raw))
 
 
+def _without_subtlv(raw: bytes, dropped: int) -> bytes:
+    """The update ``raw`` without its tunnel-encaps sub-TLVs of type ``dropped``:
+    4 header bytes, 40 of NLRI and next hop, then the attribute (type 23)."""
+    value, kept = raw[47:], b""
+    while value:
+        type_code, length = struct.unpack_from("!BH", value)
+        kept += value[:3 + length] if type_code != dropped else b""
+        value = value[3 + length:]
+    return raw[:44] + struct.pack("!BH", 23, len(kept)) + kept
+
+
+@pytest.mark.parametrize("dropped, message", [
+    (SUBTLV_BINDING_SID, "lacks a binding SID"), (SUBTLV_SEGMENT_LIST, "lacks a segment list")])
+def test_decode_rejects_an_update_without_a_required_subtlv(dropped, message):
+    raw = encode_safi73(WORKER2_V4)
+    assert decode_safi73(_without_subtlv(raw, 0)) == WORKER2_V4  # drops nothing
+    with pytest.raises(DecodeError, match=message):
+        decode_safi73(_without_subtlv(raw, dropped))
+
+
 def test_repeated_decode_is_equal_and_malformed_raises_every_time():
     """Decodes are memoised on the payload bytes; a rejection never is."""
     raw = encode_safi73(WORKER2_V4)
@@ -149,4 +172,4 @@ def test_session_bus_fifo_per_pair():
 
 def test_step1_update_is_plain_data():
     u = Step1Update(prefix=None, next_hop=parse_v6("fd10::1"))
-    assert not u.withdraw
+    assert (u.prefix, u.next_hop) == (None, parse_v6("fd10::1"))

@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from srv6sim.bgp import Segment, SrPolicySafiUpdate, Step1Update
+from srv6sim.bgp import Segment, SrPolicySafiUpdate
 from srv6sim.dataplane import (
     BEHAVIOR_END_DT4,
     BEHAVIOR_END_DT6,
@@ -81,7 +81,6 @@ DP_OP = st.one_of(
     st.tuples(st.just("install_policy"), st.sampled_from(BSIDS), st.sampled_from(FAMILIES)),
     st.tuples(st.just("remove_policy"), st.sampled_from(BSIDS), st.none()),
     st.tuples(st.just("install_steering"), st.sampled_from(PREFIXES), st.sampled_from(BSIDS)),
-    st.tuples(st.just("remove_steering"), st.sampled_from(PREFIXES), st.none()),
 )
 
 
@@ -245,25 +244,6 @@ def test_injected_policy_with_a_taken_bsid_is_refused():
     assert sim.ping("pod-worker1", "pod-worker2", count=1, family="v4").delivered == 1
 
 
-def test_pending_policy_with_a_taken_bsid_is_refused_on_install():
-    """A policy queued before its endpoint's prefixes are known is checked
-    when it would be installed."""
-    sim = _bgp_sim()
-    master = sim.agents["master"]
-    worker1 = sim.scenario.nodes[1]
-    prefix = parse_prefix("fd90:0:11::/64")
-    withdraw = Step1Update(prefix=prefix, next_hop=worker1.infra, withdraw=True)
-    master.on_step1(withdraw)
-    bsid = parse_v6("cafe::a1")
-    master.on_policy("srv6-pi", _update(sim, "worker1", "v6", bsid))
-    assert (worker1.infra, "v6") in master.pending
-    master.on_policy("srv6-pi", _update(sim, "worker2", "v6", bsid))
-    before = master.dp.dump()
-    master.on_step1(replace(withdraw, withdraw=False))
-    assert master.dp.dump() == before
-    assert master.events[-1][2:] == ("policy-bsid-conflict", "fd11::1000 v6 cafe::a1")
-
-
 # -- the stateful oracle ----------------------------------------------------
 
 POOL = tuple(parse_v6(f"cafe::a{i}") for i in range(1, 4))
@@ -271,14 +251,12 @@ EGRESS = ("master", "worker1", "worker2")
 
 
 class BsidMachine(RuleBasedStateMachine):
-    """Injects, withdraws and step-1 withdrawals over a started ``full_bgp``
-    simulation, with BSIDs drawn from a pool of three for up to six tunnels
-    per node."""
+    """Injects and withdraws over a started ``full_bgp`` simulation, with
+    BSIDs drawn from a pool of three for up to six tunnels per node."""
 
     def __init__(self):
         super().__init__()
         self.sim = _bgp_sim()
-        self.withdrawn: set = set()  # (advertising node, prefix)
 
     @rule(egress=st.sampled_from(EGRESS), family=st.sampled_from(FAMILIES),
           bsid=st.sampled_from(POOL), waypoint=st.integers(1, 8))
@@ -289,17 +267,6 @@ class BsidMachine(RuleBasedStateMachine):
           bsid=st.sampled_from(POOL))
     def withdraw(self, egress, family, bsid):
         self.sim.inject(_update(self.sim, egress, family, bsid, withdraw=True))
-
-    @rule(node=st.sampled_from(EGRESS), family=st.sampled_from(FAMILIES))
-    def toggle_prefix(self, node, family):
-        """Withdraw or re-advertise one of ``node``'s pod prefixes (step 1)."""
-        config = next(n for n in self.sim.scenario.nodes if n.name == node)
-        prefix = next(p for p in config.pod_prefixes if family_of(p) == family)
-        withdraw = (node, prefix) not in self.withdrawn
-        self.withdrawn ^= {(node, prefix)}
-        others = [n for n in EGRESS if n != node]
-        self.sim.bus.broadcast(node, others, Step1Update(prefix, config.infra, withdraw))
-        self.sim.run_to_quiescence()
 
     @invariant()
     def steering_references_installed_policies_of_its_family(self):

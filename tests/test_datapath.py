@@ -27,7 +27,7 @@ from srv6sim.net_types import InnerPacket, family_of, parse_addr, parse_prefix, 
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
 
-from conftest import SCENARIOS, dispositions, forward_packet
+from conftest import SCENARIOS, forward_packet, tx_flows
 from test_bsid import assert_index_is_inverse, assert_steering_points_at_its_family
 
 DROP_REASONS = {"no steering match", "no route", "ttl", "no more segments",
@@ -114,10 +114,6 @@ class DatapathMachine(RuleBasedStateMachine):
     def install_steering(self, node, prefix, bsid):
         self._mutate(node, "install_steering", SteeringRule(prefix, bsid))
 
-    @rule(node=st.sampled_from(NODES), prefix=st.sampled_from(PREFIXES))
-    def remove_steering(self, node, prefix):
-        self._mutate(node, "remove_steering", prefix)
-
     @rule(node=st.sampled_from(NODES), addr=st.sampled_from(ENCAP_SOURCES))
     def set_encap_source(self, node, addr):
         self._mutate(node, "set_encap_source", addr)
@@ -149,15 +145,20 @@ class DatapathMachine(RuleBasedStateMachine):
         vector = [InnerPacket(pod.addrs[family_of(dst)], dst, payload=b"%d" % i)
                   for i, dst in enumerate(dsts)]
         routes = self.sim.current_routes()
-        sent = dispositions(run_vector(self.sim.dataplanes[node], vector))
-        for packet, (disp, inner) in zip(vector, sent):
-            if disp.kind == "forward":
-                disp = forward_packet(self.sim.topology, routes, node, disp.packet, inner,
+        dp = self.sim.dataplanes[node]
+        flows = run_vector(dp, vector)
+        assert flows == tx_flows(dp, vector)
+        for header, reason, packets in flows:
+            for inner in packets:
+                if header is None:
+                    assert reason in DROP_REASONS, reason
+                    continue
+                disp = forward_packet(self.sim.topology, routes, node, header, inner,
                                       self.sim.dataplanes).disposition
-            if disp.kind == "deliver":
-                assert disp.inner == packet
-            else:
-                assert disp.kind == "drop" and disp.reason in DROP_REASONS, disp
+                if disp.kind == "deliver":
+                    assert disp.inner.encode() == inner
+                else:
+                    assert disp.kind == "drop" and disp.reason in DROP_REASONS, disp
 
     # -- invariants --------------------------------------------------------
 

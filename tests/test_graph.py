@@ -13,7 +13,7 @@ from srv6sim.net_types import (
     parse_v6,
 )
 
-from conftest import dispositions, scalar_tx
+from conftest import scalar_tx, tx_flows
 
 
 def make_dp():
@@ -61,25 +61,18 @@ def test_conservation_every_packet_gets_a_disposition():
     vec = [make_packet(rng) for _ in range(100)]
     flows = run_vector(make_dp(), vec)
     assert sum(len(flow.packets) for flow in flows) == 100
-    out = dispositions(flows)
-    assert {(d.kind, d.reason) for d, _inner in out} == {
-        ("forward", None), ("drop", "no route"), ("drop", "no steering match"),
+    assert {(flow.header is not None, flow.reason) for flow in flows} == {
+        (True, None), (False, "no route"), (False, "no steering match"),
     }
-
-
-def _signature(sent):
-    disp, inner = sent
-    return (disp.kind, disp.reason, disp.packet, inner)
 
 
 def test_vector_equals_scalar_tx():
     rng = random.Random(2)
     dp = make_dp()
     vec = [make_packet(rng) for _ in range(64)]
-    vector_out = dispositions(run_vector(dp, vec))
-    scalar_out = [scalar_tx(dp, p) for p in vec]
-    assert [_signature(d) for d in vector_out] == [_signature(d) for d in scalar_out]
-    assert {d.reason for d, _inner in vector_out} == {None, "no route", "no steering match"}
+    flows = run_vector(dp, vec)
+    assert flows == tx_flows(dp, vec)
+    assert {flow.reason for flow in flows} == {None, "no route", "no steering match"}
 
 
 def test_disposition_multiset_independent_of_batching():
@@ -88,24 +81,27 @@ def test_disposition_multiset_independent_of_batching():
     dp = make_dp()
     whole = Counter()
     for i in range(0, 300, 256):
-        for d in dispositions(run_vector(dp, packets[i : i + 256])):
-            whole[_signature(d)] += 1
+        for flow in run_vector(dp, packets[i : i + 256]):
+            for inner in flow.packets:
+                whole[flow.header, flow.reason, inner if flow.header is not None else None] += 1
     single = Counter()
     for p in packets:
-        single[_signature(scalar_tx(dp, p))] += 1
+        disp, inner = scalar_tx(dp, p)
+        single[disp.packet, disp.reason, inner] += 1
     assert whole == single
 
 
 def test_one_flow_per_bsid_and_drop_reason():
     """The packets steered to one BSID share one header, and drops are kept
-    with their reasons; a flow's runs give back where its packets were."""
+    with their reasons; each flow keeps its packets in vector order."""
     dp = make_dp()
     dsts = ("fd90::1", "fd90::2", "fd99::1", "fd90::1", "fd91::1", "fd91::2", "fd90::3")
     vector = [InnerPacket(src=parse_addr("fd90::beef"), dst=parse_addr(d), payload=b"%d" % i)
               for i, d in enumerate(dsts)]
     flows = run_vector(dp, vector)
-    assert [(f.header is not None, f.reason, f.starts) for f in flows] == [
-        (True, None, [0, 3, 6]), (False, "no steering match", [2]), (False, "no route", [4]),
+    packets = [[vector[k].encode() for k in ks] for ks in ((0, 1, 3, 6), (2,), (4, 5))]
+    assert [(f.header is not None, f.reason, f.packets) for f in flows] == [
+        (True, None, packets[0]), (False, "no steering match", packets[1]),
+        (False, "no route", packets[2]),
     ]
-    assert flows[0].packets == [vector[k].encode() for k in (0, 1, 3, 6)]
     assert flows[0].header.srh is dp.policies[parse_v6("cafe::1")].srh

@@ -92,6 +92,13 @@ def test_decode_srh_rejects_bad_buffers():
     bad_type[2] = 3  # routing type != 4
     with pytest.raises(UnsupportedTypeError):
         decode_srh(bytes(bad_type))
+    two = encode_srh(Srh(41, 1, (parse_v6("fcff:1::1"), parse_v6("fcff:2::1"))))
+    for offset, value, message in ((4, 0, "hdr_ext_len 4 inconsistent with last_entry 0"),
+                                   (3, 2, "segments_left 2 > last_entry 1")):
+        bad = bytearray(two)
+        bad[offset] = value  # 3: segments_left, 4: last_entry
+        with pytest.raises(MalformedPacketError, match=message):
+            decode_srh(bytes(bad))
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,8 +144,8 @@ INNER_PACKETS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(INNER_PACKETS)
 def test_decode_inner_needs_no_second_check(pkt):
-    """``decode_inner`` skips ``InnerPacket``'s checks, as its byte layout
-    guarantees them: it inverts ``encode`` for both families and any payload,
+    """``decode_inner`` skips ``InnerPacket``'s check, as its byte layout
+    guarantees it: it inverts ``encode`` for both families and any payload,
     and every truncation or version nibble other than 4 and 6 still raises."""
     raw = pkt.encode()
     decoded = decode_inner(raw)

@@ -4,14 +4,17 @@ from pathlib import Path
 import pytest
 import yaml
 
+from srv6sim import dataplane
 from srv6sim.bgp import parse_policy_file
 from srv6sim.cli import main
 from srv6sim.errors import SimError, UnknownNodeError, ValidationError
 from srv6sim.k8s import parse_configmap_doc
-from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
+from srv6sim.net_types import (
+    InnerPacket, OuterPacket, Srh, decode_srh, encode_srh, parse_addr, parse_v6,
+)
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
-from srv6sim.underlay import forward
+from srv6sim.underlay import forward, waypoints
 
 from conftest import SCENARIOS
 
@@ -317,10 +320,13 @@ BAD_DOCS += [
     (f"{{node: master, policies: [{POLICY}, {POLICY.replace('IPv6', 'IPv4')}]}}",
      ".policies[1].bsid", "duplicate bsid 'cafe::9'"),
     ("{node: ''}", "", "missing node name"),
+    ("{node: master, policies: [{egress_node: 'fd11::1000', bsid: 'cafe::9', traffic: IPv6, "
+     f"segment_list: [{', '.join([repr('fcff:3::1')] * 128)}]}}]}}",
+     ".policies[0].segment_list", "128 segments, more than the 127 an SRH holds"),
 ]
 BAD_DOC_IDS = ["localsids-not-a-mapping", "policies-not-a-list", "segment-list-not-a-list",
                "duplicate-policy", "empty-segment-list", "node-not-a-string", "duplicate-bsid",
-               "empty-node-name"]
+               "empty-node-name", "too-many-segments"]
 V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
 
 
@@ -416,6 +422,9 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
          "nodes[1].localsid_pool", "pool 'sr-localsids-pool-worker1' selects node 'master'"),
         (_basic("seed: 7", "seed: 7\ninjector: worker1"),
          ".injector", "injector 'worker1' is also a node name"),
+        (_basic("seed: 7", "seed: 0b_"), "bad.yaml", "not valid YAML: invalid literal for int"),
+        (_basic("seed: 7", "seed: 2001-02-30"), "bad.yaml",
+         "not valid YAML: day is out of range for month"),
     ],
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
@@ -434,6 +443,7 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         "v4-bsid-pool", "v4-localsid-pool", "non-string-node-selector", "dangling-node-selector",
         "boolean-seed", "boolean-convergence-steps", "boolean-link-cost", "block-size-out-of-range",
         "duplicate-configmap", "pool-selects-another-node", "injector-named-like-node",
+        "yaml-int-constructor-error", "yaml-timestamp-constructor-error",
     ],
 )
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys, text, located, message):
@@ -482,13 +492,15 @@ BAD_FILES = [
     ("node: [master\n", "bad-doc.yaml", "not valid YAML"),
     ("kind: ConfigMap\ndata: [1]\n", "bad-doc.yaml.manifest[0].data", "'data' must be a mapping"),
     ("- {node: master}\n- 5\n", "bad-doc.yaml.doc[0][1]", "document must be a mapping"),
+    ("node: 2001-02-30\n", "bad-doc.yaml", "not valid YAML: day is out of range for month"),
 ]
 
 
 @pytest.mark.parametrize(
     "text, located, message",
     [(doc + "\n", f"doc[0]{located}", message) for doc, located, message in BAD_DOCS] + BAD_FILES,
-    ids=BAD_DOC_IDS + ["invalid-yaml", "manifest-data-not-a-mapping", "list-element-not-a-mapping"],
+    ids=BAD_DOC_IDS + ["invalid-yaml", "manifest-data-not-a-mapping", "list-element-not-a-mapping",
+                       "yaml-constructor-error"],
 )
 def test_cli_apply_malformed_configmap_exits_2(tmp_path, capsys, text, located, message):
     path = tmp_path / "bad-doc.yaml"
@@ -525,6 +537,16 @@ def _policy(old: str, new: str) -> str:
     return POLICY_FILE.replace(old, new)
 
 
+def _bouncing_policy(segments: int) -> str:
+    """worker2-v6.yaml (master to worker2, which R8 attaches) with ``segments``
+    segments: End SIDs alternating between adjacent R7 and R8, then
+    worker2's End.DT6 SID."""
+    waypoints = "".join(f" - sid: fcff:{7 + i % 2}::1\n   behavior: 18\n"
+                        for i in range(segments - 1))
+    return _policy("".join(f" - sid: fcff:{r}::1\n   behavior: 18\n" for r in (5, 7, 8)),
+                   waypoints)
+
+
 @pytest.mark.parametrize(
     "text, located, message",
     [
@@ -540,10 +562,13 @@ def _policy(old: str, new: str) -> str:
          ".segmentlist.segments[0]", "entry 5 is not a mapping"),
         (_policy("b05\n   behavior: 18\n", "b05\n   behavior: 7\n"),
          ".segmentlist.segments[3].behavior", "final segment code 7 is not a DT behavior"),
+        (_bouncing_policy(128), ".segmentlist.segments",
+         "128 segments, more than the 127 an SRH holds"),
+        (_policy("distinguisher: 4", "distinguisher: 0b_"), "", "not valid YAML: invalid literal"),
     ],
     ids=["non-integer-distinguisher", "non-boolean-iswithdraw", "malformed-bsid",
          "family-not-a-mapping", "negative-distinguisher", "segment-not-a-mapping",
-         "non-dt-final-segment"],
+         "non-dt-final-segment", "too-many-segments", "yaml-constructor-error"],
 )
 def test_cli_inject_malformed_policy_exits_2(tmp_path, capsys, text, located, message):
     path = tmp_path / "bad-policy.yaml"
@@ -551,3 +576,27 @@ def test_cli_inject_malformed_policy_exits_2(tmp_path, capsys, text, located, me
     assert main(["inject", "--scenario", FULL_BGP, "--policy", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{path}{located}" in err and message in err and "Traceback" not in err
+
+
+def test_127_segments_fill_an_srh_and_each_walk_ends_within_its_bound(tmp_path, monkeypatch):
+    """A policy of 127 segments, the most an SRH holds, is injected cleanly.
+    Its End SIDs bounce between R7 and R8, and every visit costs a router hop:
+    under the outer hop limit of 64 each ping drops with ``ttl`` at the 64th
+    router, within ``forward``'s bound of 2 * 64 + 1 vertices; under the
+    field's maximum, 255, the pings are delivered."""
+    path = tmp_path / "long-policy.yaml"
+    path.write_text(_bouncing_policy(127))
+    assert main(["inject", "--scenario", FULL_BGP, "--policy", str(path)]) == 0
+    sim = Simulation(load_scenario(FULL_BGP)).start()
+    update = parse_policy_file(path.read_text(), path=str(path))
+    sim.inject(update)
+    srh = sim.dataplanes["master"].policies[update.bsid].srh
+    assert srh.hdr_ext_len == 254 and decode_srh(encode_srh(srh)) == srh
+    report = sim.ping("pod-master", "pod-worker2", count=3)
+    assert report.drop_reasons == ["ttl"] * 3
+    hops = report.traces[0].hops  # the vertex that dropped the packet ends it twice
+    assert len(hops) - 1 == 1 + dataplane.OUTER_HOP_LIMIT <= 2 * dataplane.OUTER_HOP_LIMIT + 1
+    monkeypatch.setattr(dataplane, "OUTER_HOP_LIMIT", 255)
+    report = sim.ping("pod-master", "pod-worker2", count=3)
+    assert report.delivered == 3, report.drop_reasons
+    assert waypoints(report.traces[0]) == ["R7", "R8"] * 63
