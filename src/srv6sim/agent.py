@@ -5,8 +5,7 @@ reconciliation into the node dataplane. An agent reads its node's record
 
 An agent runs in exactly one of two modes for its lifetime: ``bgp`` (both
 control steps over the session bus) or ``configmap`` (step 1 over the bus,
-policies from the node's ConfigMap document; received step-2 updates are
-ignored).
+policies from the node's ConfigMap document).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .dataplane import (
     SrPolicyEntry,
     SteeringRule,
 )
-from .errors import SimError, ValidationError
 from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, addr_text, diff_policies
 from .net_types import Prefix, family_of
 from .scenario import NodeConfig, Scenario
@@ -95,14 +93,12 @@ class Agent:
                 if kind not in localsids:
                     continue
                 self.advertise_policy(self._double_segment_update(kind, localsids[kind]))
-        if self.mode == "configmap" and configmap_doc is not None:
+        if self.mode == "configmap":
             self.on_configmap_change(configmap_doc)
         self._event("startup", f"mode={self.mode}")
 
     def _obtain_localsids(self, doc: Optional[ConfigMapDoc]) -> dict[str, IPv6Address]:
         if self.mode == "configmap":
-            if doc is None:
-                raise SimError(f"{self.name}: configmap mode requires a document")
             return dict(doc.localsids)
         families = self.scenario.families
         if self.node.localsids:
@@ -157,19 +153,15 @@ class Agent:
             self.on_policy(sender, decode_safi73(message[1]))
 
     def on_step1(self, update: Step1Update) -> None:
-        """Record a node's pod prefix, once per tunnel key: node infra addresses
-        are unique, and a node has at most one pod prefix per family."""
+        """Record a node's pod prefix under its tunnel key. Each key arrives
+        once: node infra addresses are unique, and a node advertises at most
+        one pod prefix per family."""
         key = (update.next_hop, family_of(update.prefix))
-        if key in self.prefix_map:
-            return  # duplicate advertisement
         self.prefix_map[key] = update.prefix
         if key in self.pending:
             self._try_install(update.next_hop, self.pending.pop(key))
 
     def on_policy(self, sender: str, update: SrPolicySafiUpdate) -> None:
-        if self.mode == "configmap":
-            self._event("step2-ignored", f"from {sender} (configmap mode)")
-            return
         if sender not in self.cluster_nodes and sender not in self.external_peers:
             self._event("audit-unregistered-peer", sender)
             return
@@ -234,10 +226,6 @@ class Agent:
         Validation failures leave the previous state untouched; an identical
         document causes zero dataplane mutations.
         """
-        if doc.node != self.name:
-            raise ValidationError(
-                f"document for {doc.node} delivered to {self.name}"
-            )
         old = self.last_doc or ConfigMapDoc(node=self.name, localsids={}, policies=())
         diff = diff_policies(old, doc)
         if doc.localsids != old.localsids:

@@ -39,12 +39,6 @@ class Behavior:
 
     kind: str  # End | EndDT4 | EndDT6
 
-    _KINDS = ("End", "EndDT6", "EndDT4")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise SimError(f"unknown behavior kind {self.kind!r}")
-
     def render(self) -> str:
         if self.kind == "End":
             return "End"

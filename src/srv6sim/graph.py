@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .dataplane import NodeDataplane
-from .errors import SimError
 from .net_types import InnerPacket, OuterPacket
 
 VECTOR_MAX = 256
@@ -34,10 +33,6 @@ class Flow(NamedTuple):
 
 def run_vector(dp: NodeDataplane, vector: list[InnerPacket]) -> list[Flow]:
     """Steer, encapsulate and route ``vector``; its flows, in first-seen order."""
-    if not vector:
-        raise SimError("empty packet vector")
-    if len(vector) > VECTOR_MAX:
-        raise SimError(f"vector of {len(vector)} exceeds the {VECTOR_MAX} cap")
     # The dataplane cannot change while one vector runs; a run of packets to
     # one destination object reuses its flow without hashing the address.
     flows: dict = {}  # BSID, None for no steering match -> its flow

@@ -15,7 +15,7 @@ import yaml
 
 from . import schema
 from .errors import NotEligibleError, PoolExhaustedError, ValidationError
-from .net_types import Addr, Prefix, canon
+from .net_types import MAX_SEGMENTS, Addr, Prefix, canon
 
 # libyaml's emitter where PyYAML has it, for heads and documents dumped whole;
 # it folds long scalars differently from the pure-Python one, see render_configmap_doc.
@@ -32,7 +32,7 @@ class KvStore:
 
     def __init__(self):
         self.entries: dict[str, tuple[dict[str, str], int]] = {}
-        # per entry: data key -> its decoded document; absent or None until read
+        # per entry: data key -> the document its text decodes to, set by each write
         self.decoded: dict[str, dict] = {}
         self._version = 0
         # accounting for the watch cost model
@@ -80,14 +80,6 @@ class IpPool:
     cidr: Prefix
     block_size: int
     node_selector: Optional[str] = None
-
-    def __post_init__(self):
-        bits = 128 if self.cidr.version == 6 else 32
-        if not self.cidr.prefixlen <= self.block_size <= bits:
-            raise ValidationError(
-                f"blockSize {self.block_size} outside [{self.cidr.prefixlen}, {bits}]",
-                path=f"pool {self.name}",
-            )
 
     @property
     def block_addrs(self) -> int:
@@ -213,7 +205,7 @@ def decodes_to_itself(doc: ConfigMapDoc) -> Optional[ConfigMapDoc]:
     addrs, policies = list(doc.localsids.values()), []
     for p in doc.policies:
         if (p.traffic not in TRAFFIC_KINDS or not isinstance(p.segment_list, tuple)
-                or not p.segment_list):
+                or not 0 < len(p.segment_list) <= MAX_SEGMENTS):
             return None
         fields = (p.egress_node, p.bsid, *p.segment_list)
         same = tuple(map(canon, fields))  # an entry of canonical addresses is kept as it is

@@ -23,7 +23,6 @@ from typing import Union
 
 from .errors import (
     AddrParseError,
-    FamilyMismatchError,
     MalformedPacketError,
     TruncationError,
     UnsupportedTypeError,
@@ -98,16 +97,6 @@ class InnerPacket:
     hop_limit: int = 64
     payload: bytes = b""
 
-    def __post_init__(self):
-        if self.src.version != self.dst.version:
-            raise FamilyMismatchError(
-                f"inner src {self.src} and dst {self.dst} are different families"
-            )
-
-    @property
-    def family(self) -> str:
-        return family_of(self.src)
-
     def encode(self) -> bytes:
         if self.src.version == 4:
             header = struct.pack(
@@ -142,9 +131,8 @@ _v6_from_bytes = lru_cache(maxsize=4096)(lambda data: canon(IPv6Address(data)))
 
 
 def decode_inner(data: bytes) -> InnerPacket:
-    """Inverse of :meth:`InnerPacket.encode`; family read from the version nibble.
-    The byte layout guarantees ``InnerPacket``'s check (both addresses come from
-    one version's decoder), so it does not run again."""
+    """Inverse of :meth:`InnerPacket.encode`; family read from the version nibble,
+    so both addresses come from one version's decoder."""
     if not data:
         raise TruncationError("empty inner packet")
     version = data[0] >> 4
@@ -170,7 +158,7 @@ def decode_inner(data: bytes) -> InnerPacket:
         hop_limit, payload = data[7], data[40:]
     else:
         raise MalformedPacketError(f"inner version nibble {version} is neither 4 nor 6")
-    pkt = object.__new__(InnerPacket)
+    pkt = object.__new__(InnerPacket)  # per packet: one update, not a frozen __setattr__ per field
     pkt.__dict__.update(src=src, dst=dst, hop_limit=hop_limit, payload=payload)
     return pkt
 
@@ -188,18 +176,6 @@ class Srh:
     segment_list: tuple[IPv6Address, ...]
     flags: int = 0
     tag: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "segment_list", tuple(self.segment_list))
-        if not self.segment_list:
-            raise MalformedPacketError("segment list must not be empty")
-        if not 0 <= self.segments_left <= self.last_entry:
-            raise MalformedPacketError(
-                f"segments_left {self.segments_left} > last_entry {self.last_entry}"
-            )
-        for name in ("next_header", "flags"):
-            if not 0 <= getattr(self, name) <= 0xFF:
-                raise MalformedPacketError(f"{name} out of 8-bit range")
 
     @property
     def last_entry(self) -> int:
@@ -272,15 +248,6 @@ class OuterPacket:
     src: IPv6Address
     hop_limit: int
     srh: Srh
-
-    def __post_init__(self):
-        if not 0 <= self.hop_limit <= 255:
-            raise MalformedPacketError(f"hop_limit {self.hop_limit} out of range")
-        if self.srh.next_header not in (PROTO_IPV4_ENCAP, PROTO_IPV6_ENCAP):
-            raise MalformedPacketError(
-                f"SRH next_header {self.srh.next_header} does not name an "
-                "encapsulated family (4 or 41)"
-            )
 
     @property
     def dst(self) -> IPv6Address:

@@ -19,7 +19,6 @@ from ipaddress import IPv6Address
 from typing import NamedTuple, Optional, Union
 
 from .dataplane import Disposition, LocalSidEntry, LpmIndex, NodeDataplane
-from .errors import SimError
 from .net_types import OuterPacket
 
 
@@ -29,10 +28,6 @@ class Link:
     b: str
     cost: int
     name: str
-
-    def __post_init__(self):
-        if self.cost <= 0:
-            raise SimError(f"link {self.name} must have positive cost")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from srv6sim.net_types import (
     PROTO_IPV6_ENCAP,
     OuterPacket,
     Srh,
+    family_of,
 )
 from srv6sim.sim import PingReport, _probe
 from srv6sim.underlay import forward
@@ -61,7 +62,7 @@ def scalar_tx(dp, packet):
     if bsid is None:
         return Disposition(kind="drop", reason="no steering match"), None
     policy = dp.policies[bsid]
-    assert packet.family == policy.family and dp.encap_source is not None
+    assert family_of(packet.src) == policy.family and dp.encap_source is not None
     srh = Srh(
         next_header=PROTO_IPV4_ENCAP if policy.family == "v4" else PROTO_IPV6_ENCAP,
         segments_left=len(policy.segments) - 1,

@@ -187,8 +187,6 @@ def test_criterion_05_convergence_and_interleaving_invariance():
     # bus, so exercise that ordering by direct delivery to a fresh agent.
     def build(order):
         bus = SessionBus()
-        bus.register("a")
-        bus.register("b")
         ipam = IpamAllocator([IpPool(name="p", cidr=parse_prefix("cafe::/118"),
                                      block_size=122)])
         node = NodeConfig(name="a", infra=parse_v6("fd10::1"), router="r1",

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -9,12 +10,14 @@ from srv6sim.bgp import (
     SrPolicySafiUpdate,
     Step1Update,
     encode_safi73,
+    parse_policy_file,
 )
 from srv6sim.dataplane import NodeDataplane
-from srv6sim.errors import SimError, ValidationError
+from srv6sim.errors import ModeMismatchError, UnknownNodeError, ValidationError
 from srv6sim.k8s import IpPool, IpamAllocator, parse_configmap_doc
 from srv6sim.net_types import parse_prefix, parse_v6
-from srv6sim.scenario import NodeConfig, RouterConfig, Scenario
+from srv6sim.scenario import NodeConfig, RouterConfig, Scenario, load_scenario
+from srv6sim.sim import Simulation
 
 INFRA_A = parse_v6("fd10::1000")
 INFRA_B = parse_v6("fd11::1000")
@@ -22,8 +25,6 @@ INFRA_B = parse_v6("fd11::1000")
 
 def make_agent(mode="bgp", name="a", infra=INFRA_A, pinned=None):
     bus = SessionBus()
-    for peer in ("a", "b"):
-        bus.register(peer)
     ipam = IpamAllocator(
         [
             IpPool(name="bsids", cidr=parse_prefix("cafe::/118"), block_size=122),
@@ -130,7 +131,7 @@ def test_policy_withdraw_uninstalls():
     assert (INFRA_B, "v6") not in agent.installed
 
 
-def test_policy_from_unregistered_peer_is_audited():
+def test_policy_from_unregistered_peer_is_audited(scenarios_dir):
     agent = make_agent()
     agent.startup()
     agent.on_step1(B_PREFIX)
@@ -140,16 +141,27 @@ def test_policy_from_unregistered_peer_is_audited():
     # the registered external injector is accepted
     agent.handle_message("pi", ("safi73", encode_safi73(policy_for_b())))
     assert (INFRA_B, "v6") in agent.installed
+    # through the simulation: an injector the scenario does not register
+    scenario = load_scenario(scenarios_dir / "full_bgp.yaml")
+    scenario.injector_registered = False
+    sim = Simulation(scenario).start()
+    before = sim.state_dump()
+    sim.inject(parse_policy_file((scenarios_dir / "policies" / "worker2-v4.yaml").read_text()))
+    assert sim.state_dump() == before and sim.metrics["step2_received"] == 0
+    assert sorted(e[1:] for e in sim.events if e[2] == "audit-unregistered-peer") == [
+        (node, "audit-unregistered-peer", "srv6-pi") for node in ("master", "worker1", "worker2")]
 
 
-def test_configmap_mode_ignores_step2():
-    doc = parse_configmap_doc({"node": "a", "localsids": {"DT6": "fcdd::a6"},
-                               "policies": []})
-    agent = make_agent(mode="configmap")
-    agent.startup(configmap_doc=doc)
-    agent.on_policy("b", policy_for_b())
-    assert agent.installed == {} and agent.pending == {}
-    assert any(e[2] == "step2-ignored" for e in agent.events)
+def test_configmap_mode_ignores_step2(scenarios_dir):
+    """No step-2 update reaches a configmap-mode agent: agents advertise
+    none, and ``inject`` refuses to send one."""
+    sim = Simulation(load_scenario(scenarios_dir / "full_cm.yaml")).start()
+    before = sim.state_dump()
+    assert sim.metrics["step2_sent"] == sim.metrics["step2_received"] == 0
+    with pytest.raises(ModeMismatchError, match="inject requires bgp mode"):
+        sim.inject(policy_for_b())
+    assert sim.bus.quiesced and sim.metrics["step2_received"] == 0
+    assert sim.state_dump() == before
 
 
 def test_configmap_reconcile_add_replace_remove():
@@ -184,21 +196,26 @@ def test_configmap_reconcile_add_replace_remove():
     assert agent.dp.version == version
 
 
-def test_configmap_doc_for_wrong_node_rejected():
-    agent = make_agent(mode="configmap")
-    doc = parse_configmap_doc({"node": "a", "localsids": {"DT6": "fcdd::a6"},
-                               "policies": []})
-    agent.startup(configmap_doc=doc)
-    with pytest.raises(ValidationError):
-        agent.on_configmap_change(
-            parse_configmap_doc({"node": "b", "localsids": {}, "policies": []})
-        )
+def test_configmap_doc_for_wrong_node_rejected(scenarios_dir):
+    """A document reaches only its own node's agent: the simulation stores
+    each under its ``node``, and refuses one for a node the cluster lacks."""
+    sim = Simulation(load_scenario(scenarios_dir / "full_cm.yaml")).start()
+    worker1 = next(doc for doc in sim.scenario.configmaps if doc.node == "worker1")
+    fewer = replace(worker1, policies=worker1.policies[1:])
+    assert sim.apply_configmaps([fewer]) == ["worker1: 1 removed"]
+    assert {name: agent.last_doc.node for name, agent in sim.agents.items()} == {
+        name: name for name in sim.agents}
+    with pytest.raises(UnknownNodeError, match="ghost"):
+        sim.apply_configmaps([replace(fewer, node="ghost")])
 
 
-def test_configmap_mode_requires_document():
-    agent = make_agent(mode="configmap")
-    with pytest.raises(SimError):
-        agent.startup(configmap_doc=None)
+def test_configmap_mode_requires_document(scenarios_dir):
+    """Every configmap-mode agent starts from its node's document: a
+    scenario that lacks one is refused before any agent exists."""
+    scenario = load_scenario(scenarios_dir / "full_cm.yaml")
+    scenario.configmaps = [doc for doc in scenario.configmaps if doc.node != "worker1"]
+    with pytest.raises(ValidationError, match="missing configmap for node 'worker1'"):
+        Simulation(scenario)
 
 
 def test_single_segment_mode():

@@ -7,7 +7,8 @@ from srv6sim.dataplane import (
     SrPolicyEntry,
     SteeringRule,
 )
-from srv6sim.errors import DanglingPolicyError, FamilyMismatchError, SimError
+from srv6sim.errors import DanglingPolicyError, FamilyMismatchError, SimError, ValidationError
+from srv6sim.k8s import parse_configmap_doc
 from srv6sim.net_types import InnerPacket, parse_addr, parse_prefix, parse_v6
 
 S1, S2, S3 = (parse_v6(f"fcff:{i}::1") for i in (1, 2, 3))
@@ -86,10 +87,13 @@ def test_dt_decap_and_family_check():
 
 
 def test_behavior_validation():
-    with pytest.raises(SimError, match="unknown behavior kind"):
-        Behavior("End.X")
-    with pytest.raises(SimError, match="unknown behavior kind"):
-        Behavior("EndX")
+    """``Behavior`` trusts its kind: End comes from a router, EndDT4 and
+    EndDT6 from a localSID kind, DT4 or DT6, which the readers refuse to be
+    anything else where it enters."""
+    for kind in ("End.X", "EndX", "End", "DT5"):
+        with pytest.raises(ValidationError,
+                           match=f"^configmap.localsids: unknown localsid kind {kind!r}$"):
+            parse_configmap_doc({"node": "n", "localsids": {kind: "fcdd::1"}, "policies": []})
 
 
 def test_steering_is_lpm_and_family_scoped():

@@ -1,10 +1,9 @@
 import random
 from collections import Counter
 
-import pytest
-
+import srv6sim.sim
+from srv6sim.cli import main
 from srv6sim.dataplane import NodeDataplane, SrPolicyEntry, SteeringRule
-from srv6sim.errors import SimError
 from srv6sim.graph import VECTOR_MAX, run_vector
 from srv6sim.net_types import (
     InnerPacket,
@@ -12,6 +11,8 @@ from srv6sim.net_types import (
     parse_prefix,
     parse_v6,
 )
+from srv6sim.scenario import load_scenario
+from srv6sim.sim import Simulation
 
 from conftest import scalar_tx, tx_flows
 
@@ -42,18 +43,34 @@ def make_packet(rng):
     return InnerPacket(src=parse_addr("fd90::beef"), dst=parse_addr(dst), payload=b"p")
 
 
-def test_vector_cap_enforced():
-    dp = make_dp()
-    rng = random.Random(0)
-    too_many = [make_packet(rng) for _ in range(VECTOR_MAX + 1)]
-    with pytest.raises(SimError):
-        run_vector(dp, too_many)
-    run_vector(dp, too_many[:VECTOR_MAX])  # at the cap is fine
+def test_vector_cap_enforced(monkeypatch, scenarios_dir):
+    """``run_vector`` trusts its one producer, ``ping``, which splits a ping
+    into vectors of 1 to VECTOR_MAX packets, the last one holding the rest.
+    The CLI refuses a count below 1 (``test_ping_count_must_be_positive``)."""
+    sim = Simulation(load_scenario(scenarios_dir / "basic.yaml")).start()
+    sizes, real = [], srv6sim.sim.run_vector
+    monkeypatch.setattr(srv6sim.sim, "run_vector",
+                        lambda dp, vector: sizes.append(len(vector)) or real(dp, vector))
+    for count in (1, VECTOR_MAX, VECTOR_MAX + 1, 2 * VECTOR_MAX + 3):
+        sizes.clear()
+        assert sim.ping("pod-master", "pod-worker2", count=count).delivered == count
+        full, rest = divmod(count, VECTOR_MAX)
+        assert sizes == [VECTOR_MAX] * full + [rest] * (rest > 0)
 
 
-def test_empty_vector_rejected():
-    with pytest.raises(SimError):
-        run_vector(make_dp(), [])
+def test_empty_vector_rejected(monkeypatch, scenarios_dir, capsys):
+    """No empty vector reaches ``run_vector``: the CLI refuses ``--count 0``
+    before a simulation starts, and a library ``ping`` of 0 packets builds
+    no vector and reports nothing sent."""
+    path = str(scenarios_dir / "basic.yaml")
+    assert main(["ping", "--scenario", path, "pod-master", "pod-worker2", "--count=0"]) == 2
+    assert "--count 0 is not positive" in capsys.readouterr().err
+    sim = Simulation(load_scenario(path)).start()
+    vectors = []
+    monkeypatch.setattr(srv6sim.sim, "run_vector", lambda dp, vector: vectors.append(vector))
+    report = sim.ping("pod-master", "pod-worker2", count=0)
+    assert vectors == []
+    assert (report.sent, report.delivered, report.dropped) == (0, 0, 0)
 
 
 def test_conservation_every_packet_gets_a_disposition():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from srv6sim.errors import (
@@ -18,6 +20,7 @@ from srv6sim.k8s import (
     render_configmap_doc,
 )
 from srv6sim.net_types import parse_prefix, parse_v6
+from srv6sim.scenario import load_scenario
 
 
 # -- kv store / watch ------------------------------------------------------
@@ -99,8 +102,14 @@ def test_exhaustion_and_distinctness():
 
 
 def test_bad_block_size_rejected():
-    with pytest.raises(ValidationError):
-        IpPool(name="p", cidr=parse_prefix("10.0.0.0/24"), block_size=16)
+    """``IpPool`` trusts its block size: ``load_scenario`` reads it within
+    the pool's prefix length and its family's width."""
+    for size in (16, 33):
+        text = f'pools:\n  - {{name: p, cidr: "10.0.0.0/24", blockSize: {size}}}\n'
+        with pytest.raises(ValidationError, match=re.escape(
+                f"<scenario>.pools[0].blockSize: blockSize {size} is outside [24, 32]")):
+            load_scenario(text)
+    assert load_scenario(text.replace("33", "32")).pools[0].block_count == 256
 
 
 # -- ConfigMap documents ---------------------------------------------------

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srv6sim.dataplane import Behavior, LocalSidEntry, NodeDataplane, SrPolicyEntry
 from srv6sim.errors import (
     AddrParseError,
-    FamilyMismatchError,
     MalformedPacketError,
     TruncationError,
     UnsupportedTypeError,
+    ValidationError,
 )
 from srv6sim.net_types import (
     InnerPacket,
@@ -25,6 +26,8 @@ from srv6sim.net_types import (
     parse_prefix,
     parse_v6,
 )
+from srv6sim.scenario import load_scenario
+from srv6sim.sim import Simulation, _probe
 
 from conftest import random_v4, random_v6
 
@@ -73,13 +76,23 @@ def test_srh_size_law():
 
 
 def test_srh_field_invariants():
-    sid = parse_v6("fcff:1::1")
-    with pytest.raises(MalformedPacketError):
-        Srh(next_header=41, segments_left=1, segment_list=(sid,))
-    with pytest.raises(MalformedPacketError):
-        Srh(next_header=41, segments_left=0, segment_list=())
-    with pytest.raises(MalformedPacketError):
-        Srh(next_header=300, segments_left=0, segment_list=(sid,))
+    """``Srh`` checks nothing itself; its producers keep its fields in range.
+    A policy's SRH holds its segments reversed, Segments Left at the first and
+    the next header of its family; an End hop lowers Segments Left only above
+    0. ``decode_srh`` refuses the rest (``test_decode_srh_rejects_bad_buffers``)."""
+    sids = tuple(parse_v6(f"fcff:{i}::1") for i in range(1, 4))
+    for family, next_header in (("v4", 4), ("v6", 41)):
+        for n in range(1, 4):
+            srh = SrPolicyEntry(parse_v6("cafe::1"), sids[:n], family).srh
+            assert (srh.next_header, srh.segments_left, srh.last_entry) == (next_header, n - 1, n - 1)
+            assert srh.segment_list == sids[n - 1::-1] and srh.active_segment == sids[0]
+    dp = NodeDataplane("r")
+    dp.install_localsid(LocalSidEntry(sid=sids[0], behavior=Behavior("End")))
+    srh = SrPolicyEntry(parse_v6("cafe::1"), sids[:2], "v6").srh
+    disp = dp.process_local(OuterPacket(parse_v6("fd10::1"), 64, srh))
+    assert disp.kind == "forward" and disp.packet.srh.segments_left == 0
+    last = Srh(next_header=41, segments_left=0, segment_list=(sids[0],))
+    assert dp.process_local(OuterPacket(parse_v6("fd10::1"), 64, last)).reason == "no more segments"
 
 
 def test_decode_srh_rejects_bad_buffers():
@@ -144,13 +157,15 @@ INNER_PACKETS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(INNER_PACKETS)
 def test_decode_inner_needs_no_second_check(pkt):
-    """``decode_inner`` skips ``InnerPacket``'s check, as its byte layout
-    guarantees it: it inverts ``encode`` for both families and any payload,
-    and every truncation or version nibble other than 4 and 6 still raises."""
+    """``decode_inner`` builds its packet without ``InnerPacket``'s
+    constructor, as its byte layout decides every field: both addresses come
+    from one version's decoder. It inverts ``encode`` for both families and
+    any payload, and every truncation or version nibble other than 4 and 6
+    raises."""
     raw = pkt.encode()
     decoded = decode_inner(raw)
-    assert decoded == pkt and decoded.family == pkt.family
-    assert replace(decoded) == decoded  # the skipped checks pass
+    assert decoded == pkt == replace(decoded)
+    assert decoded.src.version == decoded.dst.version == pkt.src.version
     for cut in range(len(raw)):
         with pytest.raises((TruncationError, MalformedPacketError)):
             decode_inner(raw[:cut])
@@ -159,18 +174,32 @@ def test_decode_inner_needs_no_second_check(pkt):
             decode_inner(bytes([nibble << 4 | raw[0] & 0xF]) + raw[1:])
 
 
-def test_inner_packet_family_mismatch():
-    with pytest.raises(FamilyMismatchError):
-        InnerPacket(src=parse_addr("10.0.0.1"), dst=parse_addr("fc00::1"))
+def test_inner_packet_family_mismatch(scenarios_dir):
+    """A ping's inner packets take both addresses from one family key of two
+    pods, so ``InnerPacket`` checks no families: a pod address of the other
+    family is refused where the scenario is read."""
+    text = (scenarios_dir / "basic.yaml").read_text()
+    bad = text.replace('v4: "172.16.231.1"', 'v4: "fd90:0:10::3"')
+    with pytest.raises(ValidationError, match=r"pods\[0\]\.v4: fd90:0:10::3 is not an IPv4 address"):
+        load_scenario(bad)
+    sim = Simulation(load_scenario(text))
+    for family in ("v4", "v6"):
+        inner = _probe(sim.pods["pod-master"], sim.pods["pod-worker2"], family, 0)
+        assert family_of(inner.src) == family_of(inner.dst) == family
 
 
 def test_outer_packet_invariants():
-    """The outer destination is the active segment; the SRH names the inner's family."""
+    """The outer destination is the active segment. ``OuterPacket`` checks
+    nothing itself: H.Encaps, its producer, sets the hop limit to 64 and the
+    policy's SRH, whose next header names the inner's family."""
     first, last = parse_v6("fcff:1::1"), parse_v6("fcff:2::1")
     srh = Srh(next_header=41, segments_left=1, segment_list=(last, first))
     assert OuterPacket(src=parse_v6("fd10::1"), hop_limit=64, srh=srh).dst == first
-    with pytest.raises(MalformedPacketError):
-        OuterPacket(src=parse_v6("fd10::1"), hop_limit=256, srh=srh)
-    with pytest.raises(MalformedPacketError):
-        OuterPacket(src=parse_v6("fd10::1"), hop_limit=64,
-                    srh=Srh(next_header=43, segments_left=0, segment_list=(first,)))
+    dp = NodeDataplane("n")
+    dp.set_encap_source(parse_v6("fd10::1"))
+    for family, next_header in (("v4", 4), ("v6", 41)):
+        policy = SrPolicyEntry(parse_v6(f"cafe::{next_header}"), (first, last), family)
+        dp.install_policy(policy)
+        outer = dp.h_encaps(policy.bsid)
+        assert (outer.src, outer.hop_limit, outer.dst) == (parse_v6("fd10::1"), 64, first)
+        assert outer.srh is policy.srh and outer.srh.next_header == next_header

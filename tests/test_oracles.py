@@ -19,6 +19,7 @@
   ``run_vector``, against ``scalar_tx``, which builds its SRH per packet.
 """
 
+import re
 from dataclasses import replace
 from ipaddress import IPv4Address, IPv6Address, IPv6Network, ip_network
 
@@ -178,8 +179,6 @@ PEERS = ("a", "b", "c", "d")
 )
 def test_pending_sessions_match_sorted_scan(ops):
     bus = SessionBus()
-    for peer in PEERS:
-        bus.register(peer)
     for i, (op, x, y) in enumerate(ops):
         pending = bus.pending_sessions()
         if op == "send":
@@ -631,7 +630,6 @@ CACHE_OPS = st.lists(
         st.tuples(st.just("write"), st.lists(cache_docs(ANY_NODE), min_size=1, max_size=3)),
         st.tuples(st.just("apply"),
                   st.lists(cache_docs(st.sampled_from(CM_NODES)), min_size=1, max_size=3)),
-        st.tuples(st.just("raw"), st.lists(cache_docs(ANY_NODE), min_size=1, max_size=2)),
         st.tuples(st.just("poll"), st.just([])),
     ),
     max_size=8,
@@ -649,46 +647,41 @@ def _outcome(read):
 @settings(max_examples=60, deadline=None)
 @given(ops=CACHE_OPS)
 def test_decoded_documents_match_fresh_parse(fanout, ops):
-    """Random writes, applies, writes of data alone (no decoded value), and
-    polls. After each, every read equals a fresh parse of the stored text
-    (or raises the same error), and the stored data is the full rendering."""
+    """Random writes, applies and polls. A write or apply with a document
+    whose text does not parse is refused whole. After each op, every read
+    equals a fresh parse of the stored text, and the stored data is the full
+    rendering of the documents written."""
     scenario = load_scenario(SCENARIOS / "full_cm.yaml")
     scenario.configmap_fanout = fanout
     sim = Simulation(scenario).start()
     latest = {doc.node: doc for doc in scenario.configmaps}
     for op, docs in ops:
         if op == "write":
-            sim._write_docs(docs)
+            outcome = _outcome(lambda: sim._write_docs(docs))
         elif op == "apply":
-            _outcome(lambda: sim.apply_configmaps(docs))
-        elif op == "poll":
-            _outcome(sim.poll_all)
-        latest.update((doc.node, doc) for doc in docs)
+            outcome = _outcome(lambda: sim.apply_configmaps(docs))
+        else:
+            outcome = sim.poll_all()
+        if not (isinstance(outcome, tuple) and outcome[0] == "ValidationError"):
+            latest.update((doc.node, doc) for doc in docs)
         rendered = {n: render_configmap_doc(d) for n, d in latest.items()}
         if fanout == "single-map":
-            if op == "raw":
-                sim.store.write(SINGLE_MAP_KEY, dict(rendered), {})
             expected = {SINGLE_MAP_KEY: rendered}
             paths = {n: f"single-map.{n}" for n in latest}
         else:
-            for doc in docs if op == "raw" else ():
-                sim.store.write(configmap_key(doc.node), {doc.node: rendered[doc.node]}, {})
             expected = {configmap_key(n): {n: text} for n, text in rendered.items()}
             paths = {n: configmap_key(n) for n in latest}
         assert {k: e[0] for k, e in sim.store.entries.items()} == expected
         for node, path in paths.items():
-            fresh = _outcome(lambda: parse_configmap_doc(rendered[node], path=path))
-            assert _outcome(lambda: sim._read_doc(node)) == fresh
-            assert _outcome(lambda: sim._read_doc(node)) == fresh
+            fresh = parse_configmap_doc(rendered[node], path=path)
+            assert sim._read_doc(node) == fresh
+            assert sim._read_doc(node) == fresh
 
 
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
 def test_stored_documents_are_not_parsed_back(fanout, monkeypatch):
     """Converging and re-applying full_cm.yaml's documents reads every
-    document from the store without parsing its text. A version written as
-    data alone is parsed once per node, however often it is polled and
-    however many nodes its ConfigMap holds, and a later write keeps the
-    documents decoded from it."""
+    document from the store without parsing its text."""
     parsed = []
     real = srv6sim.sim.parse_configmap_doc
 
@@ -703,40 +696,41 @@ def test_stored_documents_are_not_parsed_back(fanout, monkeypatch):
     sim = Simulation(scenario).start()
     sim.apply_configmaps(load_scenario(SCENARIOS / "full_cm.yaml").configmaps)
     assert parsed == []
-    key = sim._map_key("master")
-    sim.store.write(key, dict(sim.store.entries[key][0]), {})
-    nodes = sorted(sim.store.entries[key][0])
-    assert len(sim.poll_all()) == len(nodes) == (3 if fanout == "single-map" else 1)
-    sim.poll_all()
-    sim.apply_configmaps(scenario.configmaps[:1])
-    assert parsed == [key if fanout == "per-node" else f"single-map.{n}" for n in nodes]
 
 
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
-def test_unparseable_stored_document_is_rejected_alone(fanout, monkeypatch):
-    """A stored text that does not parse is rejected at its node, as a bad
-    document is: one ``configmap-rejected`` event with the located message.
-    The poll round goes on to the other nodes and ends quiesced."""
+def test_apply_with_an_unparseable_document_is_refused_whole(fanout):
+    """An API-built document whose text does not parse (an IPv4 segment, or
+    more segments than an SRH holds) is refused when it is written, with the
+    located error a stored text would give, before anything of its apply is
+    written: the store's versions, ``state_dump()`` and the events stay as
+    they were, the good document of the same apply included. Applied alone,
+    that document then goes through."""
     scenario = load_scenario(SCENARIOS / "full_cm.yaml")
     scenario.configmap_fanout = fanout
     sim = Simulation(scenario).start()
-    quiesced = []
-    real = sim.run_to_quiescence
-    monkeypatch.setattr(sim, "run_to_quiescence", lambda: quiesced.append(real()))
     docs = {doc.node: doc for doc in scenario.configmaps}
     master, worker1 = docs["master"], docs["worker1"]
-    v4_segment = replace(master.policies[0], segment_list=(IPv4Address("10.0.0.1"),))
-    bad = replace(master, policies=(v4_segment,) + master.policies[1:])
+    first = master.policies[0]
     fewer = replace(worker1, policies=worker1.policies[1:])
-    assert len(sim.dataplanes["worker1"].policies) == 4
-    unchanged = [] if fanout == "per-node" else ["worker2: 0 changes"]  # the map's new version
-    assert sim.apply_configmaps([bad, fewer]) == ["worker1: 1 removed", *unchanged]
     where = "srv6-config-master" if fanout == "per-node" else "single-map.master"
-    assert [e[1:] for e in sim.events if e[2] == "configmap-rejected"] == [
-        ("master", "configmap-rejected", f"{where}.policies[0].segment_list[0]: "
-         "expected an IPv6 address, got '10.0.0.1'")]
-    assert len(sim.dataplanes["worker1"].policies) == 3 and quiesced == [0]
-    assert sim.poll_all() == []
+    for segments, message in (
+            ((IPv4Address("10.0.0.1"),), "segment_list[0]: expected an IPv6 address, got '10.0.0.1'"),
+            (first.segment_list[:1] * 127 + first.segment_list[-1:],
+             "segment_list: 128 segments, more than the 127 an SRH holds")):
+        bad = replace(master, policies=(replace(first, segment_list=segments), *master.policies[1:]))
+        for apply in ([bad, fewer], [fewer, bad]):
+            before = (dict(sim.store.entries), sim.store._version, sim.state_dump(), list(sim.events))
+            with pytest.raises(ValidationError,
+                               match=f"^{re.escape(f'{where}.policies[0].{message}')}$"):
+                sim.apply_configmaps(apply)
+            assert (sim.store.entries, sim.store._version, sim.state_dump(), sim.events) == before
+    assert sim.poll_all() == [] and len(sim.dataplanes["worker1"].policies) == 4
+    summaries = ["worker1: 1 removed"]
+    if fanout == "single-map":  # the map's new version reaches every node
+        summaries = ["master: 0 changes", *summaries, "worker2: 0 changes"]
+    assert sim.apply_configmaps([fewer]) == summaries
+    assert len(sim.dataplanes["worker1"].policies) == 3
 
 
 # -- policies written directly by render_configmap_doc ---------------------
@@ -909,6 +903,19 @@ def test_stored_encap_header_follows_policy_changes(steps):
     assert frames.state_dump() == twin.state_dump()
 
 
+def _constructed(monkeypatch, cls) -> list:
+    """Every ``cls`` built from now on, in order, counted by wrapping the
+    dataclass's ``__init__``."""
+    built, init = [], cls.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
 def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
     """A policy's SRH is built once, on first use, and kept with the policy.
     After that, a 768-packet ping builds an SRH only at the End hops of its
@@ -916,9 +923,7 @@ def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
     Re-installing the policy as it is keeps its SRH; replacing its segments
     builds exactly one new SRH."""
     sim = _started("full_cm")
-    built = []
-    post_init = Srh.__post_init__
-    monkeypatch.setattr(Srh, "__post_init__", lambda srh: (built.append(srh), post_init(srh)))
+    built = _constructed(monkeypatch, Srh)
 
     def ping(count):
         return sim.ping("pod-master", "pod-worker2", count=count, family="v6")
@@ -949,9 +954,8 @@ def test_localsid_lookup_runs_only_in_the_first_walk(monkeypatch):
     per packet; the 768 records share one hop list, and worker2's End.DT
     counter still reads 768."""
     sim = _started("full_cm")
-    forwarded, looked_up, outers, walked = [], [], [], []
+    forwarded, looked_up, walked = [], [], []
     process_local = NodeDataplane.process_local
-    post_init = OuterPacket.__post_init__
 
     def spy_forward(*args):
         forwarded.append(args[3])
@@ -966,7 +970,7 @@ def test_localsid_lookup_runs_only_in_the_first_walk(monkeypatch):
 
     monkeypatch.setattr(srv6sim.sim, "forward", spy_forward)
     monkeypatch.setattr(NodeDataplane, "process_local", spy_process_local)
-    monkeypatch.setattr(OuterPacket, "__post_init__", lambda pkt: (outers.append(pkt), post_init(pkt)))
+    outers = _constructed(monkeypatch, OuterPacket)
     report = sim.ping("pod-master", "pod-worker2", count=768, family="v6")
     assert report.delivered == 768 and len(forwarded) == 1
     assert looked_up == [1, 1, 1]  # all inside the one forward call

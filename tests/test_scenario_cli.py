@@ -7,7 +7,7 @@ import yaml
 from srv6sim import dataplane
 from srv6sim.bgp import parse_policy_file
 from srv6sim.cli import main
-from srv6sim.errors import SimError, UnknownNodeError, ValidationError
+from srv6sim.errors import UnknownNodeError, ValidationError
 from srv6sim.k8s import parse_configmap_doc
 from srv6sim.net_types import (
     InnerPacket, OuterPacket, Srh, decode_srh, encode_srh, parse_addr, parse_v6,
@@ -152,10 +152,6 @@ def test_cli_ping_family_a_pod_lacks_exits_1(tmp_path, capsys):
 def test_ping_count_must_be_positive(count, capsys):
     assert main(["ping", "--scenario", BASIC, "pod-master", "pod-worker2", f"--count={count}"]) == 2
     assert f"--count {count} is not positive" in capsys.readouterr().err
-    sim = Simulation(load_scenario(BASIC)).start()
-    with pytest.raises(SimError, match="not positive"):
-        sim.ping("pod-master", "pod-worker2", count=int(count))
-    assert sim.traces_forwarded == 0
 
 
 def test_trace_between_pods_on_one_node(tmp_path, capsys):
@@ -183,6 +179,8 @@ def test_trace_between_pods_on_one_node(tmp_path, capsys):
 def test_cli_show(capsys):
     assert main(["show", "--scenario", BASIC, "worker1", "encap-source"]) == 0
     assert "fd11::1000" in capsys.readouterr().out
+    assert main(["show", "--scenario", BASIC, "R1", "localsids"]) == 0  # a router's End SID
+    assert capsys.readouterr().out == "R1 SR localSIDs:\n  fcff:1::1  behavior End  counter 0\n"
     assert main(["show", "--scenario", BASIC, "ghost", "policies"]) == 1
 
 
@@ -265,6 +263,35 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_pool_too_small_for_the_cluster_exits_1(tmp_path, capsys):
+    """A BSID pool with fewer blocks than the nodes that allocate from it
+    runs out at bring-up: the run fails (exit 1); the file is well formed."""
+    path = tmp_path / "small-pool.yaml"
+    path.write_text(Path(BASIC).read_text().replace(
+        'cidr: "cafe::/118"\n    blockSize: 122', 'cidr: "cafe::/127"\n    blockSize: 127'))
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: pool sr-policies-pool is exhausted\n")
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+@pytest.mark.parametrize("option", ["--scenario", "--file", "--policy"])
+def test_cli_unreadable_file_exits_2(tmp_path, capsys, option, kind):
+    """A file that cannot be read, or not as text, is bad input like a
+    malformed one: one ``error:`` line and exit 2, never a traceback."""
+    path = tmp_path / "x.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"name: \xff\n")
+    with pytest.raises((OSError, UnicodeDecodeError)) as exc:
+        path.read_text()
+    args = {"--scenario": ["run", "--scenario", str(path)],
+            "--file": ["apply-configmap", "--scenario", FULL_CM, "--file", str(path)],
+            "--policy": ["inject", "--scenario", FULL_BGP, "--policy", str(path)]}[option]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
 def test_cli_bench(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 from ipaddress import IPv6Network
 
@@ -13,7 +14,7 @@ from srv6sim.dataplane import (
     NodeDataplane,
     SrPolicyEntry,
 )
-from srv6sim.errors import SimError
+from srv6sim.errors import ValidationError
 from srv6sim.graph import run_vector
 from srv6sim.net_types import InnerPacket, Srh, parse_addr, parse_prefix, parse_v6
 from srv6sim.scenario import load_scenario
@@ -146,8 +147,14 @@ def test_unreachable_sid_nested_in_a_reachable_block_drops_at_the_block():
 
 
 def test_negative_cost_rejected():
-    with pytest.raises(SimError):
-        Link("A", "B", 0, "z")
+    """``Link`` trusts its cost: ``load_scenario`` refuses one below 1."""
+    for cost in (0, -3):
+        text = ("routers:\n  - {name: A, end_sid: 'fcff:1::1'}\n  - {name: B, end_sid: 'fcff:2::1'}\n"
+                f"links:\n  - {{a: A, b: B, cost: {cost}, name: z}}\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"<scenario>.links[0]: link cost {cost} is not a positive integer")):
+            load_scenario(text)
+    assert load_scenario(text.replace("-3", "1")).links == [Link("A", "B", 1, "z")]
 
 
 def make_overlay():
