@@ -16,9 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from ipaddress import IPv6Address
+from typing import Optional
 
 from .dataplane import BEHAVIOR_END_DT4, BEHAVIOR_END_DT6
-from .errors import DecodeError, SimError, TruncationError, ValidationError
+from .errors import DecodeError, TruncationError, ValidationError
 from .net_types import Prefix, canon
 from .schema import address, boolean, entries, integer, load, mapping, section, segment_count
 
@@ -68,13 +69,8 @@ class SrPolicySafiUpdate:
 
     @property
     def family(self) -> str:
-        """Traffic family selected by the final (decap) segment's code."""
-        code = self.segments[-1].behavior_code
-        if code == BEHAVIOR_END_DT4:
-            return "v4"
-        if code == BEHAVIOR_END_DT6:
-            return "v6"
-        raise SimError(f"final segment code {code} is not a DT behavior")
+        """Traffic family selected by the final (decap) segment's code (``check_decap``)."""
+        return "v4" if self.segments[-1].behavior_code == BEHAVIOR_END_DT4 else "v6"
 
     @property
     def segment_sids(self) -> tuple[IPv6Address, ...]:
@@ -201,6 +197,13 @@ def decode_safi73(data: bytes) -> SrPolicySafiUpdate:
     )
 
 
+def check_decap(segments: tuple[Segment, ...], path: Optional[str] = None) -> None:
+    """A ValidationError at ``path`` unless the final (decap) segment is End.DT4 or End.DT6."""
+    code = segments[-1].behavior_code
+    if code not in (BEHAVIOR_END_DT4, BEHAVIOR_END_DT6):
+        raise ValidationError(f"final segment code {code} is not a DT behavior", path=path)
+
+
 def parse_policy_file(text: str, path: str = "policy file") -> SrPolicySafiUpdate:
     """Parse an injector policy document in the SAFI-73 field vocabulary
     (nlri/distinguisher/color/endpoint, segmentlist, bsid, nexthop)."""
@@ -215,10 +218,7 @@ def parse_policy_file(text: str, path: str = "policy file") -> SrPolicySafiUpdat
     if not segments:
         raise ValidationError("empty segments", path=f"{where}.segments")
     segment_count(len(segments), f"{where}.segments")
-    code = segments[-1].behavior_code
-    if code not in (BEHAVIOR_END_DT4, BEHAVIOR_END_DT6):  # the decap SID selects the family
-        raise ValidationError(f"final segment code {code} is not a DT behavior",
-                              path=f"{where}.segments[{len(segments) - 1}].behavior")
+    check_decap(segments, f"{where}.segments[{len(segments) - 1}].behavior")
     return SrPolicySafiUpdate(
         distinguisher=integer(nlri, "distinguisher", f"{path}.nlri", low=0, high=U32),
         color=integer(nlri, "color", f"{path}.nlri", low=0, high=U32),

@@ -68,9 +68,6 @@ class SrPolicyEntry:
     segments: tuple[IPv6Address, ...]
     family: str  # v4 | v6
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-
     @cached_property
     def srh(self) -> Srh:
         """The encap header, built on first use and kept with the policy: the

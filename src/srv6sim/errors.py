@@ -37,10 +37,6 @@ class PoolExhaustedError(SimError, RuntimeError):
     """Address pool has no free addresses left."""
 
 
-class NotEligibleError(SimError, ValueError):
-    """Node does not match the pool's node selector."""
-
-
 class ValidationError(SimError, ValueError):
     """Document or scenario failed schema validation.
 

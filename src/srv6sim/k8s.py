@@ -8,19 +8,20 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from ipaddress import IPv6Address
-from operator import is_not
+from operator import attrgetter, is_not
 from typing import Optional
 
 import yaml
 
 from . import schema
-from .errors import NotEligibleError, PoolExhaustedError, ValidationError
+from .errors import PoolExhaustedError, ValidationError
 from .net_types import MAX_SEGMENTS, Addr, Prefix, canon
 
-# libyaml's emitter where PyYAML has it, for heads and documents dumped whole;
-# it folds long scalars differently from the pure-Python one, see render_configmap_doc.
+# libyaml's emitter where PyYAML has it, for document heads; it folds long
+# scalars differently from the pure-Python one, see render_configmap_doc.
 _FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 addr_text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; addresses are immutable
+_V6, _scope = {IPv6Address}, attrgetter("_scope_id")  # _scope: an IPv6Address's zone, or None
 
 
 # -- key-value store -------------------------------------------------------
@@ -106,11 +107,7 @@ class IpamAllocator:
         self._counts: dict[str, dict[str, int]] = {p.name: {} for p in pools}
 
     def allocate(self, pool_name: str, node: str) -> Addr:
-        pool = self.pools[pool_name]
-        if pool.node_selector is not None and pool.node_selector != node:
-            raise NotEligibleError(
-                f"node {node} does not match selector of pool {pool_name}"
-            )
+        pool = self.pools[pool_name]  # its selector, if any, is ``node``: the readers check it
         blocks = self._blocks[pool_name].setdefault(node, [])
         count = self._counts[pool_name].get(node, 0)
         block_index = count // pool.block_addrs
@@ -165,12 +162,20 @@ def read_localsids(data: dict, where: str) -> dict[str, IPv6Address]:
 
 
 def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
-    """Validate a parsed YAML object (or YAML text) into a ConfigMapDoc.
+    """Check a ConfigMap document where it enters: YAML text, its parsed
+    data, or a ``ConfigMapDoc`` built by a caller. A built document is read
+    as the data its YAML text would hold, so it passes or fails as that text
+    does; one of the reader's own types (``_typed_doc``) skips the reading.
 
     Both ``egress_node:`` and the shorter ``node:`` spelling are accepted
     for the per-policy egress field.
     """
-    if isinstance(data, str):
+    if isinstance(data, ConfigMapDoc):
+        checked = _typed_doc(data)
+        if checked is not None:
+            return checked
+        data = _plain(data)
+    elif isinstance(data, str):
         data = schema.load(data, path)
     schema.mapping(data, "document", path)
     node = schema.string(data, "node", path)
@@ -199,43 +204,52 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
     return ConfigMapDoc(node=node, localsids=localsids, policies=tuple(policies))
 
 
-def decodes_to_itself(doc: ConfigMapDoc) -> Optional[ConfigMapDoc]:
-    """``doc`` with canonical addresses (``net_types.canon``) if
-    ``parse_configmap_doc(render_configmap_doc(doc)) == doc``, else None."""
-    addrs, policies = list(doc.localsids.values()), []
+def _typed_doc(doc: ConfigMapDoc) -> Optional[ConfigMapDoc]:
+    """``doc`` with canonical addresses if the reader would return it as it is:
+    fields of their declared types, 1 to 127 segments, unique keys and BSIDs,
+    exactly unscoped ``IPv6Address``es (checked before ``canon`` interns any). Else None."""
+    addrs, entries = [*doc.localsids.values()], []
     for p in doc.policies:
         if (p.traffic not in TRAFFIC_KINDS or not isinstance(p.segment_list, tuple)
                 or not 0 < len(p.segment_list) <= MAX_SEGMENTS):
             return None
         fields = (p.egress_node, p.bsid, *p.segment_list)
-        same = tuple(map(canon, fields))  # an entry of canonical addresses is kept as it is
+        entries.append(fields)
+        addrs += fields
+    if not (isinstance(doc.node, str) and doc.node != "" and isinstance(doc.policies, tuple)
+            and all(k in LOCALSID_KINDS for k in doc.localsids)
+            and set(map(type, addrs)) <= _V6 and not any(map(_scope, addrs))
+            and len({(p.egress_node, p.traffic) for p in doc.policies}) == len(entries)
+            and len({p.bsid for p in doc.policies}) == len(entries)):
+        return None
+    policies = []
+    for p, fields in zip(doc.policies, entries):  # an entry of canonical addresses is kept as it is
+        same = tuple(map(canon, fields))
         policies.append(PolicyDocEntry(*same[:2], same[2:], p.traffic)
                         if any(map(is_not, same, fields)) else p)
-        addrs += fields
-    if (isinstance(doc.node, str) and doc.node != "" and isinstance(doc.policies, tuple)
-            and all(k in LOCALSID_KINDS for k in doc.localsids)
-            and all(isinstance(a, IPv6Address) for a in addrs)
-            and len({(p.egress_node, p.traffic) for p in policies}) == len(policies)
-            and len({p.bsid for p in policies}) == len(policies)):
-        return ConfigMapDoc(doc.node, {k: canon(a) for k, a in doc.localsids.items()},
-                            tuple(policies))
-    return None
+    return ConfigMapDoc(doc.node, {k: canon(a) for k, a in doc.localsids.items()},
+                        tuple(policies))
 
 
-def _dump(data, dumper) -> str:
-    return yaml.dump(data, Dumper=dumper, sort_keys=False, default_flow_style=False)
+def _plain(doc: ConfigMapDoc) -> dict:
+    """The data that ``doc``'s YAML text would hold: each address as its text."""
+    policies = [{"bsid": str(p.bsid), "egress_node": str(p.egress_node),
+                 "segment_list": [str(s) for s in p.segment_list], "traffic": p.traffic}
+                for p in doc.policies]
+    localsids = {k: str(v) for k, v in doc.localsids.items()}
+    return {"localsids": localsids, "node": doc.node, "policies": policies}
 
 
-# IPv6Address._ip -> the unscoped address as a YAML scalar, one entry per value
+# IPv6Address._ip -> the address as a YAML scalar, one entry per value
 _scalars: dict[int, str] = {}
 _BASE60 = re.compile(r"[1-9][0-9]*(?::[0-5]?[0-9])+")  # a YAML 1.1 int, e.g. 1:2:3:4:5:6:7:8
 _NEXT_SEGMENT = "\n  - "
 
 
 def _scalar(addr: IPv6Address) -> str:
-    """Record and return the unscoped ``addr`` as PyYAML writes it in a block
-    collection: single-quoted where it ends in ``:`` (``::``, ``1::``) or
-    YAML 1.1 reads it as a base-60 int."""
+    """Record and return ``addr`` as PyYAML writes it in a block collection:
+    single-quoted where it ends in ``:`` (``::``, ``1::``) or YAML 1.1 reads
+    it as a base-60 int."""
     text = str(addr)
     if text.endswith(":") or _BASE60.fullmatch(text):
         text = f"'{text}'"
@@ -243,42 +257,28 @@ def _scalar(addr: IPv6Address) -> str:
     return text
 
 
-def _policies_text(policies) -> Optional[str]:
-    """The ``policies:`` block as one ``yaml.dump`` writes it under either
-    dumper, or None unless every entry holds unscoped ``IPv6Address``es (a
-    scope is free text), a segment, and IPv4 or IPv6 traffic."""
+def _policies_text(policies: tuple[PolicyDocEntry, ...]) -> str:
+    """The ``policies:`` block as one ``yaml.dump`` writes it under either dumper."""
     get, items = _scalars.get, ["policies:\n"]
-    for p in policies:  # the address tests are inline: a call per address costs ~25% more
-        b, e = p.bsid, p.egress_node
-        segments = [s.__class__ is IPv6Address and s._scope_id is None
-                    and (get(s._ip) or _scalar(s)) for s in p.segment_list]
-        if not (b.__class__ is e.__class__ is IPv6Address and b._scope_id is e._scope_id is None
-                and segments and all(segments) and p.traffic in TRAFFIC_KINDS):
-            return None
-        bsid, egress = get(b._ip) or _scalar(b), get(e._ip) or _scalar(e)
+    for p in policies:
+        bsid, egress, *segments = (get(a._ip) or _scalar(a)
+                                   for a in (p.bsid, p.egress_node, *p.segment_list))
         items.append(f"- bsid: {bsid}\n  egress_node: {egress}\n  segment_list:\n"
                      f"  - {_NEXT_SEGMENT.join(segments)}\n  traffic: {p.traffic}\n")
     return "".join(items) if policies else "policies: []\n"
 
 
 def render_configmap_doc(doc: ConfigMapDoc) -> str:
-    """Serialize in the reference deployment's field layout: the same text
-    as one ``yaml.dump`` of the whole document, whose policies are written
-    directly where ``_policies_text`` can."""
-    # Addresses and short printable ASCII words never fold.
-    words = [doc.node, *doc.localsids, *(p.traffic for p in doc.policies)]
-    short = all(w.isascii() and w.isprintable() and len(w) <= 63 for w in words)
-    dumper = _FAST_DUMPER if short else yaml.SafeDumper
-    data = {"localsids": {k: addr_text(v) for k, v in doc.localsids.items()}, "node": doc.node}
-    policies = _policies_text(doc.policies)
-    if policies is not None:
-        return _dump(data, dumper) + policies
-    data["policies"] = [
-        {"bsid": addr_text(p.bsid), "egress_node": addr_text(p.egress_node),
-         "segment_list": [addr_text(s) for s in p.segment_list], "traffic": p.traffic}
-        for p in doc.policies
-    ]
-    return _dump(data, dumper)
+    """Serialize a checked document (``parse_configmap_doc``) in the reference
+    deployment's field layout: the same text as one ``yaml.dump`` of the whole
+    document. The head is dumped; the policies are written directly."""
+    # Addresses and the fixed kinds (DT4/DT6, IPv4/IPv6) never fold; a long or
+    # non-ASCII node name may, and libyaml folds it differently.
+    node = doc.node
+    short = node.isascii() and node.isprintable() and len(node) <= 63
+    head = {"localsids": {k: addr_text(v) for k, v in doc.localsids.items()}, "node": node}
+    return yaml.dump(head, Dumper=_FAST_DUMPER if short else yaml.SafeDumper, sort_keys=False,
+                     default_flow_style=False) + _policies_text(doc.policies)
 
 
 def configmap_key(node: str) -> str:

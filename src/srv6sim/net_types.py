@@ -46,18 +46,18 @@ _canonical = {cls: weakref.WeakValueDictionary() for cls in (IPv4Address, IPv6Ad
 
 
 def canon(addr: Addr) -> Addr:
-    """The live canonical object equal to ``addr``, which becomes it if there
-    is none. The tables, one per class keyed by ``int(addr)``, hold no strong
-    reference. A scoped IPv6 address (``fe80::1%eth0``) is left as it is."""
-    table = _canonical.get(addr.__class__)
-    if table is None or getattr(addr, "_scope_id", None) is not None:
-        return addr
+    """The live canonical object equal to ``addr``, an unscoped ``IPv4Address``
+    or ``IPv6Address``, which becomes it if there is none. The tables, one per
+    class keyed by ``int(addr)``, hold no strong reference."""
+    table = _canonical[addr.__class__]
     ref = table.data.get(addr._ip)  # _ip is int(addr); a hit skips two Python-level calls
     return (ref and ref()) or table.setdefault(addr._ip, addr)
 
 
 def parse_addr(text: str) -> Addr:
     """Parse a textual IPv4 or IPv6 address into its canonical object."""
+    if "%" in text:  # an RFC 4007 zone
+        raise AddrParseError(f"scoped address {text!r}: no header field carries a zone")
     try:
         return canon(ipaddress.ip_address(text.strip()))
     except ValueError as exc:
@@ -74,6 +74,8 @@ def parse_v6(text: str) -> IPv6Address:
 
 def parse_prefix(text: str) -> Prefix:
     """Parse ``base/len`` notation; a non-canonical base is normalized."""
+    if "%" in text:
+        raise AddrParseError(f"scoped prefix {text!r}: a route carries no zone")
     try:
         return ipaddress.ip_network(text.strip(), strict=False)
     except ValueError as exc:

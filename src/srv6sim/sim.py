@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .agent import Agent
-from .bgp import SessionBus, SrPolicySafiUpdate, encode_safi73
+from .bgp import SessionBus, SrPolicySafiUpdate, check_decap, encode_safi73
 from .dataplane import Behavior, Disposition, LocalSidEntry, LpmIndex, NodeDataplane
 from .errors import (
     ConvergenceError,
@@ -32,7 +32,6 @@ from .k8s import (
     KvStore,
     WatchHandle,
     configmap_key,
-    decodes_to_itself,
     parse_configmap_doc,
     poll,
     render_configmap_doc,
@@ -75,8 +74,14 @@ class PingReport:
 class Simulation:
     def __init__(self, scenario: Scenario):
         if scenario.mode == "bgp" and scenario.families:  # bgp agents allocate from these pools
-            if scenario.auto_step2:
-                present(scenario.bsid_pool, "bsid_pool", scenario.source, "for bgp auto_step2")
+            if scenario.auto_step2:  # every node allocates its BSIDs from this pool
+                pool = present(scenario.bsid_pool, "bsid_pool", scenario.source,
+                               "for bgp auto_step2")
+                selector = next(p.node_selector for p in scenario.pools if p.name == pool)
+                left = [n.name for n in scenario.nodes if selector not in (None, n.name)]
+                if left:
+                    raise ValidationError(f"pool {pool!r} selects node {selector!r}, "
+                                          f"not {left[0]!r}", path=f"{scenario.source}.bsid_pool")
             for i, node in enumerate(scenario.nodes):
                 if not node.localsids:
                     present(node.localsid_pool, "localsid_pool", f"{scenario.source}.nodes[{i}]",
@@ -149,10 +154,7 @@ class Simulation:
         return SINGLE_MAP_KEY if single else configmap_key(node)
 
     def _write_docs(self, docs: list[ConfigMapDoc]) -> None:
-        """Write rendered documents, one write per ConfigMap, each with the
-        document its text decodes to: the one given, with canonical addresses,
-        or else its text parsed here. A text that does not parse raises its
-        located ValidationError before anything is written."""
+        """Write checked documents (``parse_configmap_doc``), one write per ConfigMap."""
         maps: dict[str, tuple[dict, dict]] = {}  # key -> (data, decoded) to write
         for doc in docs:
             key = self._map_key(doc.node)
@@ -160,10 +162,8 @@ class Simulation:
                 maps[key] = (dict(self.store.entries.get(key, ({},))[0]),
                              dict(self.store.decoded.get(key, {})))
             data, decoded = maps[key]
-            same = decodes_to_itself(doc)
-            data[doc.node] = text = render_configmap_doc(same or doc)
-            path = f"single-map.{doc.node}" if key == SINGLE_MAP_KEY else key
-            decoded[doc.node] = same or parse_configmap_doc(text, path=path)
+            data[doc.node] = render_configmap_doc(doc)
+            decoded[doc.node] = doc
         for key, (data, decoded) in maps.items():
             self.store.write(key, data, decoded)
 
@@ -194,19 +194,23 @@ class Simulation:
         """Deliver a policy update from the injector peer to every node."""
         if self.scenario.mode != "bgp":
             raise ModeMismatchError("inject requires bgp mode; use apply-configmap")
+        check_decap(update.segments)  # before anything is sent: an agent reads the family
         payload = ("safi73", encode_safi73(update))
         self.bus.broadcast(self.scenario.injector, [n.name for n in self.scenario.nodes], payload)
         self.metrics["injects"] += 1
         self.run_to_quiescence()
 
     def apply_configmaps(self, docs: list[ConfigMapDoc]) -> list[str]:
-        """Write documents to the store, then let every watcher poll."""
+        """Check every document, then write them to the store and let every
+        watcher poll. A refused document refuses the apply: nothing is written."""
         if self.scenario.mode != "configmap":
             raise ModeMismatchError("apply-configmap requires configmap mode")
         for doc in docs:
             if doc.node not in self.agents:
                 raise UnknownNodeError(doc.node)
-        self._write_docs(docs)
+        single = self.scenario.configmap_fanout == "single-map"
+        self._write_docs([parse_configmap_doc(
+            doc, f"single-map.{doc.node}" if single else configmap_key(doc.node)) for doc in docs])
         return self.poll_all()
 
     def poll_all(self) -> list[str]:

@@ -25,7 +25,7 @@ from srv6sim.dataplane import (
     SrPolicyEntry,
     SteeringRule,
 )
-from srv6sim.errors import SimError
+from srv6sim.errors import SimError, ValidationError
 from srv6sim.graph import run_vector
 from srv6sim.k8s import (
     ConfigMapDoc,
@@ -434,7 +434,14 @@ def test_criterion_11_ipam():
         assert sid in dict((p.name, p) for p in reference_pools)[
             f"sr-localsids-pool-{node}"
         ].cidr
-    with pytest.raises(SimError):
-        ipam.allocate("sr-localsids-pool-master", "node1")
+    # selectors are enforced where the scenario enters: load_scenario checks a
+    # node's localsid_pool, Simulation the bsid_pool that every node allocates from
+    basic = (SCENARIOS / "basic.yaml").read_text()
+    with pytest.raises(ValidationError, match="selects node 'master', not 'worker1'"):
+        load_scenario(basic.replace("nodeSelector: worker1", "nodeSelector: master"))
+    with pytest.raises(ValidationError, match="selects node 'master', not 'worker1'"):
+        Simulation(load_scenario(basic.replace("  - name: sr-policies-pool\n",
+                                               "  - name: sr-policies-pool\n"
+                                               "    nodeSelector: master\n")))
     print("\ncriterion 11: PASS — 256/256 distinct in-CIDR, selectors enforced, "
           "reference pools allocate")

@@ -14,6 +14,7 @@ from srv6sim.bgp import (
     SessionBus,
     SrPolicySafiUpdate,
     Step1Update,
+    check_decap,
     decode_safi73,
     encode_safi73,
     parse_policy_file,
@@ -59,8 +60,8 @@ def test_family_from_final_segment_code():
         WORKER2_V4,
         segments=(Segment(sid=parse_v6("fcff:1::1"), behavior_code=1),),
     )
-    with pytest.raises(SimError):
-        end_only.family
+    with pytest.raises(ValidationError, match="^final segment code 1 is not a DT behavior$"):
+        check_decap(end_only.segments)  # which parse_policy_file and Simulation.inject call
 
 
 def test_update_field_range_validation():

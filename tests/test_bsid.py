@@ -7,11 +7,13 @@ injects and withdraws policies whose BSIDs come from a small pool, so that
 BSIDs are swapped between tunnels and collide.
 """
 
+import re
 from collections import Counter
 from dataclasses import replace
 from ipaddress import IPv6Address
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -23,7 +25,8 @@ from srv6sim.dataplane import (
     SrPolicyEntry,
     SteeringRule,
 )
-from srv6sim.k8s import decodes_to_itself
+from srv6sim.errors import ValidationError
+from srv6sim.k8s import parse_configmap_doc
 from srv6sim.net_types import family_of, parse_prefix, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
@@ -196,12 +199,15 @@ def test_policy_of_another_family_drops_the_bsids_steering_rules():
 
 
 def test_duplicate_bsids_do_not_decode_to_themselves():
+    """A caller's document that names one BSID twice is refused where it
+    enters, at the second policy's BSID, as its YAML text would be."""
     doc = next(d for d in load_scenario(SCENARIOS / "full_cm.yaml").configmaps
                if d.node == "master")
-    assert decodes_to_itself(doc)
+    assert parse_configmap_doc(doc) == doc
     first, second, *rest = doc.policies
-    assert not decodes_to_itself(replace(doc, policies=(first, replace(second, bsid=first.bsid),
-                                                        *rest)))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"configmap.policies[1].bsid: duplicate bsid '{first.bsid}'")):
+        parse_configmap_doc(replace(doc, policies=(first, replace(second, bsid=first.bsid), *rest)))
 
 
 def _bgp_sim() -> Simulation:

@@ -10,6 +10,7 @@ gives the same state and the same pings as one of canonical objects.
 
 import gc
 import importlib.util
+import re
 import sys
 import weakref
 from ipaddress import IPv4Address, IPv6Address
@@ -19,8 +20,9 @@ import pytest
 
 from srv6sim import net_types
 from srv6sim.bgp import parse_policy_file
-from srv6sim.k8s import ConfigMapDoc, PolicyDocEntry, decodes_to_itself
-from srv6sim.net_types import canon, parse_addr, parse_v6
+from srv6sim.errors import AddrParseError, ValidationError
+from srv6sim.k8s import ConfigMapDoc, PolicyDocEntry, parse_configmap_doc
+from srv6sim.net_types import canon, parse_addr, parse_prefix, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation, load_configmap_docs
 
@@ -76,16 +78,21 @@ def test_equal_addresses_are_one_object():
     ).dst is parse_v6(text)
 
 
-def test_scoped_and_foreign_addresses_stay_as_they_are():
-    scoped = IPv6Address("fe80::1%eth0")
-    plain = canon(IPv6Address("fe80::1"))
-    assert canon(scoped) is scoped and canon(IPv6Address("fe80::1")) is plain
-
-    class Tagged(IPv6Address):
-        pass
-
-    tagged = Tagged("fe80::1")
-    assert canon(tagged) is tagged
+def test_scoped_addresses_never_reach_the_table():
+    """An RFC 4007 zone is refused where an address or prefix enters, so
+    ``canon`` never meets a scoped object: a caller's scoped address, whose
+    integer has no canonical object yet, is refused and not interned."""
+    for text in ("fe80::1%eth0", " fe80::1%1", "fcff:7::1%"):
+        with pytest.raises(AddrParseError, match=f"^scoped address {re.escape(repr(text))}"):
+            parse_v6(text)
+    with pytest.raises(AddrParseError, match="^scoped prefix 'fe80::%eth0/64'"):
+        parse_prefix("fe80::%eth0/64")
+    value = 0xFE80_0000_0000_0000_0000_0000_0000_7A11
+    scoped = IPv6Address(f"{IPv6Address(value)}%eth0")
+    doc = ConfigMapDoc("master", {"DT6": scoped}, ())
+    with pytest.raises(ValidationError, match=r"^configmap\.localsids\.DT6: scoped address"):
+        parse_configmap_doc(doc)
+    assert value not in net_types._canonical[IPv6Address]
 
 
 @pytest.mark.parametrize("cls,value", [(IPv6Address, 0x2001_0DB8_7A11_0000_0000_0000_0000_0001),
@@ -118,11 +125,11 @@ def applied(doc: ConfigMapDoc) -> Simulation:
 
 
 def test_fresh_objects_behave_as_canonical_ones(modified_doc):
-    """A document of fresh, equal objects whose segment lists are lists does
-    not decode to itself, so it is not canonicalised: its text is parsed
-    again. It leaves the state and the pings as the canonical one does."""
+    """A document of fresh, equal objects whose segment lists are lists is
+    not of the reader's own types, so it is read as the plain data of its
+    YAML text. It leaves the state and the pings as the canonical one does."""
     listed = fresh_doc(modified_doc, segment_list=list)
-    assert decodes_to_itself(listed) is None
+    assert parse_configmap_doc(listed) == modified_doc
     reference, sim = applied(modified_doc), applied(listed)
     assert sim.state_dump() == reference.state_dump()
     pings = ping_all(sim)
@@ -134,14 +141,15 @@ def test_fresh_objects_behave_as_canonical_ones(modified_doc):
 
 
 def test_admitted_document_is_stored_canonical(modified_doc):
-    """A document that decodes to itself is stored with canonical addresses,
-    and one that is already canonical is kept entry for entry."""
+    """A document of the reader's own types is checked and stored with
+    canonical addresses, and one that is already canonical is kept entry for
+    entry."""
     doc = fresh_doc(modified_doc)
-    same = decodes_to_itself(doc)
+    same = parse_configmap_doc(doc)
     assert same == doc == modified_doc
     assert all(a is canon(a) for a in addresses(same))
     assert not any(a is canon(a) for a in addresses(doc))
-    kept = decodes_to_itself(modified_doc).policies
+    kept = parse_configmap_doc(modified_doc).policies
     assert len(kept) == len(modified_doc.policies)
     assert all(p is q for p, q in zip(kept, modified_doc.policies))
     sim = applied(doc)

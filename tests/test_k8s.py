@@ -3,7 +3,6 @@ import re
 import pytest
 
 from srv6sim.errors import (
-    NotEligibleError,
     PoolExhaustedError,
     ValidationError,
 )
@@ -84,8 +83,6 @@ def test_reference_localsid_pools_load():
     ]
     ipam = IpamAllocator(pools)
     assert str(ipam.allocate("sr-localsids-pool-master", "master")) == "fcff:0:0:aa::"
-    with pytest.raises(NotEligibleError):
-        ipam.allocate("sr-localsids-pool-master", "worker1")
 
 
 def test_exhaustion_and_distinctness():

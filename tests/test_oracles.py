@@ -13,6 +13,9 @@
   which sends every packet through ``scalar_tx``, its own walk and ``decap``.
 - The decoded ConfigMap documents the store keeps per version against a
   fresh ``parse_configmap_doc`` of the stored text.
+- ``parse_configmap_doc`` of a ``ConfigMapDoc`` a caller built against the
+  same reader on the YAML text of its plain data: the same document, or the
+  same located error.
 - ``render_configmap_doc`` (policies written without PyYAML) against one
   ``yaml.dump`` of the whole document.
 - The SRH each installed policy keeps, and the per-destination lookups of
@@ -259,30 +262,26 @@ WORDS = st.one_of(
 )
 
 
-@st.composite
-def configmap_docs(draw):
-    policies = draw(
-        st.lists(
-            st.builds(
-                PolicyDocEntry,
-                egress_node=V6,
-                bsid=V6,
-                segment_list=st.lists(V6, min_size=1, max_size=4).map(tuple),
-                traffic=st.one_of(st.sampled_from(["IPv4", "IPv6"]), WORDS),
-            ),
-            max_size=4,
-            unique_by=lambda p: (p.egress_node, p.traffic),
-        )
-    )
-    return ConfigMapDoc(
-        node=draw(WORDS),
-        localsids=draw(st.dictionaries(st.one_of(st.sampled_from(["DT4", "DT6"]), WORDS), V6)),
-        policies=tuple(policies),
-    )
+# The entries of a checked document: a policy per (egress, traffic) key and per BSID.
+UNIQUE_POLICY = (lambda p: (p.egress_node, p.traffic), lambda p: p.bsid)
+
+
+def checked_docs(nodes, addrs=V6, policies=None):
+    """Documents that ``parse_configmap_doc`` accepts, as it returns them:
+    the only documents ``render_configmap_doc`` is given."""
+    if policies is None:
+        policies = st.lists(st.builds(
+            PolicyDocEntry, egress_node=addrs, bsid=addrs,
+            segment_list=st.lists(addrs, min_size=1, max_size=4).map(tuple),
+            traffic=st.sampled_from(["IPv4", "IPv6"]),
+        ), max_size=4, unique_by=UNIQUE_POLICY).map(tuple)
+    localsids = st.dictionaries(st.sampled_from(["DT4", "DT6"]), addrs)
+    return st.builds(ConfigMapDoc, node=nodes, localsids=localsids,
+                     policies=policies).map(parse_configmap_doc)
 
 
 @settings(max_examples=300, deadline=None)
-@given(configmap_docs())
+@given(checked_docs(WORDS))
 def test_libyaml_matches_pure_python_yaml(doc):
     text = render_configmap_doc(doc)
     data = yaml.load(text, Loader=yaml.SafeLoader)
@@ -581,17 +580,20 @@ def test_frame_runs_decap_per_packet():
 # -- decoded ConfigMap documents in the store ------------------------------
 
 CM_NODES = ("master", "worker1", "worker2")  # the nodes of full_cm.yaml
-# Texts PyYAML quotes (one ending in ":", or a YAML 1.1 base-60 int), texts it
-# leaves plain, and a scoped address with the integer of fe80::1.
+# Texts PyYAML quotes (one ending in ":", or a YAML 1.1 base-60 int) and texts it leaves plain.
 EDGE_ADDRS = tuple(IPv6Address(a) for a in (
-    "::", "1::", "0:1::", "1:2:3:4:5:6:7:8", "1:0:2:0:3:0:4:0", "1:2:3:4:5:6:7:60", "fe80::1%eth0",
+    "::", "1::", "0:1::", "1:2:3:4:5:6:7:8", "1:0:2:0:3:0:4:0", "1:2:3:4:5:6:7:60",
 ))
-# Mostly IPv6 addresses that repeat; an IPv4 one makes a document that
-# renders but does not decode.
-CM_ADDRS = st.one_of(
+# Mostly IPv6 addresses that repeat; an IPv4 one, or one with a zone, makes
+# a document that the reader refuses.
+CHECKED_ADDRS = st.one_of(
     st.sampled_from([IPv6Address(f"fcdd::{i}") for i in range(4)]), V6, V6,
     st.sampled_from(EDGE_ADDRS),
+)
+CM_ADDRS = st.one_of(
+    CHECKED_ADDRS,
     st.integers(0, 2**32 - 1).map(IPv4Address),
+    st.sampled_from([IPv6Address("fe80::1%eth0"), IPv6Address("fcdd::1%1")]),
 )
 
 
@@ -609,9 +611,10 @@ CM_LOCALSIDS = st.dictionaries(st.one_of(st.sampled_from(["DT4", "DT6"]), WORDS)
 
 @st.composite
 def cache_docs(draw, nodes):
-    """Documents that decode to themselves and documents that do not: words
-    for traffic, localSID kinds and node names, IPv4 addresses, and segment
-    lists given as lists, which decode to tuples."""
+    """Documents that the reader accepts as they are and documents that it
+    does not: words for traffic, localSID kinds and node names, IPv4 and
+    scoped addresses, and segment lists given as lists, which it reads as
+    tuples."""
     policies = draw(
         st.lists(CM_POLICIES, max_size=3, unique_by=lambda p: (p.egress_node, p.traffic))
     )
@@ -647,23 +650,24 @@ def _outcome(read):
 @settings(max_examples=60, deadline=None)
 @given(ops=CACHE_OPS)
 def test_decoded_documents_match_fresh_parse(fanout, ops):
-    """Random writes, applies and polls. A write or apply with a document
-    whose text does not parse is refused whole. After each op, every read
-    equals a fresh parse of the stored text, and the stored data is the full
-    rendering of the documents written."""
+    """Random writes, applies and polls. A write stores checked documents
+    for any node; an apply checks its own. Either is refused whole if a
+    document is refused. After each op, every read equals a fresh parse of
+    the stored text, and the stored data is the full rendering of the
+    checked documents written."""
     scenario = load_scenario(SCENARIOS / "full_cm.yaml")
     scenario.configmap_fanout = fanout
     sim = Simulation(scenario).start()
     latest = {doc.node: doc for doc in scenario.configmaps}
     for op, docs in ops:
         if op == "write":
-            outcome = _outcome(lambda: sim._write_docs(docs))
+            outcome = _outcome(lambda: sim._write_docs([parse_configmap_doc(d) for d in docs]))
         elif op == "apply":
             outcome = _outcome(lambda: sim.apply_configmaps(docs))
         else:
             outcome = sim.poll_all()
         if not (isinstance(outcome, tuple) and outcome[0] == "ValidationError"):
-            latest.update((doc.node, doc) for doc in docs)
+            latest.update((doc.node, parse_configmap_doc(doc)) for doc in docs)
         rendered = {n: render_configmap_doc(d) for n, d in latest.items()}
         if fanout == "single-map":
             expected = {SINGLE_MAP_KEY: rendered}
@@ -680,29 +684,31 @@ def test_decoded_documents_match_fresh_parse(fanout, ops):
 
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
 def test_stored_documents_are_not_parsed_back(fanout, monkeypatch):
-    """Converging and re-applying full_cm.yaml's documents reads every
-    document from the store without parsing its text."""
-    parsed = []
+    """Converging full_cm.yaml checks no document: ``load_scenario`` has.
+    Re-applying its documents checks each once, as a document, and reads
+    every document from the store without parsing its text."""
+    checked = []
     real = srv6sim.sim.parse_configmap_doc
 
     def counting(data, path="configmap"):
-        if isinstance(data, str):
-            parsed.append(path)
+        checked.append((type(data), path))
         return real(data, path=path)
 
     monkeypatch.setattr(srv6sim.sim, "parse_configmap_doc", counting)
     scenario = load_scenario(SCENARIOS / "full_cm.yaml")
     scenario.configmap_fanout = fanout
     sim = Simulation(scenario).start()
+    assert checked == []
     sim.apply_configmaps(load_scenario(SCENARIOS / "full_cm.yaml").configmaps)
-    assert parsed == []
+    where = "srv6-config-{}" if fanout == "per-node" else "single-map.{}"
+    assert checked == [(ConfigMapDoc, where.format(node)) for node in CM_NODES]
 
 
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
 def test_apply_with_an_unparseable_document_is_refused_whole(fanout):
-    """An API-built document whose text does not parse (an IPv4 segment, or
-    more segments than an SRH holds) is refused when it is written, with the
-    located error a stored text would give, before anything of its apply is
+    """An API-built document that the reader refuses (an IPv4 or scoped
+    segment, or more segments than an SRH holds) is refused with the located
+    error its YAML text would give, before anything of its apply is
     written: the store's versions, ``state_dump()`` and the events stay as
     they were, the good document of the same apply included. Applied alone,
     that document then goes through."""
@@ -716,6 +722,8 @@ def test_apply_with_an_unparseable_document_is_refused_whole(fanout):
     where = "srv6-config-master" if fanout == "per-node" else "single-map.master"
     for segments, message in (
             ((IPv4Address("10.0.0.1"),), "segment_list[0]: expected an IPv6 address, got '10.0.0.1'"),
+            ((IPv6Address("fcff:7::1%eth0"),),
+             "segment_list[0]: scoped address 'fcff:7::1%eth0': no header field carries a zone"),
             (first.segment_list[:1] * 127 + first.segment_list[-1:],
              "segment_list: 128 segments, more than the 127 an SRH holds")):
         bad = replace(master, policies=(replace(first, segment_list=segments), *master.policies[1:]))
@@ -731,6 +739,56 @@ def test_apply_with_an_unparseable_document_is_refused_whole(fanout):
         summaries = ["master: 0 changes", *summaries, "worker2: 0 changes"]
     assert sim.apply_configmaps([fewer]) == summaries
     assert len(sim.dataplanes["worker1"].policies) == 3
+
+
+# -- a caller's document is read as its YAML text -------------------------
+
+# What a caller may put in an address field: addresses (IPv4 and scoped ones
+# included) and their texts, malformed texts and other values.
+ANY_ADDRS = st.one_of(CM_ADDRS, CM_ADDRS.map(str),
+                      st.sampled_from(["zz", " fcdd::2 ", "", "fcff:7::1%eth0", "10.0.0.1", 5, None]))
+ANY_SEGMENTS = st.one_of(
+    st.lists(ANY_ADDRS, max_size=3),
+    st.integers(126, 129).map(lambda n: [IPv6Address("fcff:3::1")] * n),  # the SRH's bound
+)
+ANY_POLICIES = st.builds(
+    PolicyDocEntry, egress_node=ANY_ADDRS, bsid=ANY_ADDRS,
+    segment_list=st.one_of(ANY_SEGMENTS.map(tuple), ANY_SEGMENTS),
+    traffic=st.one_of(st.sampled_from(["IPv4", "IPv6"]), WORDS, st.integers()),
+)
+BUILT_DOCS = st.builds(
+    ConfigMapDoc,
+    node=st.one_of(st.sampled_from(CM_NODES), WORDS, st.sampled_from(["", 5, None])),
+    localsids=st.dictionaries(st.one_of(st.sampled_from(["DT4", "DT6"]), WORDS), ANY_ADDRS,
+                              max_size=2),
+    policies=st.one_of(*(st.lists(ANY_POLICIES, max_size=3).map(kind) for kind in (tuple, list))),
+)
+
+
+def yaml_data(doc: ConfigMapDoc) -> dict:
+    """The plain data of ``doc``'s YAML text: each address as its text."""
+    return {
+        "localsids": {k: str(v) for k, v in doc.localsids.items()},
+        "node": doc.node,
+        "policies": [{"bsid": str(p.bsid), "egress_node": str(p.egress_node),
+                      "segment_list": [str(s) for s in p.segment_list], "traffic": p.traffic}
+                     for p in doc.policies],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=BUILT_DOCS, path=st.sampled_from(["configmap", "srv6-config-master", "single-map.x"]))
+def test_built_documents_read_as_their_yaml_text(doc, path):
+    """A caller's document, valid or not, reads as the YAML text of its
+    plain data does: the same document, of canonical addresses, or the same
+    located error."""
+    text = yaml.safe_dump(yaml_data(doc), sort_keys=False)
+    got = _outcome(lambda: parse_configmap_doc(doc, path))
+    assert got == _outcome(lambda: parse_configmap_doc(text, path))
+    if isinstance(got, ConfigMapDoc):
+        assert all(a is parse_v6(str(a)) for a in [
+            *got.localsids.values(),
+            *(a for p in got.policies for a in (p.egress_node, p.bsid, *p.segment_list))])
 
 
 # -- policies written directly by render_configmap_doc ---------------------
@@ -762,13 +820,15 @@ def edge_docs(node: str) -> list[ConfigMapDoc]:
 
 @st.composite
 def doc_series(draw):
-    """Documents drawn from one pool of entries, so that later renders meet
-    addresses of earlier ones, under either dumper. Some segment lists are
-    lists; some documents have no policies."""
-    pool = draw(st.lists(CM_POLICIES, min_size=1, max_size=6))
-    policies = st.lists(st.sampled_from(pool), max_size=6).map(tuple)
-    docs = st.builds(ConfigMapDoc, node=ANY_NODE, localsids=CM_LOCALSIDS, policies=policies)
-    return draw(st.lists(docs, min_size=1, max_size=5))
+    """Checked documents drawn from one pool of entries, so that later
+    renders meet addresses of earlier ones, under either dumper. Some
+    documents have no policies."""
+    pool = draw(st.lists(st.builds(
+        PolicyDocEntry, egress_node=CHECKED_ADDRS, bsid=CHECKED_ADDRS,
+        segment_list=st.lists(CHECKED_ADDRS, min_size=1, max_size=3).map(tuple),
+        traffic=st.sampled_from(["IPv4", "IPv6"])), min_size=1, max_size=6))
+    policies = st.lists(st.sampled_from(pool), max_size=6, unique_by=UNIQUE_POLICY).map(tuple)
+    return draw(st.lists(checked_docs(ANY_NODE, CHECKED_ADDRS, policies), min_size=1, max_size=5))
 
 
 @settings(max_examples=200, deadline=None)
@@ -782,15 +842,30 @@ def test_rendered_documents_match_full_dump(docs):
 
 @pytest.mark.parametrize("texts", [
     ("fe80::1", "fe80::1%eth0"), ("fe80::1%eth0", "fe80::1"),
-    ("fe80::2%eth0", "fe80::2"),  # a value that no earlier render has met
+    ("fe80::3%eth0", "fe80::3"),  # a value that no earlier check or render has met
 ])
-def test_scoped_address_keeps_its_scope(texts):
-    """A scoped address and the unscoped one with its integer, rendered one
-    after the other in either order, each keep their own text."""
+def test_scoped_address_is_refused(texts):
+    """A scoped BSID and the unscoped one with its integer, applied one after
+    the other in either order: the scoped one is refused at its field before
+    anything is written, and the unscoped one is stored and rendered as the
+    canonical object of its value."""
+    sim = _started("full_cm")
+    doc = next(d for d in sim.scenario.configmaps if d.node == "master")
     for text in texts:
-        a = IPv6Address(text)
-        doc = ConfigMapDoc("master", {"DT6": a}, (PolicyDocEntry(a, a, (a,), "IPv6"),))
-        assert render_configmap_doc(doc) == full_dump(doc)
+        bsid = IPv6Address(text)
+        new = replace(doc, policies=(replace(doc.policies[0], bsid=bsid), *doc.policies[1:]))
+        if "%" in text:
+            before = (dict(sim.store.entries), sim.state_dump())
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"srv6-config-master.policies[0].bsid: scoped address {text!r}")):
+                sim.apply_configmaps([new])
+            assert (sim.store.entries, sim.state_dump()) == before
+        else:
+            assert sim.apply_configmaps([new]) == ["master: 1 replaced"]
+    stored = sim._read_doc("master").policies[0].bsid
+    assert stored == IPv6Address(texts[0].split("%")[0]) and stored._scope_id is None
+    assert stored is parse_v6(str(stored))
+    assert f"- bsid: {stored}\n" in sim.store.entries["srv6-config-master"][0]["master"]
 
 
 @pytest.mark.parametrize("fanout", ["per-node", "single-map"])
@@ -823,6 +898,16 @@ def test_changed_policy_is_rendered_alone(fanout, monkeypatch):
     assert f"{doc.node}: 1 replaced" in sim.apply_configmaps([changed])
     assert (policies, entries) == ([], [])
     assert parse_configmap_doc(sim.store.entries[sim._map_key(doc.node)][0][doc.node]) == changed
+    # refused documents, and one that is read as its plain data, dump no policy either
+    scoped = replace(first, segment_list=(IPv6Address("fcff:7::1%eth0"),))
+    for bad in (replace(doc, policies=(scoped, *doc.policies[1:])),
+                replace(doc, policies=(replace(first, traffic="IPv5"), *doc.policies[1:]))):
+        with pytest.raises(ValidationError):
+            sim.apply_configmaps([bad])
+    listed = replace(doc, policies=tuple(replace(p, segment_list=list(p.segment_list))
+                                         for p in doc.policies))
+    assert f"{doc.node}: 1 replaced" in sim.apply_configmaps([listed])
+    assert (policies, entries) == ([], [])
 
 
 # -- the encap header each policy keeps ------------------------------------

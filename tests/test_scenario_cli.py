@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,48 @@ def test_apply_configmap_for_an_unknown_node_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "error: 'ghost'\n"
 
 
+def test_cli_apply_scoped_segment_exits_2(tmp_path, capsys):
+    """A segment with an RFC 4007 zone, which no SRH carries, is refused at
+    its field (exit 2); nothing is applied."""
+    path = tmp_path / "scoped.yaml"
+    path.write_text((SCENARIOS / "configmap_worker2_modified.yaml").read_text()
+                    .replace('"fcff:7::1"', '"fcff:7::1%eth0"'))
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}.manifest[0].policies[0].segment_list[0]: "
+                                       "scoped address 'fcff:7::1%eth0': "
+                                       "no header field carries a zone\n")
+
+
+def test_inject_with_a_non_dt_final_segment_is_refused_before_sending(capsys):
+    """An API-built update whose final segment is not End.DT4/DT6 is refused
+    with ``parse_policy_file``'s message before anything is sent: the bus,
+    the events, the counters and ``state_dump()`` stay as they were, and
+    the next good inject installs."""
+    sim = Simulation(load_scenario(FULL_BGP)).start()
+    good = parse_policy_file((SCENARIOS / "policies" / "worker2-v6.yaml").read_text())
+    bad = replace(good, segments=(*good.segments[:-1], replace(good.segments[-1], behavior_code=1)))
+    before = (sim.state_dump(), list(sim.events), dict(sim.metrics), dict(sim.bus.sessions))
+    with pytest.raises(ValidationError, match="^final segment code 1 is not a DT behavior$"):
+        sim.inject(bad)
+    assert sim.bus.quiesced
+    assert (sim.state_dump(), sim.events, dict(sim.metrics), sim.bus.sessions) == before
+    sim.inject(good)
+    assert good.bsid in sim.dataplanes["master"].policies
+    assert sim.ping("pod-master", "pod-worker2").delivered == 4
+
+
+def test_cli_bsid_pool_selecting_one_node_exits_2(tmp_path, capsys):
+    """Every node allocates its BSIDs from ``bsid_pool``, so a pool whose
+    ``nodeSelector`` leaves a node out is refused at ``bsid_pool`` (exit 2)
+    once the mode is final, not at bring-up."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(_basic("  - name: sr-policies-pool\n",
+                           "  - name: sr-policies-pool\n    nodeSelector: master\n"))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}.bsid_pool: pool 'sr-policies-pool' "
+                                       "selects node 'master', not 'worker1'\n")
+
+
 def test_cli_apply_configmap_list_document(tmp_path, capsys):
     """A YAML document that is a list of policy documents applies each of them."""
     manifest = yaml.safe_load((SCENARIOS / "configmap_worker2_modified.yaml").read_text())
@@ -371,6 +414,10 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
          "routers[1].end_sid", "duplicate SID block 'fcff:1::/32'"),
         (_basic('end_sid: "fcff:1::1"', 'end_sid: "zz"'),
          "routers[0].end_sid", "malformed address 'zz'"),
+        (_basic('end_sid: "fcff:1::1"', 'end_sid: "fcff:1::1%eth0"'),
+         "routers[0].end_sid", "scoped address 'fcff:1::1%eth0': no header field carries a zone"),
+        (_basic('pod_prefix_v6: "fd90:0:11::/64"', 'pod_prefix_v6: "fd90:0:11::%eth0/64"'),
+         "nodes[1].pod_prefix_v6", "scoped prefix 'fd90:0:11::%eth0/64'"),
         (_basic('infra: "fd11::1000"', 'infra: "fd11::zz"'),
          "nodes[1].infra", "malformed address"),
         (_basic('pod_prefix_v6: "fd90:0:11::/64"', 'pod_prefix_v6: "fd90:0:11::/999"'),
@@ -456,7 +503,7 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
     ids=[
         "zero-cost-link", "negative-cost-link", "router-without-name", "duplicate-router",
         "shared-sid-block",
-        "malformed-end-sid", "malformed-infra", "malformed-pod-prefix",
+        "malformed-end-sid", "scoped-end-sid", "scoped-pod-prefix", "malformed-infra", "malformed-pod-prefix",
         "malformed-pinned-localsid", "malformed-pod-address", "pool-without-name",
         "pool-without-cidr", "duplicate-pool", "non-integer-seed", "non-integer-convergence-steps",
         "negative-convergence-steps",
@@ -581,6 +628,7 @@ def _bouncing_policy(segments: int) -> str:
          ".nlri.distinguisher", "'abc' is not an integer"),
         (_policy("iswithdraw: false", 'iswithdraw: "no"'), ".iswithdraw", "'no' is not a boolean"),
         (_policy("bsid: cafe::5", "bsid: zz"), ".bsid", "malformed address 'zz'"),
+        (_policy("bsid: cafe::5", "bsid: cafe::5%eth0"), ".bsid", "scoped address 'cafe::5%eth0'"),
         (_policy("family:\n afi: 2\n safi: 73\n", "family: 5\n"),
          ".family", "'family' must be a mapping"),
         (_policy("distinguisher: 4", "distinguisher: -1"),
@@ -593,7 +641,7 @@ def _bouncing_policy(segments: int) -> str:
          "128 segments, more than the 127 an SRH holds"),
         (_policy("distinguisher: 4", "distinguisher: 0b_"), "", "not valid YAML: invalid literal"),
     ],
-    ids=["non-integer-distinguisher", "non-boolean-iswithdraw", "malformed-bsid",
+    ids=["non-integer-distinguisher", "non-boolean-iswithdraw", "malformed-bsid", "scoped-bsid",
          "family-not-a-mapping", "negative-distinguisher", "segment-not-a-mapping",
          "non-dt-final-segment", "too-many-segments", "yaml-constructor-error"],
 )
