@@ -74,11 +74,12 @@ class Agent:
         """Seed the local dataplane and emit the startup advertisements.
 
         The node infrastructure address becomes the encap source. DT
-        localSIDs come from the ConfigMap document (configmap mode), from a
-        pinned scenario assignment, or from IPAM, in that order.
+        localSIDs come from the ConfigMap document (configmap mode, through
+        ``on_configmap_change``), from a pinned scenario assignment, or from
+        IPAM, in that order.
         """
         self.dp.set_encap_source(self.infra)
-        localsids = self._obtain_localsids(configmap_doc)
+        localsids = {} if self.mode == "configmap" else self._obtain_localsids()
         for kind, sid in sorted(localsids.items()):
             behavior = Behavior("EndDT4" if kind == "DT4" else "EndDT6")
             self.dp.install_localsid(LocalSidEntry(sid=sid, behavior=behavior))
@@ -89,29 +90,19 @@ class Agent:
             self.metrics["step1_sent"] += 1 if sent else 0
         # step 2 only in bgp mode
         if self.mode == "bgp" and self.scenario.auto_step2:
-            for kind in ("DT4", "DT6"):
-                if kind not in localsids:
-                    continue
-                self.advertise_policy(self._double_segment_update(kind, localsids[kind]))
+            for kind, sid in sorted(localsids.items()):
+                self.advertise_policy(self._double_segment_update(kind, sid))
         if self.mode == "configmap":
             self.on_configmap_change(configmap_doc)
         self._event("startup", f"mode={self.mode}")
 
-    def _obtain_localsids(self, doc: Optional[ConfigMapDoc]) -> dict[str, IPv6Address]:
-        if self.mode == "configmap":
-            return dict(doc.localsids)
+    def _obtain_localsids(self) -> dict[str, IPv6Address]:
+        """The node's DT localSIDs, one per scenario family: pinned, or from IPAM."""
         families = self.scenario.families
+        kinds = [k for k, family in (("DT4", "v4"), ("DT6", "v6")) if family in families]
         if self.node.localsids:
-            return {
-                k: v for k, v in self.node.localsids.items()
-                if (k == "DT4" and "v4" in families) or (k == "DT6" and "v6" in families)
-            }
-        sids = {}
-        if "v4" in families:
-            sids["DT4"] = self.ipam.allocate(self.node.localsid_pool, self.name)
-        if "v6" in families:
-            sids["DT6"] = self.ipam.allocate(self.node.localsid_pool, self.name)
-        return sids
+            return {k: self.node.localsids[k] for k in kinds if k in self.node.localsids}
+        return {k: self.ipam.allocate(self.node.localsid_pool, self.name) for k in kinds}
 
     def _double_segment_update(self, kind: str, sid: IPv6Address) -> SrPolicySafiUpdate:
         """Egress-originated policy: attachment router End SID, then DT SID.

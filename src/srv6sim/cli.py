@@ -25,12 +25,7 @@ EXIT_USAGE = 2
 
 
 def _boot(args) -> Simulation:
-    scenario = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        scenario.seed = args.seed
-    if getattr(args, "mode", None) is not None:
-        scenario.mode = args.mode
-    return Simulation(scenario).start()
+    return Simulation(load_scenario(args.scenario, args.mode, args.seed)).start()
 
 
 def cmd_run(args) -> int:
@@ -57,7 +52,7 @@ def cmd_trace(args) -> int:
     sim = _boot(args)
     trace = sim.trace(args.src, args.dst, family=args.family)
     print(trace.render())
-    return EXIT_OK if trace.delivered else EXIT_FAILED
+    return EXIT_OK if trace.deliver_node == sim.pods[args.dst].node else EXIT_FAILED
 
 
 def cmd_show(args) -> int:

@@ -33,10 +33,6 @@ class DanglingPolicyError(SimError, ValueError):
     """Steering rule references a binding SID with no installed policy."""
 
 
-class PoolExhaustedError(SimError, RuntimeError):
-    """Address pool has no free addresses left."""
-
-
 class ValidationError(SimError, ValueError):
     """Document or scenario failed schema validation.
 

@@ -14,7 +14,7 @@ from typing import Optional
 import yaml
 
 from . import schema
-from .errors import PoolExhaustedError, ValidationError
+from .errors import ValidationError
 from .net_types import MAX_SEGMENTS, Addr, Prefix, canon
 
 # libyaml's emitter where PyYAML has it, for document heads; it folds long
@@ -97,7 +97,8 @@ class IpamAllocator:
 
     A node's first allocation claims the next free block; subsequent
     allocations are sequential within its blocks. No address is ever handed
-    out twice.
+    out twice: ``load_scenario`` checks each pool's selector, and that its
+    blocks cover every node's start-up draws.
     """
 
     def __init__(self, pools: list[IpPool]):
@@ -107,13 +108,11 @@ class IpamAllocator:
         self._counts: dict[str, dict[str, int]] = {p.name: {} for p in pools}
 
     def allocate(self, pool_name: str, node: str) -> Addr:
-        pool = self.pools[pool_name]  # its selector, if any, is ``node``: the readers check it
+        pool = self.pools[pool_name]
         blocks = self._blocks[pool_name].setdefault(node, [])
         count = self._counts[pool_name].get(node, 0)
         block_index = count // pool.block_addrs
         if block_index >= len(blocks):
-            if self._next_block[pool_name] >= pool.block_count:
-                raise PoolExhaustedError(f"pool {pool_name} is exhausted")
             blocks.append(self._next_block[pool_name])
             self._next_block[pool_name] += 1
         base = int(pool.cidr.network_address)

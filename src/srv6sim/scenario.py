@@ -3,6 +3,7 @@ control-plane mode, parsed from YAML."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from ipaddress import IPv6Address, IPv6Network
@@ -65,11 +66,20 @@ class Scenario:
     injector: str = "srv6-pi"  # the bus peer that injects policies
     injector_registered: bool = True
     convergence_steps: int = 10000
-    source: str = "<scenario>"  # the file it was loaded from; locates errors
 
 
-def load_scenario(source) -> Scenario:
-    """Load and validate a scenario from a path or YAML text."""
+KEYS = {"name", "mode", "seed", "families", "routers", "links", "nodes", "pools", "pods",
+        "bsid_pool", "auto_step2", "segment_mode", "configmap_fanout", "configmaps", "injector",
+        "injector_registered", "convergence_steps"}  # load_scenario reads these, and no other
+# why a bgp node that draws from a pool needs the key that names it
+NEEDED = {"bsid_pool": "for bgp auto_step2",
+          "localsid_pool": "in bgp mode without pinned localsids"}
+
+
+def load_scenario(source, mode: Optional[str] = None, seed: Optional[int] = None) -> Scenario:
+    """Load and check a scenario from a path or YAML text. ``mode`` and
+    ``seed``, where given, override the file's before anything depends on
+    them, so the scenario is checked in the mode it runs in."""
     if isinstance(source, Path) or (
         isinstance(source, str) and "\n" not in source and source.endswith((".yaml", ".yml"))
     ):
@@ -79,8 +89,12 @@ def load_scenario(source) -> Scenario:
     else:
         text, where = source, "<scenario>"
     data = mapping(load(text, where), "scenario", where)
+    for key in data:
+        one_of(key, KEYS, "key", f"{where}.{key}")
 
-    mode = one_of(data.get("mode", "bgp"), ("bgp", "configmap"), "mode", f"{where}.mode")
+    read_mode = one_of(data.get("mode", "bgp"), ("bgp", "configmap"), "mode", f"{where}.mode")
+    mode = read_mode if mode is None else mode
+    read_seed = integer(data, "seed", where, 0)
     segment_mode = one_of(data.get("segment_mode", "double"), ("double", "single"),
                           "segment_mode", f"{where}.segment_mode")
     families = data.get("families", ["v4", "v6"])
@@ -88,6 +102,7 @@ def load_scenario(source) -> Scenario:
         raise ValidationError(f"bad families {families!r}", path=f"{where}.families")
     fanout = one_of(data.get("configmap_fanout", "per-node"), ("per-node", "single-map"),
                     "configmap_fanout", f"{where}.configmap_fanout")
+    auto_step2 = boolean(data, "auto_step2", where, True)
 
     routers, router_names, sid_blocks = [], set(), set()
     for rpath, r in entries(data, "routers", where):
@@ -107,8 +122,11 @@ def load_scenario(source) -> Scenario:
             raise ValidationError(f"link cost {cost!r} is not a positive integer", path=lpath)
         links.append(Link(a=a, b=b, cost=cost, name=string(l, "name", lpath, f"{a}-{b}")))
 
-    nodes, node_names, infras, node_prefixes = [], set(), set(), {}
-    pool_refs = [(data.get("bsid_pool"), f"{where}.bsid_pool", None)]  # (pool, where, node)
+    nodes, node_names, infras, node_prefixes, pinned = [], set(), set(), {}, set()
+    bsid_pool = data.get("bsid_pool")
+    kinds = {"DT4" if family == "v4" else "DT6" for family in families}  # a node's DT localSIDs
+    # (pool, where it is named, its key, node, addresses the node draws from it at start-up)
+    pool_refs = [(bsid_pool, f"{where}.bsid_pool", "bsid_pool", None, 0)]
     for npath, n in entries(data, "nodes", where):
         name = unique(string(n, "name", npath), node_names, "node name", npath)
         if name in router_names:
@@ -120,17 +138,25 @@ def load_scenario(source) -> Scenario:
         }
         infra = address(n, "infra", npath)
         unique(str(infra), infras, "infra", f"{npath}.infra")
+        localsids = read_localsids(n, npath)
+        for kind, sid in localsids.items():  # a SID two nodes pin would deliver to one of them
+            unique(str(sid), pinned, "localsid", f"{npath}.localsids.{kind}")
         nodes.append(
             NodeConfig(
                 name=name,
                 infra=infra,
                 router=router,
                 pod_prefixes=tuple(node_prefixes[name].values()),
-                localsids=read_localsids(n, npath),
+                localsids=localsids,
                 localsid_pool=string(n, "localsid_pool", npath, None),
             )
         )
-        pool_refs.append((nodes[-1].localsid_pool, f"{npath}.localsid_pool", name))
+        # a bgp agent draws a localSID per kind unless it pins them, and a BSID per kind it has
+        own = len(kinds & localsids.keys() if localsids else kinds) if mode == "bgp" else 0
+        pool_refs.append((nodes[-1].localsid_pool, f"{npath}.localsid_pool", "localsid_pool",
+                          name, 0 if localsids else own))
+        if own and auto_step2:
+            pool_refs.append((bsid_pool, f"{where}.bsid_pool", "bsid_pool", name, own))
 
     pools, pool_names = {}, set()
     for ppath, p in entries(data, "pools", where):
@@ -146,14 +172,25 @@ def load_scenario(source) -> Scenario:
             node_selector=one_of(string(p, selector, ppath, None), (None, *node_names),
                                  "node", f"{ppath}.{selector}"),
         )
-    for pool, ref, node in pool_refs:
-        if one_of(pool, (None, *pools), "pool", ref) is None:
+    # in start order (sorted names): a node's first draws from a pool claim its next free blocks
+    drawn, claimed = Counter(), Counter()  # (pool, node) -> addresses; pool -> blocks
+    for named, ref, key, node, draws in sorted(pool_refs, key=lambda r: r[3] or ""):
+        if named is None and draws:
+            raise ValidationError(f"missing {key!r}, needed {NEEDED[key]}", path=ref)
+        if named is None:
             continue
-        if pools[pool].cidr.version != 6:
-            raise ValidationError(f"pool {pool!r} is not an IPv6 pool", path=ref)
-        if node is not None and pools[pool].node_selector not in (None, node):
-            raise ValidationError(f"pool {pool!r} selects node {pools[pool].node_selector!r}, "
+        pool = pools[one_of(named, tuple(pools), "pool", ref)]  # a tuple: it may not hash
+        if pool.cidr.version != 6:
+            raise ValidationError(f"pool {named!r} is not an IPv6 pool", path=ref)
+        if node is not None and pool.node_selector not in (None, node):
+            raise ValidationError(f"pool {named!r} selects node {pool.node_selector!r}, "
                                   f"not {node!r}", path=ref)
+        had, size = drawn[named, node], pool.block_addrs
+        drawn[named, node] += draws
+        claimed[named] += (had + draws + size - 1) // size - (had + size - 1) // size
+        if claimed[named] > pool.block_count:
+            raise ValidationError(f"pool {named!r} has no block left for node {node!r}",
+                                  path=ref)
 
     pods, pod_names = [], set()
     for ppath, p in entries(data, "pods", where):
@@ -174,31 +211,36 @@ def load_scenario(source) -> Scenario:
     if injector in node_names:  # the bus skips a broadcast's sender: that node would get nothing
         raise ValidationError(f"injector {injector!r} is also a node name", path=f"{where}.injector")
 
-    configmaps, documented = [], set()
+    configmaps, documented, named = [], set(), set()
     for i, doc in enumerate(section(data, "configmaps", where)):
         cpath = f"{where}.configmaps[{i}]"
         doc = parse_configmap_doc(doc, path=cpath)
         node = one_of(doc.node, node_names, "node", f"{cpath}.node")
         unique(node, documented, "configmap for node", cpath)
+        for kind, sid in doc.localsids.items():
+            unique(str(sid), named, "localsid", f"{cpath}.localsids.{kind}")
         configmaps.append(doc)
+    undocumented = [n.name for n in nodes if n.name not in documented]  # in file order
+    if mode == "configmap" and undocumented:  # configmap agents take their localSIDs from these
+        raise ValidationError(f"missing configmap for node {undocumented[0]!r}, "
+                              "needed in configmap mode", path=f"{where}.configmaps")
 
     return Scenario(
         name=string(data, "name", where, "scenario"),
         mode=mode,
-        seed=integer(data, "seed", where, 0),
+        seed=read_seed if seed is None else seed,
         families=set(families),
         routers=routers,
         links=links,
         nodes=nodes,
         pools=list(pools.values()),
         pods=pods,
-        bsid_pool=data.get("bsid_pool"),
-        auto_step2=boolean(data, "auto_step2", where, True),
+        bsid_pool=bsid_pool,
+        auto_step2=auto_step2,
         segment_mode=segment_mode,
         configmap_fanout=fanout,
         configmaps=configmaps,
         injector=injector,
         injector_registered=boolean(data, "injector_registered", where, True),
         convergence_steps=integer(data, "convergence_steps", where, 10000, low=0),
-        source=where,
     )

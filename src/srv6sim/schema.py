@@ -184,13 +184,6 @@ def unique(value, seen: set, what: str, where: str):
     return value
 
 
-def present(value, key: str, where: str, why: str):
-    """``value``; a ValidationError at ``where.key`` if another setting needs it and it is None."""
-    if value is None:
-        raise ValidationError(f"missing {key!r}, needed {why}", path=f"{where}.{key}")
-    return value
-
-
 def _parsed(parse, value, family, what: str, path: str):
     """``parse(str(value))``, which must be of ``family`` unless it is None."""
     try:

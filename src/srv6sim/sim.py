@@ -17,13 +17,7 @@ from typing import Optional
 from .agent import Agent
 from .bgp import SessionBus, SrPolicySafiUpdate, check_decap, encode_safi73
 from .dataplane import Behavior, Disposition, LocalSidEntry, LpmIndex, NodeDataplane
-from .errors import (
-    ConvergenceError,
-    ModeMismatchError,
-    SimError,
-    UnknownNodeError,
-    ValidationError,
-)
+from .errors import ConvergenceError, ModeMismatchError, SimError, UnknownNodeError
 from .graph import VECTOR_MAX, run_vector
 from .k8s import (
     SINGLE_MAP_KEY,
@@ -38,7 +32,7 @@ from .k8s import (
 )
 from .net_types import InnerPacket, parse_prefix
 from .scenario import Scenario
-from .schema import get, load, present, section
+from .schema import get, load, section
 from .underlay import Hop, Routes, Topology, TraceRecord, compute_routes, forward
 
 
@@ -72,27 +66,9 @@ class PingReport:
 
 
 class Simulation:
+    """A cluster built from a scenario that ``load_scenario`` checked in its final mode."""
+
     def __init__(self, scenario: Scenario):
-        if scenario.mode == "bgp" and scenario.families:  # bgp agents allocate from these pools
-            if scenario.auto_step2:  # every node allocates its BSIDs from this pool
-                pool = present(scenario.bsid_pool, "bsid_pool", scenario.source,
-                               "for bgp auto_step2")
-                selector = next(p.node_selector for p in scenario.pools if p.name == pool)
-                left = [n.name for n in scenario.nodes if selector not in (None, n.name)]
-                if left:
-                    raise ValidationError(f"pool {pool!r} selects node {selector!r}, "
-                                          f"not {left[0]!r}", path=f"{scenario.source}.bsid_pool")
-            for i, node in enumerate(scenario.nodes):
-                if not node.localsids:
-                    present(node.localsid_pool, "localsid_pool", f"{scenario.source}.nodes[{i}]",
-                            "in bgp mode without pinned localsids")
-        if scenario.mode == "configmap":  # configmap agents take their localSIDs from these
-            documented = {doc.node for doc in scenario.configmaps}
-            for node in scenario.nodes:
-                if node.name not in documented:
-                    raise ValidationError(f"missing configmap for node {node.name!r}, "
-                                          "needed in configmap mode",
-                                          path=f"{scenario.source}.configmaps")
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.metrics: Counter = Counter()

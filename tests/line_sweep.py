@@ -11,7 +11,8 @@ A ``sys.settrace`` recorder notes every line that runs in the package's
 files, in this process only: tests that start a subprocess do not count.
 A statement counts as run when its first line ran. ``def``, ``class``,
 import lines, docstrings and ``try:`` lines (which emit no line event) are
-left out.
+left out. Hypothesis runs derandomized and without its example database,
+so two sweeps of one tree list the same statements.
 
 Each line is also tagged with the package call it ran under: the outermost
 package frame of its stack, the one a test (or an import) called. Calls
@@ -69,6 +70,17 @@ def is_entry(path: Path, qualname: str) -> bool:
         for module, name in ENTRY_POINTS)
 
 
+class Derandomized:
+    """Loads a Hypothesis profile without randomness or example database once
+    pytest is configured: before any test module (and its ``@settings``) is
+    imported, after pytest has set up its assertion rewriting."""
+
+    def pytest_configure(self, config):
+        from hypothesis import settings
+        settings.register_profile("line-sweep", derandomize=True, database=None)
+        settings.load_profile("line-sweep")
+
+
 def main(argv: list[str]) -> int:
     files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     ran: dict[str, set[int]] = {name: set() for name in files}  # under an entry point
@@ -96,7 +108,7 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(on_call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv], plugins=[Derandomized()])
     finally:
         sys.settrace(None)
     never, only_direct = [], []

@@ -172,9 +172,7 @@ def test_criterion_04_safi73_codec():
 def test_criterion_05_convergence_and_interleaving_invariance():
     dumps = set()
     for seed in range(50):
-        scenario = load_scenario(BASIC)
-        scenario.seed = seed
-        sim = Simulation(scenario).start()
+        sim = Simulation(load_scenario(BASIC, seed=seed)).start()
         per_family = Counter()
         for agent in sim.agents.values():
             for (_endpoint, family) in agent.installed:
@@ -411,9 +409,6 @@ def test_criterion_11_ipam():
     addrs = [ipam.allocate("p", f"node{i % 4}") for i in range(256)]
     assert len(set(addrs)) == 256
     assert all(a in pool.cidr for a in addrs)
-    with pytest.raises(SimError):
-        ipam.allocate("p", "node0")
-
     reference_pools = [
         IpPool(name="sr-policies-pool", cidr=parse_prefix("cafe::/118"),
                block_size=122),
@@ -434,14 +429,16 @@ def test_criterion_11_ipam():
         assert sid in dict((p.name, p) for p in reference_pools)[
             f"sr-localsids-pool-{node}"
         ].cidr
-    # selectors are enforced where the scenario enters: load_scenario checks a
-    # node's localsid_pool, Simulation the bsid_pool that every node allocates from
+    # selectors and pool sizes are enforced where the scenario enters:
+    # load_scenario checks each pool a node allocates from
     basic = (SCENARIOS / "basic.yaml").read_text()
     with pytest.raises(ValidationError, match="selects node 'master', not 'worker1'"):
         load_scenario(basic.replace("nodeSelector: worker1", "nodeSelector: master"))
     with pytest.raises(ValidationError, match="selects node 'master', not 'worker1'"):
-        Simulation(load_scenario(basic.replace("  - name: sr-policies-pool\n",
-                                               "  - name: sr-policies-pool\n"
-                                               "    nodeSelector: master\n")))
-    print("\ncriterion 11: PASS — 256/256 distinct in-CIDR, selectors enforced, "
+        load_scenario(basic.replace("  - name: sr-policies-pool\n",
+                                    "  - name: sr-policies-pool\n    nodeSelector: master\n"))
+    with pytest.raises(ValidationError, match="pool 'sr-policies-pool' has no block left "
+                                              "for node 'worker2'"):
+        load_scenario(basic.replace('cidr: "cafe::/118"', 'cidr: "cafe::/121"'))
+    print("\ncriterion 11: PASS — 256/256 distinct in-CIDR, selectors and sizes enforced, "
           "reference pools allocate")

@@ -1,7 +1,9 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from srv6sim.agent import Agent
 from srv6sim.bgp import (
@@ -211,11 +213,12 @@ def test_configmap_doc_for_wrong_node_rejected(scenarios_dir):
 
 def test_configmap_mode_requires_document(scenarios_dir):
     """Every configmap-mode agent starts from its node's document: a
-    scenario that lacks one is refused before any agent exists."""
-    scenario = load_scenario(scenarios_dir / "full_cm.yaml")
-    scenario.configmaps = [doc for doc in scenario.configmaps if doc.node != "worker1"]
-    with pytest.raises(ValidationError, match="missing configmap for node 'worker1'"):
-        Simulation(scenario)
+    scenario that lacks one is refused where it enters, at ``configmaps``."""
+    data = yaml.safe_load((scenarios_dir / "full_cm.yaml").read_text())
+    data["configmaps"] = [doc for doc in data["configmaps"] if doc["node"] != "worker1"]
+    with pytest.raises(ValidationError, match=re.escape(
+            "<scenario>.configmaps: missing configmap for node 'worker1'")):
+        load_scenario(yaml.safe_dump(data))
 
 
 def test_single_segment_mode():

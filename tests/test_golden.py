@@ -45,9 +45,7 @@ def _sha(text: str) -> str:
 
 
 def run_case(case: str, seed: int) -> dict[str, str]:
-    scenario = load_scenario(SCENARIOS / f"{case.split('+')[0]}.yaml")
-    scenario.seed = seed
-    sim = Simulation(scenario).start()
+    sim = Simulation(load_scenario(SCENARIOS / f"{case.split('+')[0]}.yaml", seed=seed)).start()
     if case.endswith("+inject"):
         for path in sorted((SCENARIOS / "policies").glob("*.yaml")):
             sim.inject(parse_policy_file(path.read_text()))

@@ -2,10 +2,7 @@ import re
 
 import pytest
 
-from srv6sim.errors import (
-    PoolExhaustedError,
-    ValidationError,
-)
+from srv6sim.errors import ValidationError
 from srv6sim.k8s import (
     ConfigMapDoc,
     IpPool,
@@ -86,6 +83,9 @@ def test_reference_localsid_pools_load():
 
 
 def test_exhaustion_and_distinctness():
+    """IPAM hands out each address of a pool once. A pool with too few
+    blocks for its nodes' start-up draws is refused by ``load_scenario``, at
+    the first node in start order (sorted names) that would get no block."""
     pool = IpPool(name="p", cidr=parse_prefix("10.0.0.0/24"), block_size=26)
     ipam = IpamAllocator([pool])
     seen = set()
@@ -94,8 +94,14 @@ def test_exhaustion_and_distinctness():
         assert addr not in seen
         assert addr in pool.cidr
         seen.add(addr)
-    with pytest.raises(PoolExhaustedError):
-        ipam.allocate("p", "node0")
+    nodes = "".join(f'  - {{name: n{i}, infra: "fd1{i}::1", router: R1,\n'
+                    f'     localsids: {{DT6: "fcdd::{i}"}}}}\n' for i in (2, 0, 1))
+    text = ('families: [v6]\nbsid_pool: b\nrouters: [{name: R1, end_sid: "fcff:1::1"}]\n'
+            f'nodes:\n{nodes}pools: [{{name: b, cidr: "cafe::/126", blockSize: 127}}]\n')
+    with pytest.raises(ValidationError, match=re.escape(
+            "<scenario>.bsid_pool: pool 'b' has no block left for node 'n2'")):
+        load_scenario(text)
+    assert len(load_scenario(text.replace("/126", "/125")).nodes) == 3
 
 
 def test_bad_block_size_rejected():

@@ -37,6 +37,16 @@ def test_load_scenarios():
     assert s.auto_step2 is False and s.injector == "srv6-pi"
 
 
+def test_load_scenario_checks_in_the_mode_it_is_given():
+    """``mode`` and ``seed`` override the file's before anything is checked,
+    so full_cm.yaml read in bgp mode is refused where a bgp node lacks a pool."""
+    scenario = load_scenario(FULL_BGP, seed=5)
+    assert (scenario.mode, scenario.seed) == ("bgp", 5)
+    with pytest.raises(ValidationError, match=r"full_cm\.yaml\.nodes\[0\]\.localsid_pool: missing"):
+        load_scenario(FULL_CM, mode="bgp")
+    assert load_scenario(FULL_CM, mode="configmap", seed=2).seed == 2
+
+
 @pytest.mark.parametrize("line, injector", [
     ("", "srv6-pi"), ("injector: null\n", "srv6-pi"), ("injector: te-peer\n", "te-peer")])
 def test_injector_defaults_to_srv6_pi(line, injector):
@@ -92,9 +102,7 @@ def test_replay_determinism_same_seed():
 def test_state_invariant_across_seeds():
     dumps = set()
     for seed in range(5):
-        scenario = load_scenario(BASIC)
-        scenario.seed = seed
-        sim = Simulation(scenario).start()
+        sim = Simulation(load_scenario(BASIC, seed=seed)).start()
         dumps.add(json.dumps(sim.state_dump(), sort_keys=True))
     assert len(dumps) == 1
 
@@ -132,6 +140,18 @@ def test_cli_trace_without_a_steering_match_exits_1(capsys):
     is dropped at its source, so there is no trace to print."""
     assert main(["trace", "--scenario", FULL_BGP, "pod-master", "pod-worker2"]) == 1
     assert capsys.readouterr().err == "error: no trace: ['no steering match']\n"
+
+
+def test_cli_trace_to_another_node_exits_1(tmp_path, capsys):
+    """With worker2's pool moved onto worker1's, both workers hold the same
+    End.DT SIDs, and the probe to pod-worker1 is decapsulated at worker2: a
+    delivery at the wrong node, which ping reports as misdelivered."""
+    path = tmp_path / "shared-dt-sids.yaml"
+    path.write_text(_basic('cidr: "fcff:0:0:12AA::/64"', 'cidr: "fcff:0:0:11AA::/64"'))
+    assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker1", "--count", "1"]) == 1
+    assert "drop: misdelivered" in capsys.readouterr().out
+    assert main(["trace", "--scenario", str(path), "pod-master", "pod-worker1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("hop worker2 ")
 
 
 def test_cli_run_over_its_step_budget_exits_1(tmp_path, capsys):
@@ -308,14 +328,29 @@ def test_cli_usage_errors(capsys):
     assert exc.value.code == 2
 
 
-def test_cli_pool_too_small_for_the_cluster_exits_1(tmp_path, capsys):
-    """A BSID pool with fewer blocks than the nodes that allocate from it
-    runs out at bring-up: the run fails (exit 1); the file is well formed."""
+def test_cli_pool_too_small_for_the_cluster_exits_2(tmp_path, capsys):
+    """Each node claims whole blocks of a pool it allocates from, in start
+    order (sorted names). A BSID pool with blocks for two of the three nodes
+    is refused at ``bsid_pool``, naming the node that would get none (exit 2)."""
     path = tmp_path / "small-pool.yaml"
-    path.write_text(Path(BASIC).read_text().replace(
-        'cidr: "cafe::/118"\n    blockSize: 122', 'cidr: "cafe::/127"\n    blockSize: 127'))
-    assert main(["run", "--scenario", str(path)]) == 1
-    assert capsys.readouterr() == ("", "error: pool sr-policies-pool is exhausted\n")
+    path.write_text(Path(BASIC).read_text().replace('cidr: "cafe::/118"', 'cidr: "cafe::/121"'))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}.bsid_pool: pool 'sr-policies-pool' "
+                                       "has no block left for node 'worker2'\n")
+
+
+def test_pool_shared_by_localsids_and_bsids_is_one_claim():
+    """master draws its two localSIDs and its two BSIDs from one pool, so it
+    claims blocks for the four together: one block of four. Two such blocks
+    serve master and worker1, and worker2 gets none; four serve everyone."""
+    text = Path(BASIC).read_text().replace(
+        "localsid_pool: sr-localsids-pool-master", "localsid_pool: sr-policies-pool").replace(
+        'cidr: "cafe::/118"\n    blockSize: 122', 'cidr: "cafe::/125"\n    blockSize: 126')
+    with pytest.raises(ValidationError, match="pool 'sr-policies-pool' has no block left "
+                                              "for node 'worker2'"):
+        load_scenario(text)
+    sim = Simulation(load_scenario(text.replace("cafe::/125", "cafe::/124"))).start()
+    assert sim.ping("pod-master", "pod-worker2", count=2).delivered == 2
 
 
 @pytest.mark.parametrize("kind", ["directory", "undecodable"])
@@ -371,6 +406,15 @@ def _basic(old: str, new: str, count: int = 1) -> str:
     text = (SCENARIOS / "basic.yaml").read_text()
     assert text.count(old) >= count, old
     return text.replace(old, new)
+
+
+def _pinned_alike() -> str:
+    """basic.yaml with worker1 and worker2 pinning the same DT4 and DT6 SIDs."""
+    text = (SCENARIOS / "basic.yaml").read_text()
+    for node in ("worker1", "worker2"):
+        text = text.replace(f"localsid_pool: sr-localsids-pool-{node}",
+                            'localsids: {DT4: "fcff:0:0:99::4", DT6: "fcff:0:0:99::6"}')
+    return text
 
 
 # ConfigMap documents of the wrong shape: (flow YAML, location, message).
@@ -496,6 +540,12 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
          "nodes[1].localsid_pool", "pool 'sr-localsids-pool-worker1' selects node 'master'"),
         (_basic("seed: 7", "seed: 7\ninjector: worker1"),
          ".injector", "injector 'worker1' is also a node name"),
+        (_pinned_alike(), "nodes[2].localsids.DT4", "duplicate localsid 'fcff:0:0:99::4'"),
+        ((SCENARIOS / "full_cm.yaml").read_text().replace(
+            '"fcdd::12aa:d460:b250:45:b05"', '"fcdd::11aa:c11:b42f:f17e:a683"'),
+         "configmaps[2].localsids.DT6", "duplicate localsid 'fcdd::11aa:c11:b42f:f17e:a683'"),
+        (_basic("seed: 7", "seed: 7\nauto_step_2: false\nconfigmap_fanot: single-map"),
+         ".auto_step_2", "unknown key 'auto_step_2'"),
         (_basic("seed: 7", "seed: 0b_"), "bad.yaml", "not valid YAML: invalid literal for int"),
         (_basic("seed: 7", "seed: 2001-02-30"), "bad.yaml",
          "not valid YAML: day is out of range for month"),
@@ -517,6 +567,7 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         "v4-bsid-pool", "v4-localsid-pool", "non-string-node-selector", "dangling-node-selector",
         "boolean-seed", "boolean-convergence-steps", "boolean-link-cost", "block-size-out-of-range",
         "duplicate-configmap", "pool-selects-another-node", "injector-named-like-node",
+        "localsid-pinned-by-two-nodes", "localsid-named-by-two-documents", "misspelt-key",
         "yaml-int-constructor-error", "yaml-timestamp-constructor-error",
     ],
 )
