@@ -57,7 +57,7 @@ class LocalSidEntry:
         decoded = decode_inner(inner)
         if decoded.src.version != (4 if self.behavior.kind == "EndDT4" else 6):
             return Disposition(kind="drop", reason="family mismatch")
-        return Disposition(kind="deliver", inner=decoded)
+        return Disposition._deliver(decoded)
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,13 @@ class Disposition:
     packet: Optional[OuterPacket] = None
     inner: Optional[InnerPacket] = None
     reason: Optional[str] = None
+
+    @classmethod
+    def _deliver(cls, inner: InnerPacket) -> Disposition:
+        """Delivery of ``inner`` in one step: the frozen ``__init__`` sets each field by a call."""
+        disp = object.__new__(cls)
+        disp.__dict__.update(kind="deliver", packet=None, inner=inner, reason=None)
+        return disp
 
 
 class LpmIndex:

@@ -1,14 +1,15 @@
 """Vector packet processing on a node's pod-tx path.
 
-``run_vector`` takes up to 256 inner packets leaving one node, in the
-per-node vector idiom of VPP, and takes each through steer -> H.Encaps ->
-FIB lookup. Header work is done once per flow: steering is looked up once
-per destination in the vector, and H.Encaps and the FIB once per BSID, whose
-policy got its SRH when it was installed. Per packet, only the inner is
-encoded. The packets leave as flows: the inner bytes behind one outer header,
-or dropped with one reason. ``Simulation.ping`` walks each header through the
-underlay once and runs End.DT's ``decap`` per packet. The per-packet oracle is
-``scalar_tx`` in ``tests/conftest.py``.
+``run_vector`` takes up to 256 inner packets leaving one node, in the per-node
+vector idiom of VPP, and takes each through steer -> H.Encaps -> FIB lookup.
+Header work is done once per flow: steering is looked up once per destination
+in the vector, and H.Encaps and the FIB once per BSID, whose policy got its
+SRH when it was installed. Per packet, only the payload is joined to the
+inner's fixed header, built once per flow and payload length. The packets
+leave as flows: the inner bytes behind one outer header, or dropped with one
+reason. ``Simulation.ping`` walks each header through the underlay once and
+runs End.DT's ``decap`` per packet, which reads each fixed header once. The
+per-packet oracle is ``scalar_tx`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations

@@ -297,9 +297,12 @@ class PolicyDiff:
     def empty(self) -> bool:
         return not (self.adds or self.replaces or self.removes)
 
-    def summary(self) -> str:
-        counts = ((self.adds, "added"), (self.replaces, "replaced"), (self.removes, "removed"))
-        return ", ".join(f"{len(ps)} {verb}" for ps, verb in counts if ps) or "0 changes"
+    def summary(self, localsid_changes: int = 0) -> str:
+        """The diff's counts, then the localSID changes its document made, which it does not see."""
+        counts = ((len(self.adds), "added"), (len(self.replaces), "replaced"),
+                  (len(self.removes), "removed"),
+                  (localsid_changes, "localSID change" + "s" * (localsid_changes > 1)))
+        return ", ".join(f"{n} {verb}" for n, verb in counts if n) or "0 changes"
 
 
 def diff_policies(old: ConfigMapDoc, new: ConfigMapDoc) -> PolicyDiff:

@@ -5,6 +5,10 @@ segment list is stored in reverse path order and Segments Left indexes the
 active SID, which is the outer destination. ``encode_srh``/``decode_srh``
 are the header's wire-format oracle.
 
+An inner packet's fixed header depends only on its flow and payload length, so
+``InnerPacket.encode`` builds and ``decode_inner`` reads each one once, through
+caches keyed by its fields and by its bytes; the length checks run per packet.
+
 Every address the package stores is canonical: one live object per value,
 the one ``canon`` returns (hash-consing; Filliâtre & Conchon, ML Workshop
 2006). Equal addresses are then mostly the same object, but ``is`` is only a
@@ -99,37 +103,38 @@ class InnerPacket:
     hop_limit: int = 64
     payload: bytes = b""
 
+    @classmethod
+    def _of(cls, src: Addr, dst: Addr, hop_limit: int, payload: bytes) -> InnerPacket:
+        """The packet in one step: the frozen ``__init__`` sets each field by a call."""
+        pkt = object.__new__(cls)
+        pkt.__dict__.update(src=src, dst=dst, hop_limit=hop_limit, payload=payload)
+        return pkt
+
     def encode(self) -> bytes:
-        if self.src.version == 4:
-            header = struct.pack(
-                "!BBHHHBBH4s4s",
-                0x45,  # version 4, IHL 5
-                0,
-                20 + len(self.payload),
-                0,
-                0,
-                self.hop_limit,
-                PROTO_OPAQUE,
-                0,  # checksum carried opaque, never recomputed
-                self.src.packed,
-                self.dst.packed,
-            )
-        else:
-            header = struct.pack(
-                "!IHBB16s16s",
-                6 << 28,
-                len(self.payload),
-                PROTO_OPAQUE,
-                self.hop_limit,
-                self.src.packed,
-                self.dst.packed,
-            )
-        return header + self.payload
+        src, payload = self.src, self.payload
+        return _encoded_header(src._version, src._ip, self.dst._ip, self.hop_limit, len(payload)) + payload
 
 
-# The decoded packets of one flow share their canonical addresses.
-_v4_from_bytes = lru_cache(maxsize=4096)(lambda data: canon(IPv4Address(data)))
-_v6_from_bytes = lru_cache(maxsize=4096)(lambda data: canon(IPv6Address(data)))
+@lru_cache(maxsize=4096)
+def _encoded_header(version: int, src: int, dst: int, hop_limit: int, length: int) -> bytes:
+    if version == 4:
+        # version 4 and IHL 5; the checksum is carried opaque, never computed
+        return struct.pack("!BBHHHBBHII", 0x45, 0, 20 + length, 0, 0, hop_limit, PROTO_OPAQUE,
+                           0, src, dst)
+    return struct.pack("!IHBB16s16s", 6 << 28, length, PROTO_OPAQUE, hop_limit,
+                       src.to_bytes(16, "big"), dst.to_bytes(16, "big"))
+
+
+@lru_cache(maxsize=4096)
+def _decoded_header(header: bytes) -> tuple[int, Addr, Addr, int]:
+    """The packet length that a fixed header's length field claims, its canonical
+    src and dst, and its hop limit: 20 bytes of IPv4 (total length) or 40 of
+    IPv6 (payload length). It cannot fail, so a cache hit skips no check."""
+    if len(header) == 20:
+        return (struct.unpack_from("!H", header, 2)[0], canon(IPv4Address(header[12:16])),
+                canon(IPv4Address(header[16:20])), header[8])
+    return (40 + struct.unpack_from("!H", header, 4)[0], canon(IPv6Address(header[8:24])),
+            canon(IPv6Address(header[24:40])), header[7])
 
 
 def decode_inner(data: bytes) -> InnerPacket:
@@ -138,31 +143,15 @@ def decode_inner(data: bytes) -> InnerPacket:
     if not data:
         raise TruncationError("empty inner packet")
     version = data[0] >> 4
-    if version == 4:
-        if len(data) < 20:
-            raise TruncationError("IPv4 inner packet shorter than 20 bytes")
-        total_length = struct.unpack_from("!H", data, 2)[0]
-        if total_length != len(data):
-            raise TruncationError(
-                f"IPv4 total length {total_length} != buffer {len(data)}"
-            )
-        src, dst = _v4_from_bytes(data[12:16]), _v4_from_bytes(data[16:20])
-        hop_limit, payload = data[8], data[20:]
-    elif version == 6:
-        if len(data) < 40:
-            raise TruncationError("IPv6 inner packet shorter than 40 bytes")
-        payload_length = struct.unpack_from("!H", data, 4)[0]
-        if payload_length != len(data) - 40:
-            raise TruncationError(
-                f"IPv6 payload length {payload_length} != buffer {len(data) - 40}"
-            )
-        src, dst = _v6_from_bytes(data[8:24]), _v6_from_bytes(data[24:40])
-        hop_limit, payload = data[7], data[40:]
-    else:
+    if version != 4 and version != 6:
         raise MalformedPacketError(f"inner version nibble {version} is neither 4 nor 6")
-    pkt = object.__new__(InnerPacket)  # per packet: one update, not a frozen __setattr__ per field
-    pkt.__dict__.update(src=src, dst=dst, hop_limit=hop_limit, payload=payload)
-    return pkt
+    size = 20 if version == 4 else 40
+    if len(data) < size:
+        raise TruncationError(f"IPv{version} inner packet shorter than {size} bytes")
+    length, src, dst, hop_limit = _decoded_header(data[:size])
+    if length != len(data):
+        raise TruncationError(f"IPv{version} length field gives {length} bytes, buffer {len(data)}")
+    return InnerPacket._of(src, dst, hop_limit, data[size:])
 
 
 @dataclass(frozen=True)
@@ -194,16 +183,8 @@ class Srh:
 
 def encode_srh(h: Srh) -> bytes:
     """Serialize: fixed 8 bytes then each 16-byte SID in stored order."""
-    head = struct.pack(
-        "!BBBBBBH",
-        h.next_header,
-        h.hdr_ext_len,
-        SRH_ROUTING_TYPE,
-        h.segments_left,
-        h.last_entry,
-        h.flags,
-        h.tag,
-    )
+    head = struct.pack("!BBBBBBH", h.next_header, h.hdr_ext_len, SRH_ROUTING_TYPE,
+                       h.segments_left, h.last_entry, h.flags, h.tag)
     return head + b"".join(sid.packed for sid in h.segment_list)
 
 

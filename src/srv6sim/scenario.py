@@ -172,6 +172,13 @@ def load_scenario(source, mode: Optional[str] = None, seed: Optional[int] = None
             node_selector=one_of(string(p, selector, ppath, None), (None, *node_names),
                                  "node", f"{ppath}.{selector}"),
         )
+    # pools that overlap share SIDs; CIDRs nest or are apart, so two neighbours in address order do
+    spans = sorted((p.cidr.version, int(p.cidr.network_address),
+                    p.cidr.max_prefixlen - p.cidr.prefixlen, j, p.name) for j, p in enumerate(pools.values()))
+    for (version, first, bits, *one), (other, start, _, *two) in zip(spans, spans[1:]):
+        if other == version and start - first >> bits == 0:  # the second starts in the first
+            (_, held), (j, name) = sorted((one, two))  # refused at the later one in the file
+            raise ValidationError(f"pool {name!r} overlaps pool {held!r}", path=f"{where}.pools[{j}].cidr")
     # in start order (sorted names): a node's first draws from a pool claim its next free blocks
     drawn, claimed = Counter(), Counter()  # (pool, node) -> addresses; pool -> blocks
     for named, ref, key, node, draws in sorted(pool_refs, key=lambda r: r[3] or ""):

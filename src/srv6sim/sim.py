@@ -196,8 +196,9 @@ class Simulation:
             watch = self.watches.get(name)
             if watch is None or not poll(self.store, watch):
                 continue
+            changes = self.metrics["localsid_changes"]
             diff = self.agents[name].on_configmap_change(self._read_doc(name))
-            summaries.append(f"{name}: {diff.summary()}")
+            summaries.append(f"{name}: {diff.summary(self.metrics['localsid_changes'] - changes)}")
         self.run_to_quiescence()
         return summaries
 
@@ -340,5 +341,5 @@ class Simulation:
 
 def _probe(src, dst, family: str, i: int) -> InnerPacket:
     """The ``i``-th inner packet of a ping from pod ``src`` to pod ``dst``."""
-    return InnerPacket(src=src.addrs[family], dst=dst.addrs[family], payload=f"ping-{i}".encode())
+    return InnerPacket._of(src.addrs[family], dst.addrs[family], 64, f"ping-{i}".encode())
 

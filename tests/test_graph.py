@@ -1,9 +1,13 @@
 import random
 from collections import Counter
+from ipaddress import IPv4Address, IPv6Address
+
+import pytest
 
 import srv6sim.sim
+from srv6sim import dataplane
 from srv6sim.cli import main
-from srv6sim.dataplane import NodeDataplane, SrPolicyEntry, SteeringRule
+from srv6sim.dataplane import Disposition, NodeDataplane, SrPolicyEntry, SteeringRule
 from srv6sim.graph import VECTOR_MAX, run_vector
 from srv6sim.net_types import (
     InnerPacket,
@@ -13,6 +17,7 @@ from srv6sim.net_types import (
 )
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
+from srv6sim.underlay import waypoints
 
 from conftest import scalar_tx, tx_flows
 
@@ -122,3 +127,35 @@ def test_one_flow_per_bsid_and_drop_reason():
         (False, "no route", packets[2]),
     ]
     assert flows[0].header.srh is dp.policies[parse_v6("cafe::1")].srh
+
+
+@pytest.mark.parametrize("family", ["v4", "v6"])
+def test_long_ping_per_packet_floor_by_counts(monkeypatch, scenarios_dir, family):
+    """The per-packet work of a 768-packet ping, pinned by counts: no
+    ``InnerPacket`` goes through its dataclass ``__init__``, no address's
+    ``.packed`` is read, and End.DT's ``decode_inner`` runs once per packet.
+    ``Disposition.__init__`` runs only in the flow's one walk, once per End
+    hop, as it does for a one-packet ping."""
+    sim = Simulation(load_scenario(scenarios_dir / "full_cm.yaml")).start()
+    counts = Counter()
+    for cls in (InnerPacket, Disposition):
+        def counted_init(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    for cls in (IPv4Address, IPv6Address):
+        def counted_packed(self, packed=cls.packed.fget, name=f"{cls.__name__}.packed"):
+            counts[name] += 1
+            return packed(self)
+        monkeypatch.setattr(cls, "packed", property(counted_packed))
+    decode = dataplane.decode_inner
+    monkeypatch.setattr(dataplane, "decode_inner",
+                        lambda data: counts.update(["decode_inner"]) or decode(data))
+    hops = {}
+    for count in (1, 768):
+        counts.clear()
+        report = sim.ping("pod-master", "pod-worker2", count=count, family=family)
+        assert report.delivered == len(report.traces) == count
+        hops[count] = counts.pop("Disposition")
+        assert counts == {"decode_inner": count}
+    assert hops[768] == hops[1] == len(waypoints(report.traces[0])) == 2

@@ -1,11 +1,14 @@
 import random
+import struct
 from dataclasses import replace
+from itertools import permutations
 from ipaddress import IPv4Address, IPv6Address
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srv6sim import net_types
 from srv6sim.dataplane import Behavior, LocalSidEntry, NodeDataplane, SrPolicyEntry
 from srv6sim.errors import (
     AddrParseError,
@@ -29,7 +32,7 @@ from srv6sim.net_types import (
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation, _probe
 
-from conftest import random_v4, random_v6
+from conftest import SCENARIOS, random_v4, random_v6
 
 
 def test_parse_addr_families():
@@ -172,6 +175,54 @@ def test_decode_inner_needs_no_second_check(pkt):
     for nibble in set(range(16)) - {4, 6}:
         with pytest.raises(MalformedPacketError):
             decode_inner(bytes([nibble << 4 | raw[0] & 0xF]) + raw[1:])
+
+
+def packed_encoding(pkt: InnerPacket) -> bytes:
+    """The oracle of ``InnerPacket.encode``: one ``struct.pack`` per packet
+    over the addresses' ``.packed``, with no header cache."""
+    src, dst, payload = pkt.src.packed, pkt.dst.packed, pkt.payload
+    if pkt.src.version == 4:
+        return struct.pack("!BBHHHBBH4s4s", 0x45, 0, 20 + len(payload), 0, 0, pkt.hop_limit,
+                           253, 0, src, dst) + payload
+    return struct.pack("!IHBB16s16s", 6 << 28, len(payload), 253, pkt.hop_limit, src, dst) + payload
+
+
+def truncation_message(data: bytes) -> str:
+    with pytest.raises(TruncationError) as exc:
+        decode_inner(data)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("scenario", ["full_bgp", "full_cm"])
+def test_header_caches_equal_the_uncached_codec(scenario):
+    """For every pod pair of the scenario, in both families, with payloads
+    whose length crosses 10 and 100: ``encode`` equals the uncached
+    ``struct.pack``, and ``decode_inner`` equals the packet built by the
+    dataclass constructor, with its hash, and ``replace`` works on it. Once a
+    header is in the decode cache, a packet cut short behind it, one longer
+    than its length field says, and one whose length field was altered raise
+    the same error as with an empty cache: the cache holds no error and
+    skips no check."""
+    sim = Simulation(load_scenario(SCENARIOS / f"{scenario}.yaml"))
+    for src, dst in permutations(sim.pods.values(), 2):
+        for family in ("v4", "v6"):
+            for i in (9, 10, 100):
+                probe = _probe(src, dst, family, i)
+                built = InnerPacket(src=probe.src, dst=probe.dst, payload=f"ping-{i}".encode())
+                raw = probe.encode()
+                assert raw == built.encode() == packed_encoding(built)
+                at = 2 if family == "v4" else 4  # where the length field is
+                field = int.from_bytes(raw[at:at + 2], "big") + 1  # one byte too many
+                altered = raw[:at] + field.to_bytes(2, "big") + raw[at + 2:]
+                bad = (raw[:-1], raw + b"\0", altered)
+                net_types._decoded_header.cache_clear()
+                uncached = [truncation_message(data) for data in bad]
+                decoded = decode_inner(raw)
+                assert decoded == built == replace(decoded) and hash(decoded) == hash(built)
+                assert decoded.src is probe.src and decoded.dst is probe.dst
+                assert decode_inner(altered + b"\0").payload == built.payload + b"\0"
+                for _ in range(2):  # every header of ``bad`` is cached now
+                    assert [truncation_message(data) for data in bad] == uncached
 
 
 def test_inner_packet_family_mismatch(scenarios_dir):

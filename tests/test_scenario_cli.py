@@ -143,11 +143,13 @@ def test_cli_trace_without_a_steering_match_exits_1(capsys):
 
 
 def test_cli_trace_to_another_node_exits_1(tmp_path, capsys):
-    """With worker2's pool moved onto worker1's, both workers hold the same
-    End.DT SIDs, and the probe to pod-worker1 is decapsulated at worker2: a
-    delivery at the wrong node, which ping reports as misdelivered."""
-    path = tmp_path / "shared-dt-sids.yaml"
-    path.write_text(_basic('cidr: "fcff:0:0:12AA::/64"', 'cidr: "fcff:0:0:11AA::/64"'))
+    """With master's IPv6 tunnel to worker1 ending at worker2's End.DT6 SID
+    (master's document comes first in full_cm.yaml), the probe to pod-worker1
+    is decapsulated at worker2: a delivery at the wrong node, which ping
+    reports as misdelivered."""
+    path = tmp_path / "misrouted-tunnel.yaml"
+    path.write_text((SCENARIOS / "full_cm.yaml").read_text().replace(
+        '- "fcdd::11aa:c11:b42f:f17e:a683"', '- "fcdd::12aa:d460:b250:45:b05"', 1))
     assert main(["ping", "--scenario", str(path), "pod-master", "pod-worker1", "--count", "1"]) == 1
     assert "drop: misdelivered" in capsys.readouterr().out
     assert main(["trace", "--scenario", str(path), "pod-master", "pod-worker1"]) == 1
@@ -244,6 +246,18 @@ def test_cli_apply_configmap(capsys):
     assert "worker2: 1 replaced" in capsys.readouterr().out
     # apply-configmap is refused in bgp mode
     assert main(["apply-configmap", "--scenario", FULL_BGP, "--file", modified]) == 1
+
+
+def test_cli_apply_configmap_counts_localsid_changes(tmp_path, capsys):
+    """worker2's document of full_cm.yaml with a new DT6 SID changes no
+    policy, but removes one localSID and installs another: its summary says
+    so, where it used to read ``worker2: 0 changes``."""
+    path = tmp_path / "worker2-dt6.yaml"
+    path.write_text((SCENARIOS / "configmap_worker2_modified.yaml").read_text()
+                    .replace('- "fcff:7::1"\n          - "fcff:2::1"', '- "fcff:4::1"')
+                    .replace('DT6: "fcdd::12aa:d460:b250:45:b05"', 'DT6: "fcdd::12aa:d460:b250:45:b06"'))
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 0
+    assert capsys.readouterr().out == "worker2: 2 localSID changes\n"
 
 
 def test_apply_configmap_for_an_unknown_node_is_refused(tmp_path, capsys):
@@ -476,6 +490,10 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         (_basic('    cidr: "fcff:0:0:11AA::/64"\n', ""), "pools[2]", "'cidr'"),
         (_basic("name: sr-localsids-pool-worker1", "name: sr-localsids-pool-master"),
          "pools[2]", "duplicate pool name 'sr-localsids-pool-master'"),
+        (_basic('cidr: "fcff:0:0:12AA::/64"', 'cidr: "fcff:0:0:11AA::/64"'), "pools[3].cidr",
+         "pool 'sr-localsids-pool-worker2' overlaps pool 'sr-localsids-pool-worker1'"),
+        (_basic('cidr: "fcff:0:0:00AA::/64"', 'cidr: "fcff::/32"'), "pools[2].cidr",
+         "pool 'sr-localsids-pool-worker1' overlaps pool 'sr-localsids-pool-master'"),
         (_basic("seed: 7", "seed: abc"), ".seed", "'abc' is not an integer"),
         (_basic("seed: 7", "seed: 7\nconvergence_steps: many"),
          ".convergence_steps", "'many' is not an integer"),
@@ -555,7 +573,8 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         "shared-sid-block",
         "malformed-end-sid", "scoped-end-sid", "scoped-pod-prefix", "malformed-infra", "malformed-pod-prefix",
         "malformed-pinned-localsid", "malformed-pod-address", "pool-without-name",
-        "pool-without-cidr", "duplicate-pool", "non-integer-seed", "non-integer-convergence-steps",
+        "pool-without-cidr", "duplicate-pool", "pool-on-another-pool", "pool-inside-another-pool",
+        "non-integer-seed", "non-integer-convergence-steps",
         "negative-convergence-steps",
         "duplicate-pod", "duplicate-node", "node-named-like-router", "router-not-a-mapping",
         "node-not-a-mapping", "routers-not-a-list", "families-not-a-list",
