@@ -31,7 +31,7 @@ from .dataplane import (
     SrPolicyEntry,
     SteeringRule,
 )
-from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, addr_text, diff_policies
+from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, diff_policies, v6_text
 from .net_types import Prefix, family_of
 from .scenario import NodeConfig, Scenario
 
@@ -46,17 +46,20 @@ class Agent:
         self.mode = scenario.mode
         self.cluster_nodes = [n.name for n in scenario.nodes]
         self.router_end_sid = next(r.end_sid for r in scenario.routers if r.name == node.router)
-        self.external_peers = {scenario.injector} if scenario.injector_registered else set()
+        # the senders whose policies count: the cluster's nodes and a registered injector
+        self.peers = set(self.cluster_nodes) | ({scenario.injector} if scenario.injector_registered
+                                                else set())
         self.dp = dataplane
         self.bus = bus
         self.ipam = ipam
         self.events = events
         self.metrics = metrics
-        # control-plane state, per tunnel: (endpoint, family) -> its pod prefix
-        # (a node has one per family), and the tunnel's policy, queued or configured
-        self.prefix_map: dict[tuple[IPv6Address, str], Prefix] = {}
-        self.pending: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
-        self.installed: dict[tuple[IPv6Address, str], SrPolicyEntry] = {}
+        # control-plane state, per tunnel: (endpoint._ip, family) -> its pod prefix
+        # (a node has one per family), and the tunnel's policy, queued or configured;
+        # keyed by the endpoint's integer, as hashing an int is not a Python-level call
+        self.prefix_map: dict[tuple[int, str], Prefix] = {}
+        self.pending: dict[tuple[int, str], SrPolicyEntry] = {}
+        self.installed: dict[tuple[int, str], SrPolicyEntry] = {}
         self.last_doc: Optional[ConfigMapDoc] = None
         self._distinguisher = 0
 
@@ -147,25 +150,23 @@ class Agent:
         """Record a node's pod prefix under its tunnel key. Each key arrives
         once: node infra addresses are unique, and a node advertises at most
         one pod prefix per family."""
-        key = (update.next_hop, family_of(update.prefix))
+        key = (update.next_hop._ip, family_of(update.prefix))
         self.prefix_map[key] = update.prefix
         if key in self.pending:
             self._try_install(update.next_hop, self.pending.pop(key))
 
     def on_policy(self, sender: str, update: SrPolicySafiUpdate) -> None:
-        if sender not in self.cluster_nodes and sender not in self.external_peers:
+        if sender not in self.peers:
             self._event("audit-unregistered-peer", sender)
             return
         if self._is_self(update.endpoint):
             return  # no tunnel to self
         self.metrics["step2_received"] += 1
-        key = (update.endpoint, update.family)
         if update.withdraw:
-            if self._uninstall(key) is not None:
+            if self._uninstall((update.endpoint._ip, update.family)) is not None:
                 self._event("policy-withdrawn", str(update.endpoint))
             return
-        policy = SrPolicyEntry(bsid=update.bsid, segments=update.segment_sids, family=update.family)
-        self._try_install(update.endpoint, policy)
+        self._try_install(update.endpoint, update.policy)
 
     def _try_install(self, endpoint: IPv6Address, policy: SrPolicyEntry) -> None:
         """Install the tunnel to ``endpoint`` if its prefix is known, else queue.
@@ -177,16 +178,16 @@ class Agent:
         mode a BSID names one tunnel: a policy whose BSID another tunnel
         holds is refused, and the dataplane stays as it was.
         """
-        key = (endpoint, policy.family)
+        key = (endpoint._ip, policy.family)
         matching = self.prefix_map.get(key)
         if matching is None:
             self.pending[key] = policy
-            self._event("policy-pending", f"{addr_text(endpoint)} {policy.family}")
+            self._event("policy-pending", f"{v6_text(endpoint._ip)} {policy.family}")
             return
         previous = self.installed.get(key)
-        if self.mode == "bgp" and self.dp.policies.get(policy.bsid, previous) != previous:
+        if self.mode == "bgp" and self.dp.policies.get(policy.bsid._ip, previous) != previous:
             self._event("policy-bsid-conflict",
-                        f"{addr_text(endpoint)} {policy.family} {addr_text(policy.bsid)}")
+                        f"{v6_text(endpoint._ip)} {policy.family} {v6_text(policy.bsid._ip)}")
             return
         self.dp.install_policy(policy)
         self.dp.install_steering(SteeringRule(match=matching, bsid=policy.bsid))
@@ -194,9 +195,9 @@ class Agent:
             self._remove_own(previous)
         self.installed[key] = policy
         self.pending.pop(key, None)
-        self._event("policy-installed", f"{addr_text(endpoint)} {policy.family}")
+        self._event("policy-installed", f"{v6_text(endpoint._ip)} {policy.family}")
 
-    def _uninstall(self, key: tuple[IPv6Address, str]) -> Optional[SrPolicyEntry]:
+    def _uninstall(self, key: tuple[int, str]) -> Optional[SrPolicyEntry]:
         """Retire the tunnel ``key``; its policy, if it was installed."""
         self.pending.pop(key, None)
         policy = self.installed.pop(key, None)
@@ -206,7 +207,7 @@ class Agent:
 
     def _remove_own(self, policy: SrPolicyEntry) -> None:
         """Remove a tunnel's policy unless another tunnel has since taken its BSID."""
-        if self.dp.policies.get(policy.bsid) == policy:
+        if self.dp.policies.get(policy.bsid._ip) == policy:
             self.dp.remove_policy(policy.bsid)
 
     # -- configmap mode ----------------------------------------------------
@@ -229,7 +230,7 @@ class Agent:
             self._event("localsids-updated", str(sorted(doc.localsids)))
         for entry in diff.removes:
             if not self._is_self(entry.egress_node):
-                self._uninstall((entry.egress_node, entry.family))
+                self._uninstall((entry.egress_node._ip, entry.family))
         for entry in diff.adds + diff.replaces:
             if not self._is_self(entry.egress_node):
                 policy = SrPolicyEntry(entry.bsid, entry.segment_list, entry.family)

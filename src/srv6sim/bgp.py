@@ -14,11 +14,11 @@ import struct
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from ipaddress import IPv6Address
 from typing import Optional
 
-from .dataplane import BEHAVIOR_END_DT4, BEHAVIOR_END_DT6
+from .dataplane import BEHAVIOR_END_DT4, BEHAVIOR_END_DT6, SrPolicyEntry
 from .errors import DecodeError, TruncationError, ValidationError
 from .net_types import Prefix, canon
 from .schema import address, boolean, entries, integer, load, mapping, section, segment_count
@@ -72,9 +72,11 @@ class SrPolicySafiUpdate:
         """Traffic family selected by the final (decap) segment's code (``check_decap``)."""
         return "v4" if self.segments[-1].behavior_code == BEHAVIOR_END_DT4 else "v6"
 
-    @property
-    def segment_sids(self) -> tuple[IPv6Address, ...]:
-        return tuple(s.sid for s in self.segments)
+    @cached_property
+    def policy(self) -> SrPolicyEntry:
+        """The policy each receiver installs, built once per update: the
+        receivers of a broadcast share its decode (``decode_safi73``)."""
+        return SrPolicyEntry(self.bsid, tuple(s.sid for s in self.segments), self.family)
 
 
 def _subtlv(type_code: int, value: bytes) -> bytes:

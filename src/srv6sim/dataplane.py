@@ -140,12 +140,14 @@ class NodeDataplane:
         self.name = name
         # shared with the owning simulation; "localsid_changes" keys its route cache
         self.metrics = metrics if metrics is not None else Counter()
-        self.localsids: dict[IPv6Address, LocalSidEntry] = {}
-        self.policies: dict[IPv6Address, SrPolicyEntry] = {}
+        # keyed by ``sid._ip`` and ``bsid._ip``, whose order is the addresses' order:
+        # hashing an int is not a Python-level call
+        self.localsids: dict[int, LocalSidEntry] = {}
+        self.policies: dict[int, SrPolicyEntry] = {}
         self.steering: dict[Prefix, IPv6Address] = {}
-        # BSID -> prefixes steered to it, built at the first remove_policy (a bring-up
+        # bsid._ip -> prefixes steered to it, built at the first remove_policy (a bring-up
         # has none); lists, as a BSID steers few prefixes and hashing one is slow
-        self._steered: Optional[dict[IPv6Address, list[Prefix]]] = None
+        self._steered: Optional[dict[int, list[Prefix]]] = None
         self.encap_source: Optional[IPv6Address] = None
         self.fib: dict[Prefix, str] = {}
         self.version = 0  # bumped on every effective mutation
@@ -154,35 +156,35 @@ class NodeDataplane:
     # -- installation ------------------------------------------------------
 
     def install_localsid(self, entry: LocalSidEntry) -> None:
-        existing = self.localsids.get(entry.sid)
+        existing = self.localsids.get(entry.sid._ip)
         if existing is not None and existing.behavior == entry.behavior:
             return
-        self.localsids[entry.sid] = entry
+        self.localsids[entry.sid._ip] = entry
         self.version += 1
         self.metrics["localsid_changes"] += 1
 
     def remove_localsid(self, sid: IPv6Address) -> None:
-        if self.localsids.pop(sid, None) is not None:
+        if self.localsids.pop(sid._ip, None) is not None:
             self.version += 1
             self.metrics["localsid_changes"] += 1
 
     def install_policy(self, entry: SrPolicyEntry) -> None:
-        previous = self.policies.get(entry.bsid)
+        previous = self.policies.get(entry.bsid._ip)
         if previous == entry:
             return
         if previous is not None and previous.family != entry.family:
             self.remove_policy(entry.bsid)  # its steering rules are of the old family
-        self.policies[entry.bsid] = entry
+        self.policies[entry.bsid._ip] = entry
         self.version += 1
 
     def remove_policy(self, bsid: IPv6Address) -> None:
         """Remove the policy bound to ``bsid`` and the steering rules that use it."""
-        if self.policies.pop(bsid, None) is not None:
+        if self.policies.pop(bsid._ip, None) is not None:
             if self._steered is None:
                 self._steered = {}
                 for prefix, steered_to in self.steering.items():
-                    self._steered.setdefault(steered_to, []).append(prefix)
-            for prefix in self._steered.pop(bsid, ()):
+                    self._steered.setdefault(steered_to._ip, []).append(prefix)
+            for prefix in self._steered.pop(bsid._ip, ()):
                 del self.steering[prefix]
             self.version += 1
 
@@ -190,10 +192,10 @@ class NodeDataplane:
         """Move ``prefix`` from BSID ``old``'s index entry, None for none, to ``new``'s."""
         if self._steered is not None:
             if old is not None:
-                self._steered[old].remove(prefix)
-                if not self._steered[old]:
-                    del self._steered[old]
-            self._steered.setdefault(new, []).append(prefix)
+                self._steered[old._ip].remove(prefix)
+                if not self._steered[old._ip]:
+                    del self._steered[old._ip]
+            self._steered.setdefault(new._ip, []).append(prefix)
 
     def install_steering(self, rule: SteeringRule) -> None:
         """Steer ``rule.match`` to its BSID's policy. Refused, with the dataplane
@@ -201,7 +203,7 @@ class NodeDataplane:
         without an encap source: ``h_encaps`` relies on all three."""
         if self.encap_source is None:
             raise SimError(f"{self.name}: encap source not configured")
-        policy = self.policies.get(rule.bsid)
+        policy = self.policies.get(rule.bsid._ip)
         if policy is None:
             raise DanglingPolicyError(
                 f"steering rule {rule.match} references unknown BSID {rule.bsid}"
@@ -250,14 +252,14 @@ class NodeDataplane:
         ``bsid`` by ``steer_lookup``, with the SRH its policy keeps: steering
         exists only on a node with an encap source and points only at installed
         policies of its own family. Each packet's inner bytes travel beside it."""
-        return OuterPacket(self.encap_source, OUTER_HOP_LIMIT, self.policies[bsid].srh)
+        return OuterPacket(self.encap_source, OUTER_HOP_LIMIT, self.policies[bsid._ip].srh)
 
     def process_local(self, pkt: OuterPacket) -> Union[Disposition, LocalSidEntry]:
         """Execute the part of the behavior bound to ``pkt.dst``, a localSID of
         this node, that its header decides, and count the packet. End.DT with
         no segments left returns its entry, whose ``decap`` each packet's inner
         bytes then go through."""
-        entry = self.localsids[pkt.dst]
+        entry = self.localsids[pkt.dst._ip]
         entry.rx_counter += 1
         srh = pkt.srh
         if entry.behavior.kind == "End":
@@ -273,7 +275,7 @@ class NodeDataplane:
 
     def fib_lookup(self, dst: IPv6Address):
         """``"local"`` on an exact localSID hit, else LPM next hop, else None."""
-        if dst in self.localsids:
+        if dst._ip in self.localsids:
             return "local"
         hit = self._lpm("fib", self.fib, dst)
         return hit[1] if hit else None
@@ -282,20 +284,18 @@ class NodeDataplane:
 
     def show_localsids(self) -> str:
         lines = [f"{self.name} SR localSIDs:"]
-        for sid in sorted(self.localsids):
-            entry = self.localsids[sid]
+        for _, entry in sorted(self.localsids.items()):
             lines.append(
-                f"  {sid}  behavior {entry.behavior.render()}  "
+                f"  {entry.sid}  behavior {entry.behavior.render()}  "
                 f"counter {entry.rx_counter}"
             )
         return "\n".join(lines)
 
     def show_policies(self) -> str:
         lines = [f"{self.name} SR policies:"]
-        for bsid in sorted(self.policies):
-            policy = self.policies[bsid]
+        for _, policy in sorted(self.policies.items()):
             segs = ", ".join(str(s) for s in policy.segments)
-            lines.append(f"  bsid {bsid}  {policy.family}  segments [{segs}]")
+            lines.append(f"  bsid {policy.bsid}  {policy.family}  segments [{segs}]")
         return "\n".join(lines)
 
     def show_steering(self) -> str:
@@ -308,23 +308,19 @@ class NodeDataplane:
         return f"{self.name} SR encap source: {self.encap_source}"
 
     def counters(self) -> dict[str, int]:
-        return {str(sid): e.rx_counter for sid, e in sorted(self.localsids.items())}
+        return {str(e.sid): e.rx_counter for _, e in sorted(self.localsids.items())}
 
     def dump(self) -> dict:
         """Canonical snapshot of configured state; counters excluded."""
         return {
             "encap_source": str(self.encap_source) if self.encap_source else None,
             "localsids": [
-                {"sid": str(sid), "behavior": self.localsids[sid].behavior.render()}
-                for sid in sorted(self.localsids)
+                {"sid": str(e.sid), "behavior": e.behavior.render()}
+                for _, e in sorted(self.localsids.items())
             ],
             "policies": [
-                {
-                    "bsid": str(b),
-                    "family": self.policies[b].family,
-                    "segments": [str(s) for s in self.policies[b].segments],
-                }
-                for b in sorted(self.policies)
+                {"bsid": str(p.bsid), "family": p.family, "segments": [str(s) for s in p.segments]}
+                for _, p in sorted(self.policies.items())
             ],
             "steering": [
                 {"prefix": str(p), "bsid": str(self.steering[p])}

@@ -20,7 +20,8 @@ from .net_types import MAX_SEGMENTS, Addr, Prefix, canon
 # libyaml's emitter where PyYAML has it, for document heads; it folds long
 # scalars differently from the pure-Python one, see render_configmap_doc.
 _FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-addr_text = lru_cache(maxsize=4096, typed=True)(str)  # address -> text; addresses are immutable
+# an IPv6 address's integer (``_ip``) -> its text; an int key, as hashing an address is slow
+v6_text = lru_cache(maxsize=4096)(lambda ip: str(IPv6Address(ip)))
 _V6, _scope = {IPv6Address}, attrgetter("_scope_id")  # _scope: an IPv6Address's zone, or None
 
 
@@ -275,7 +276,7 @@ def render_configmap_doc(doc: ConfigMapDoc) -> str:
     # non-ASCII node name may, and libyaml folds it differently.
     node = doc.node
     short = node.isascii() and node.isprintable() and len(node) <= 63
-    head = {"localsids": {k: addr_text(v) for k, v in doc.localsids.items()}, "node": node}
+    head = {"localsids": {k: v6_text(v._ip) for k, v in doc.localsids.items()}, "node": node}
     return yaml.dump(head, Dumper=_FAST_DUMPER if short else yaml.SafeDumper, sort_keys=False,
                      default_flow_style=False) + _policies_text(doc.policies)
 
@@ -318,5 +319,5 @@ def diff_policies(old: ConfigMapDoc, new: ConfigMapDoc) -> PolicyDiff:
         elif (was.bsid, was.segment_list) != (p.bsid, p.segment_list):  # tuples try `is` first
             replaces.append(p)
     removes = [p for key, p in old_map.items() if key not in new_map]
-    order = lambda p: (addr_text(p.egress_node), p.traffic)
+    order = lambda p: (v6_text(p.egress_node._ip), p.traffic)
     return PolicyDiff(*(tuple(sorted(ps, key=order)) for ps in (adds, replaces, removes)))

@@ -123,6 +123,7 @@ def load_scenario(source, mode: Optional[str] = None, seed: Optional[int] = None
         links.append(Link(a=a, b=b, cost=cost, name=string(l, "name", lpath, f"{a}-{b}")))
 
     nodes, node_names, infras, node_prefixes, pinned = [], set(), set(), {}, set()
+    claims = []  # (localSID, where): pinned by a node or named by a document
     bsid_pool = data.get("bsid_pool")
     kinds = {"DT4" if family == "v4" else "DT6" for family in families}  # a node's DT localSIDs
     # (pool, where it is named, its key, node, addresses the node draws from it at start-up)
@@ -141,6 +142,7 @@ def load_scenario(source, mode: Optional[str] = None, seed: Optional[int] = None
         localsids = read_localsids(n, npath)
         for kind, sid in localsids.items():  # a SID two nodes pin would deliver to one of them
             unique(str(sid), pinned, "localsid", f"{npath}.localsids.{kind}")
+            claims.append((sid, f"{npath}.localsids.{kind}"))
         nodes.append(
             NodeConfig(
                 name=name,
@@ -226,7 +228,13 @@ def load_scenario(source, mode: Optional[str] = None, seed: Optional[int] = None
         unique(node, documented, "configmap for node", cpath)
         for kind, sid in doc.localsids.items():
             unique(str(sid), named, "localsid", f"{cpath}.localsids.{kind}")
+            claims.append((sid, f"{cpath}.localsids.{kind}"))
         configmaps.append(doc)
+    infra_of = {n.infra: n.name for n in nodes}  # an infra address is its node's host route
+    for sid, spath in claims:
+        if sid in infra_of:
+            raise ValidationError(f"localsid '{sid}' is the infra address of node "
+                                  f"{infra_of[sid]!r}", path=spath)
     undocumented = [n.name for n in nodes if n.name not in documented]  # in file order
     if mode == "configmap" and undocumented:  # configmap agents take their localSIDs from these
         raise ValidationError(f"missing configmap for node {undocumented[0]!r}, "

@@ -17,7 +17,7 @@ from typing import Optional
 from .agent import Agent
 from .bgp import SessionBus, SrPolicySafiUpdate, check_decap, encode_safi73
 from .dataplane import Behavior, Disposition, LocalSidEntry, LpmIndex, NodeDataplane
-from .errors import ConvergenceError, ModeMismatchError, SimError, UnknownNodeError
+from .errors import ConvergenceError, ModeMismatchError, SimError, UnknownNodeError, ValidationError
 from .graph import VECTOR_MAX, run_vector
 from .k8s import (
     SINGLE_MAP_KEY,
@@ -185,8 +185,25 @@ class Simulation:
             if doc.node not in self.agents:
                 raise UnknownNodeError(doc.node)
         single = self.scenario.configmap_fanout == "single-map"
-        self._write_docs([parse_configmap_doc(
-            doc, f"single-map.{doc.node}" if single else configmap_key(doc.node)) for doc in docs])
+        paths = [f"single-map.{doc.node}" if single else configmap_key(doc.node) for doc in docs]
+        docs = [parse_configmap_doc(doc, path) for doc, path in zip(docs, paths)]
+        # one owner per host route: a localSID new to its node must be no node's infra
+        # address or localSID, nor one an earlier document of this apply took
+        owners: dict = {}  # address int -> (node, what it is there); built on first need
+        for doc, path in zip(docs, paths):
+            own = self.dataplanes[doc.node].localsids
+            for kind, sid in doc.localsids.items():
+                if sid._ip in own:
+                    continue
+                if not owners:
+                    owners = {n.infra._ip: (n.name, "the infra address") for n in self.scenario.nodes}
+                    owners.update((k, (n, "a localSID")) for n in self.agents
+                                  for k in self.dataplanes[n].localsids)
+                node, what = owners.setdefault(sid._ip, (doc.node, "a localSID"))
+                if (node, what) != (doc.node, "a localSID"):
+                    raise ValidationError(f"localsid '{sid}' is {what} of node {node!r}",
+                                          path=f"{path}.localsids.{kind}")
+        self._write_docs(docs)
         return self.poll_all()
 
     def poll_all(self) -> list[str]:
@@ -213,8 +230,8 @@ class Simulation:
             advertised: dict = {r.sid_prefix: r.name for r in self.scenario.routers}
             for node in self.scenario.nodes:  # an address key stands for its /128
                 advertised[node.infra] = node.name
-                for sid in self.dataplanes[node.name].localsids:
-                    advertised[sid] = node.name
+                for entry in self.dataplanes[node.name].localsids.values():
+                    advertised[entry.sid] = node.name
             routes = self._routes[1]
             first_hop = routes.first_hop if routes is not None else compute_routes(self.topology)
             self._routes = (key, Routes(LpmIndex(advertised), first_hop))

@@ -163,7 +163,7 @@ def forward(topology: Topology, routes: Routes, source: str, pkt: OuterPacket,
     current = source
     while True:
         dp = dataplanes.get(current)
-        entry = dp.localsids.get(pkt.dst) if dp is not None else None
+        entry = dp.localsids.get(pkt.dst._ip) if dp is not None else None
         if entry is not None:
             end = dp.process_local(pkt)
             consumed.append(entry)

@@ -43,6 +43,23 @@ def address_eq(monkeypatch) -> SimpleNamespace:
     return counter
 
 
+@pytest.fixture
+def address_hash(monkeypatch) -> SimpleNamespace:
+    """Counts ``IPv4Address.__hash__`` and ``IPv6Address.__hash__`` calls in
+    ``.calls``, and by the calling function's file and name in ``.callers``,
+    as in ``("agent.py", "on_step1")``; a dict or set operation counts under
+    the function that runs it. Set ``.calls`` to 0 to start a new count."""
+    counter = SimpleNamespace(calls=0, callers=Counter())
+    for cls in (IPv4Address, IPv6Address):
+        def counted(a, hash_=cls.__hash__):
+            counter.calls += 1
+            code = sys._getframe(1).f_code
+            counter.callers[Path(code.co_filename).name, code.co_name] += 1
+            return hash_(a)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    return counter
+
+
 def random_v6(rng: random.Random) -> IPv6Address:
     return IPv6Address(rng.getrandbits(128))
 
@@ -61,7 +78,7 @@ def scalar_tx(dp, packet):
     bsid = dp.steer_lookup(packet.dst)
     if bsid is None:
         return Disposition(kind="drop", reason="no steering match"), None
-    policy = dp.policies[bsid]
+    policy = dp.policies[bsid._ip]
     assert family_of(packet.src) == policy.family and dp.encap_source is not None
     srh = Srh(
         next_header=PROTO_IPV4_ENCAP if policy.family == "v4" else PROTO_IPV6_ENCAP,

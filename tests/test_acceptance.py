@@ -282,7 +282,7 @@ def test_criterion_08_mode_equivalence():
             PolicyDocEntry(
                 egress_node=u.endpoint,
                 bsid=u.bsid,
-                segment_list=u.segment_sids,
+                segment_list=u.policy.segments,
                 traffic="IPv4" if u.family == "v4" else "IPv6",
             )
             for u in _updates()

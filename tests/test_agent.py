@@ -11,10 +11,11 @@ from srv6sim.bgp import (
     SessionBus,
     SrPolicySafiUpdate,
     Step1Update,
+    decode_safi73,
     encode_safi73,
     parse_policy_file,
 )
-from srv6sim.dataplane import NodeDataplane
+from srv6sim.dataplane import NodeDataplane, SrPolicyEntry
 from srv6sim.errors import ModeMismatchError, UnknownNodeError, ValidationError
 from srv6sim.k8s import IpPool, IpamAllocator, parse_configmap_doc
 from srv6sim.net_types import parse_prefix, parse_v6
@@ -80,7 +81,7 @@ def test_step1_then_step2_installs_tunnel():
     agent.startup()
     agent.on_step1(B_PREFIX)
     agent.on_policy("b", policy_for_b())
-    key = (INFRA_B, "v6")
+    key = (INFRA_B._ip, "v6")
     assert key in agent.installed
     assert agent.dp.steer_lookup(parse_v6("fd90:0:11::7")) == parse_v6("cafe::99")
 
@@ -94,7 +95,7 @@ def test_step2_before_step1_is_order_independent():
     reversed_ = make_agent()
     reversed_.startup()
     reversed_.on_policy("b", policy_for_b())
-    assert (INFRA_B, "v6") in reversed_.pending  # queued, not installed
+    assert (INFRA_B._ip, "v6") in reversed_.pending  # queued, not installed
     reversed_.on_step1(B_PREFIX)
 
     assert ordered.dp.dump() == reversed_.dp.dump()
@@ -117,8 +118,8 @@ def test_policy_replacement_swaps_bsid():
     agent.on_step1(B_PREFIX)
     agent.on_policy("b", policy_for_b(bsid="cafe::99"))
     agent.on_policy("b", policy_for_b(bsid="cafe::aa"))
-    assert parse_v6("cafe::aa") in agent.dp.policies
-    assert parse_v6("cafe::99") not in agent.dp.policies
+    assert parse_v6("cafe::aa")._ip in agent.dp.policies
+    assert parse_v6("cafe::99")._ip not in agent.dp.policies
     assert agent.dp.steer_lookup(parse_v6("fd90:0:11::7")) == parse_v6("cafe::aa")
 
 
@@ -130,7 +131,7 @@ def test_policy_withdraw_uninstalls():
     agent.on_policy("b", policy_for_b())
     agent.on_policy("b", replace(policy_for_b(), withdraw=True))
     assert agent.dp.policies == {}
-    assert (INFRA_B, "v6") not in agent.installed
+    assert (INFRA_B._ip, "v6") not in agent.installed
 
 
 def test_policy_from_unregistered_peer_is_audited(scenarios_dir):
@@ -138,11 +139,11 @@ def test_policy_from_unregistered_peer_is_audited(scenarios_dir):
     agent.startup()
     agent.on_step1(B_PREFIX)
     agent.handle_message("rogue", ("safi73", encode_safi73(policy_for_b())))
-    assert (INFRA_B, "v6") not in agent.installed
+    assert (INFRA_B._ip, "v6") not in agent.installed
     assert any(e[2] == "audit-unregistered-peer" for e in agent.events)
     # the registered external injector is accepted
     agent.handle_message("pi", ("safi73", encode_safi73(policy_for_b())))
-    assert (INFRA_B, "v6") in agent.installed
+    assert (INFRA_B._ip, "v6") in agent.installed
     # through the simulation: an injector the scenario does not register
     scenario = load_scenario(scenarios_dir / "full_bgp.yaml")
     scenario.injector_registered = False
@@ -178,13 +179,13 @@ def test_configmap_reconcile_add_replace_remove():
     }
     agent.startup(configmap_doc=parse_configmap_doc(base))
     agent.on_step1(B_PREFIX)
-    assert (INFRA_B, "v6") in agent.installed
+    assert (INFRA_B._ip, "v6") in agent.installed
 
     changed = dict(base)
     changed["policies"] = [dict(base["policies"][0], bsid="cafe::aa")]
     diff = agent.on_configmap_change(parse_configmap_doc(changed))
     assert diff.summary() == "1 replaced"
-    assert parse_v6("cafe::aa") in agent.dp.policies
+    assert parse_v6("cafe::aa")._ip in agent.dp.policies
 
     # omission means removal
     empty = dict(base, policies=[])
@@ -229,3 +230,68 @@ def test_single_segment_mode():
     from srv6sim.bgp import decode_safi73
     update = decode_safi73(payload[1])
     assert len(update.segments) == 1
+
+
+def _inject_every_policy_file(monkeypatch, scenarios_dir):
+    """A full_bgp bring-up, then an inject of every file under
+    ``scenarios/policies/``: the simulation, and each distinct update its
+    agents took in. full_bgp advertises no policy at start-up."""
+    decode_safi73.cache_clear()  # an earlier test's decodes would be shared with this one's
+    received = {}  # id -> update, which keeps it alive
+    on_policy = Agent.on_policy
+
+    def spy(self, sender, update):
+        received[id(update)] = update
+        on_policy(self, sender, update)
+
+    monkeypatch.setattr(Agent, "on_policy", spy)
+    sim = Simulation(load_scenario(scenarios_dir / "full_bgp.yaml")).start()
+    paths = sorted((scenarios_dir / "policies").glob("*.yaml"))
+    for path in paths:
+        sim.inject(parse_policy_file(path.read_text()))
+    updates = list(received.values())
+    # one decode per wire update, which every node that is not its endpoint receives
+    assert len({encode_safi73(u) for u in updates}) == len(updates) == len(paths)
+    assert not any(u.withdraw for u in updates)
+    return sim, updates
+
+
+def test_a_broadcast_policy_is_built_once_per_update(monkeypatch, scenarios_dir):
+    """``SrPolicyEntry.__init__`` runs once per distinct SAFI-73 update, not
+    once per receiver."""
+    built = []
+    init = SrPolicyEntry.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SrPolicyEntry, "__init__", counted_init)
+    sim, updates = _inject_every_policy_file(monkeypatch, scenarios_dir)
+    assert len(built) == len(updates)
+    assert sum(map(len, (a.installed for a in sim.agents.values()))) == 2 * len(updates)
+
+
+def test_receivers_of_a_broadcast_install_one_policy_object(monkeypatch, scenarios_dir):
+    """Every node that installs an update's policy holds the same object, in
+    its agent and in its dataplane."""
+    sim, updates = _inject_every_policy_file(monkeypatch, scenarios_dir)
+    for update in updates:
+        tunnel = (update.bsid, tuple(s.sid for s in update.segments), update.family)
+        held = [(agent, policy) for agent in sim.agents.values()
+                for policy in agent.installed.values()
+                if (policy.bsid, policy.segments, policy.family) == tunnel]
+        assert len(held) == 2  # both nodes but the endpoint
+        assert held[0][1] is held[1][1]
+        for agent, policy in held:
+            assert agent.installed[update.endpoint._ip, update.family] is policy
+            assert agent.dp.policies[update.bsid._ip] is policy
+
+
+def test_installs_hash_no_address(monkeypatch, address_hash, scenarios_dir):
+    """No function of ``agent.py`` or ``dataplane.py`` hashes an address: their
+    tables are keyed by the address integers."""
+    _inject_every_policy_file(monkeypatch, scenarios_dir)
+    assert address_hash.calls > 0  # the counter counts
+    assert [caller for caller in address_hash.callers
+            if caller[0] in ("agent.py", "dataplane.py")] == []

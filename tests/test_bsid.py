@@ -38,17 +38,17 @@ FAMILIES = ("v4", "v6")
 
 
 def steered_inverse(steering: dict) -> dict:
-    """BSID -> the prefixes steered to it, each counted once."""
+    """BSID integer -> the prefixes steered to it, each counted once."""
     inverse: dict = {}
     for prefix, bsid in steering.items():
-        inverse.setdefault(bsid, Counter())[prefix] += 1
+        inverse.setdefault(bsid._ip, Counter())[prefix] += 1
     return inverse
 
 
 def assert_steering_points_at_its_family(dp: NodeDataplane) -> None:
     """Every steering rule points at an installed policy of its own family."""
     for prefix, bsid in dp.steering.items():
-        assert bsid in dp.policies and dp.policies[bsid].family == family_of(prefix), (
+        assert bsid._ip in dp.policies and dp.policies[bsid._ip].family == family_of(prefix), (
             dp.name, prefix, bsid)
 
 
@@ -68,7 +68,7 @@ class LinearDataplane(NodeDataplane):
     that compares every steering rule of the node with the BSID."""
 
     def remove_policy(self, bsid: IPv6Address) -> None:
-        if self.policies.pop(bsid, None) is not None:
+        if self.policies.pop(bsid._ip, None) is not None:
             dangling = [p for p, b in self.steering.items() if b == bsid]
             for prefix in dangling:
                 del self.steering[prefix]
@@ -92,7 +92,7 @@ def _apply(dp: NodeDataplane, op) -> None:
     if name == "install_policy":
         dp.install_policy(SrPolicyEntry(bsid=a, segments=(parse_v6("fcff:3::1"),), family=b))
     elif name == "install_steering":
-        policy = dp.policies.get(b)
+        policy = dp.policies.get(b._ip)
         if policy is not None and policy.family == family_of(a):
             # a fresh, equal BSID object: the index must not rely on identity
             dp.install_steering(SteeringRule(a, IPv6Address(int(b))))
@@ -135,7 +135,7 @@ def test_bsid_swap_touches_only_its_own_rules(address_eq):
 
     def swap(dp):
         old, new = parse_v6("cafe::7"), parse_v6("cafe:1::7")
-        dp.install_policy(replace(dp.policies[old], bsid=new))
+        dp.install_policy(replace(dp.policies[old._ip], bsid=new))
         for j in range(2):
             dp.install_steering(SteeringRule(parse_prefix(f"fd90:7:{j}::/64"), new))
         dp.remove_policy(old)
@@ -148,7 +148,7 @@ def test_bsid_swap_touches_only_its_own_rules(address_eq):
         swap(dp)
         counts[cls] = address_eq.calls
         assert len(dp.steering) == 998 and len(dp.policies) == 499
-        assert set(steered_inverse(dp.steering)[parse_v6("cafe:1::7")]) == {
+        assert set(steered_inverse(dp.steering)[parse_v6("cafe:1::7")._ip]) == {
             parse_prefix("fd90:7:0::/64"), parse_prefix("fd90:7:1::/64")}
         assert_index_is_inverse(dp)
     assert counts[NodeDataplane] <= 10
@@ -189,9 +189,9 @@ def test_policy_of_another_family_drops_the_bsids_steering_rules():
     sim = Simulation(load_scenario(SCENARIOS / "full_cm.yaml")).start()
     dp = sim.dataplanes["master"]
     bsid = parse_v6("cafe::5")
-    assert dp.policies[bsid].family == "v6" and bsid in dp.steering.values()
-    dp.install_policy(replace(dp.policies[bsid], family="v4"))
-    assert dp.policies[bsid].family == "v4" and bsid not in dp.steering.values()
+    assert dp.policies[bsid._ip].family == "v6" and bsid in dp.steering.values()
+    dp.install_policy(replace(dp.policies[bsid._ip], family="v4"))
+    assert dp.policies[bsid._ip].family == "v4" and bsid not in dp.steering.values()
     assert_index_is_inverse(dp)
     report = sim.ping("pod-master", "pod-worker2", count=4, family="v6")
     assert (report.delivered, report.drop_reasons) == (0, ["no steering match"] * 4)
@@ -288,9 +288,9 @@ class BsidMachine(RuleBasedStateMachine):
     def each_bsid_names_one_tunnel(self):
         for name in EGRESS:
             agent = self.sim.agents[name]
-            assert {p.bsid for p in agent.installed.values()} == set(agent.dp.policies)
+            assert {p.bsid._ip for p in agent.installed.values()} == set(agent.dp.policies)
             for policy in agent.installed.values():
-                assert agent.dp.policies[policy.bsid] == policy
+                assert agent.dp.policies[policy.bsid._ip] == policy
 
     @invariant()
     def every_ping_delivers_or_drops_with_a_reason(self):

@@ -49,10 +49,10 @@ POD_OF = {pod.node: pod for pod in _BASE.pods.values()}
 # one outside every advertised prefix.
 SIDS = tuple(sorted(
     {r.end_sid for r in _BASE.scenario.routers}
-    | {sid for n in NODES for sid in _BASE.dataplanes[n].localsids}
+    | {e.sid for n in NODES for e in _BASE.dataplanes[n].localsids.values()}
     | {parse_v6("fcff:3::99"), parse_v6("fcdd::99")}
 ))
-BSIDS = tuple(sorted({b for n in NODES for b in _BASE.dataplanes[n].policies})) + (
+BSIDS = tuple(sorted({p.bsid for n in NODES for p in _BASE.dataplanes[n].policies.values()})) + (
     parse_v6("cafe::99"),)
 PREFIXES = tuple(p for n in _BASE.scenario.nodes for p in n.pod_prefixes) + tuple(
     map(parse_prefix, ("fd90::/32", "172.16.0.0/16", "::/0", "0.0.0.0/0")))

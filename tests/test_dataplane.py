@@ -43,7 +43,7 @@ def test_end_advances_segment():
     assert disp.kind == "forward"
     assert disp.packet.srh.segments_left == 1
     assert disp.packet.dst == S2
-    assert mid.localsids[S1].rx_counter == 1
+    assert mid.localsids[S1._ip].rx_counter == 1
 
 
 def test_end_drops_when_no_more_segments():
@@ -76,7 +76,7 @@ def test_dt_decap_and_family_check():
     egress = NodeDataplane("egress")
     egress.install_localsid(LocalSidEntry(sid=S1, behavior=Behavior("EndDT4")))
     entry = egress.process_local(outer)  # End.DT's header part: it decaps
-    assert entry is egress.localsids[S1] and entry.rx_counter == 1
+    assert entry is egress.localsids[S1._ip] and entry.rx_counter == 1
     disp = entry.decap(inner.encode())
     assert disp.kind == "deliver"
     assert disp.inner == inner

@@ -126,7 +126,7 @@ def test_one_flow_per_bsid_and_drop_reason():
         (True, None, packets[0]), (False, "no steering match", packets[1]),
         (False, "no route", packets[2]),
     ]
-    assert flows[0].header.srh is dp.policies[parse_v6("cafe::1")].srh
+    assert flows[0].header.srh is dp.policies[parse_v6("cafe::1")._ip].srh
 
 
 @pytest.mark.parametrize("family", ["v4", "v6"])

@@ -156,7 +156,7 @@ def test_dataplane_lookups_follow_mutations(case):
             dp.install_steering(SteeringRule(prefix, policies[prefix.version]))
             dp.add_fib_route(prefix, str(value))
         elif op == "remove":  # a policy's removal takes its steering rules with it
-            policy = dp.policies[policies[prefix.version]]
+            policy = dp.policies[policies[prefix.version]._ip]
             dp.remove_policy(policy.bsid)
             dp.install_policy(policy)
         for addr in probes:
@@ -198,8 +198,8 @@ def advertised_oracle(sim: Simulation) -> dict:
     advertised = {router.sid_prefix: router.name for router in sim.scenario.routers}
     for node in sim.scenario.nodes:
         advertised[IPv6Network((node.infra, 128))] = node.name
-        for sid in sim.dataplanes[node.name].localsids:
-            advertised[IPv6Network((sid, 128))] = node.name
+        for entry in sim.dataplanes[node.name].localsids.values():
+            advertised[IPv6Network((entry.sid, 128))] = node.name
     return advertised
 
 
@@ -512,7 +512,7 @@ def _crafted_twins(segments, monkeypatch=None, hop_limit=None):
     frames, twin = _started("full_cm"), _started("full_cm")
     for sim in (frames, twin):
         dp = sim.dataplanes["master"]
-        policy = dp.policies[parse_v6("cafe::5")]
+        policy = dp.policies[parse_v6("cafe::5")._ip]
         dp.install_policy(replace(policy, segments=segments(policy.segments)))
     got = frames.ping("pod-master", "pod-worker2", count=300, family="v6")
     _same_reports(got, twin_ping(twin, "pod-master", "pod-worker2", count=300, family="v6"))
@@ -973,7 +973,7 @@ def test_stored_encap_header_follows_policy_changes(steps):
     own SRH), and ``ping`` equals the per-packet ``twin_ping`` of a twin."""
     frames, twin = _started("full_cm"), _started("full_cm")
     dp = frames.dataplanes["master"]
-    original, steering = dict(dp.policies), dict(dp.steering)
+    original, steering = {p.bsid: p for p in dp.policies.values()}, dict(dp.steering)
     probe = _hdr_vector([(k, False) for k in range(len(HDR_DSTS))])
     for step in steps:
         _hdr_step(frames, step, original, steering)
@@ -1014,7 +1014,7 @@ def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
         return sim.ping("pod-master", "pod-worker2", count=count, family="v6")
 
     dp = sim.dataplanes["master"]
-    policy = dp.policies[parse_v6("cafe::5")]
+    policy = dp.policies[parse_v6("cafe::5")._ip]
     assert ping(1).delivered == 1 and built[0] is policy.srh
     built.clear()
     report = ping(768)
@@ -1025,7 +1025,7 @@ def test_srh_built_once_per_policy_and_per_end_hop(monkeypatch):
     built.clear()
     dp.install_policy(replace(policy))
     run_vector(dp, vector)
-    assert built == [] and dp.policies[policy.bsid].srh is policy.srh
+    assert built == [] and dp.policies[policy.bsid._ip].srh is policy.srh
     dp.install_policy(replace(policy, segments=policy.segments[1:]))
     flow, = run_vector(dp, vector)
     assert len(built) == 1 and flow.header.srh is built[0] and len(flow.packets) == 5

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -272,6 +274,67 @@ def test_apply_configmap_for_an_unknown_node_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "error: 'ghost'\n"
 
 
+WORKER1_DT6 = "fcdd::11aa:c11:b42f:f17e:a683"
+
+
+def _store_versions(sim) -> dict:
+    return {key: version for key, (_, version) in sim.store.entries.items()}
+
+
+@pytest.mark.parametrize("fanout, key", [("per-node", "srv6-config-worker2"),
+                                         ("single-map", "single-map.worker2")])
+@pytest.mark.parametrize("sid, held", [
+    (WORKER1_DT6, "a localSID of node 'worker1'"),
+    ("fd10::1000", "the infra address of node 'master'"),
+    ("fd12::1000", "the infra address of node 'worker2'"),
+])
+def test_apply_of_a_localsid_with_another_owner_is_refused(fanout, key, sid, held):
+    """worker2's document naming worker1's DT6 SID, or an infra address,
+    used to apply and then lose the pings to both owners (``misdelivered``
+    and ``no route``). It is refused at its field and nothing is written:
+    the store's versions, ``state_dump()`` and the events stay as they were,
+    and every ping still delivers."""
+    scenario = load_scenario(FULL_CM)
+    scenario.configmap_fanout = fanout
+    sim = Simulation(scenario).start()
+    worker2 = next(d for d in scenario.configmaps if d.node == "worker2")
+    bad = replace(worker2, localsids={**worker2.localsids, "DT6": parse_v6(sid)})
+    before = (_store_versions(sim), sim.state_dump(), list(sim.events))
+    with pytest.raises(ValidationError, match=f"{re.escape(f': localsid {sid!r} is {held}')}$") as exc:
+        sim.apply_configmaps([bad])
+    assert exc.value.path == f"{key}.localsids.DT6"
+    assert (_store_versions(sim), sim.state_dump(), sim.events) == before
+    for src, dst in permutations(sim.pods, 2):
+        for family in ("v4", "v6"):
+            assert sim.ping(src, dst, count=1, family=family).delivered == 1, (src, dst, family)
+
+
+def test_apply_of_one_new_localsid_for_two_nodes_is_refused():
+    """Two documents of one apply that move worker1's and worker2's DT6 to
+    one free SID are refused at the second; one of them alone applies."""
+    sim = Simulation(load_scenario(FULL_CM)).start()
+    docs = {d.node: d for d in sim.scenario.configmaps}
+    free = parse_v6("fcdd::99")
+    moved = [replace(docs[n], localsids={**docs[n].localsids, "DT6": free})
+             for n in ("worker1", "worker2")]
+    before = (_store_versions(sim), sim.state_dump(), list(sim.events))
+    with pytest.raises(ValidationError, match=": localsid 'fcdd::99' is a localSID of node 'worker1'$") as exc:
+        sim.apply_configmaps(moved)
+    assert exc.value.path == "srv6-config-worker2.localsids.DT6"
+    assert (_store_versions(sim), sim.state_dump(), sim.events) == before
+    assert sim.apply_configmaps(moved[1:]) == ["worker2: 2 localSID changes"]
+    assert sim.dataplanes["worker2"].localsids[free._ip].sid == free
+
+
+def test_cli_apply_of_another_nodes_localsid_exits_2(tmp_path, capsys):
+    path = tmp_path / "worker2-takes-worker1-dt6.yaml"
+    path.write_text((SCENARIOS / "configmap_worker2_modified.yaml").read_text()
+                    .replace('DT6: "fcdd::12aa:d460:b250:45:b05"', f'DT6: "{WORKER1_DT6}"'))
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: srv6-config-worker2.localsids.DT6: localsid "
+                                       f"'{WORKER1_DT6}' is a localSID of node 'worker1'\n")
+
+
 def test_cli_apply_scoped_segment_exits_2(tmp_path, capsys):
     """A segment with an RFC 4007 zone, which no SRH carries, is refused at
     its field (exit 2); nothing is applied."""
@@ -298,7 +361,7 @@ def test_inject_with_a_non_dt_final_segment_is_refused_before_sending(capsys):
     assert sim.bus.quiesced
     assert (sim.state_dump(), sim.events, dict(sim.metrics), sim.bus.sessions) == before
     sim.inject(good)
-    assert good.bsid in sim.dataplanes["master"].policies
+    assert good.bsid._ip in sim.dataplanes["master"].policies
     assert sim.ping("pod-master", "pod-worker2").delivered == 4
 
 
@@ -562,6 +625,12 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         ((SCENARIOS / "full_cm.yaml").read_text().replace(
             '"fcdd::12aa:d460:b250:45:b05"', '"fcdd::11aa:c11:b42f:f17e:a683"'),
          "configmaps[2].localsids.DT6", "duplicate localsid 'fcdd::11aa:c11:b42f:f17e:a683'"),
+        (_basic("localsid_pool: sr-localsids-pool-worker1",
+                'localsids: {DT4: "fcff:0:0:11AA::4", DT6: "fd12::1000"}'),
+         "nodes[1].localsids.DT6", "localsid 'fd12::1000' is the infra address of node 'worker2'"),
+        ((SCENARIOS / "full_cm.yaml").read_text().replace(
+            '"fcdd::12aa:d460:b250:45:b05"', '"fd10::1000"'),
+         "configmaps[2].localsids.DT6", "localsid 'fd10::1000' is the infra address of node 'master'"),
         (_basic("seed: 7", "seed: 7\nauto_step_2: false\nconfigmap_fanot: single-map"),
          ".auto_step_2", "unknown key 'auto_step_2'"),
         (_basic("seed: 7", "seed: 0b_"), "bad.yaml", "not valid YAML: invalid literal for int"),
@@ -586,7 +655,8 @@ V4_POOL = '  - {name: v4-pool, cidr: "10.9.0.0/24", blockSize: 28}\n'
         "v4-bsid-pool", "v4-localsid-pool", "non-string-node-selector", "dangling-node-selector",
         "boolean-seed", "boolean-convergence-steps", "boolean-link-cost", "block-size-out-of-range",
         "duplicate-configmap", "pool-selects-another-node", "injector-named-like-node",
-        "localsid-pinned-by-two-nodes", "localsid-named-by-two-documents", "misspelt-key",
+        "localsid-pinned-by-two-nodes", "localsid-named-by-two-documents",
+        "pinned-localsid-on-an-infra", "document-localsid-on-an-infra", "misspelt-key",
         "yaml-int-constructor-error", "yaml-timestamp-constructor-error",
     ],
 )
@@ -735,7 +805,7 @@ def test_127_segments_fill_an_srh_and_each_walk_ends_within_its_bound(tmp_path, 
     sim = Simulation(load_scenario(FULL_BGP)).start()
     update = parse_policy_file(path.read_text(), path=str(path))
     sim.inject(update)
-    srh = sim.dataplanes["master"].policies[update.bsid].srh
+    srh = sim.dataplanes["master"].policies[update.bsid._ip].srh
     assert srh.hdr_ext_len == 254 and decode_srh(encode_srh(srh)) == srh
     report = sim.ping("pod-master", "pod-worker2", count=3)
     assert report.drop_reasons == ["ttl"] * 3

@@ -265,9 +265,9 @@ class BruteForceUnderlay:
         self.holder = {r.end_sid: r.name for r in sim.scenario.routers}
         for node in sim.scenario.nodes:
             self.advertised[IPv6Network((node.infra, 128))] = node.name
-            for sid in sim.dataplanes[node.name].localsids:
-                self.advertised[IPv6Network((sid, 128))] = node.name
-                self.holder[sid] = node.name
+            for entry in sim.dataplanes[node.name].localsids.values():
+                self.advertised[IPv6Network((entry.sid, 128))] = node.name
+                self.holder[entry.sid] = node.name
 
     def origin(self, vertex, addr):
         """Origin of the longest advertised prefix holding ``addr`` that
