@@ -29,7 +29,6 @@ from .dataplane import (
     LocalSidEntry,
     NodeDataplane,
     SrPolicyEntry,
-    SteeringRule,
 )
 from .k8s import ConfigMapDoc, IpamAllocator, PolicyDiff, diff_policies, v6_text
 from .net_types import Prefix, family_of
@@ -190,7 +189,7 @@ class Agent:
                         f"{v6_text(endpoint._ip)} {policy.family} {v6_text(policy.bsid._ip)}")
             return
         self.dp.install_policy(policy)
-        self.dp.install_steering(SteeringRule(match=matching, bsid=policy.bsid))
+        self.dp.install_steering(matching, policy.bsid)
         if previous is not None and previous.bsid != policy.bsid:
             self._remove_own(previous)
         self.installed[key] = policy

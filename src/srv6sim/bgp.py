@@ -272,7 +272,3 @@ class SessionBus:
         if not queue:
             del self._pending[bisect_left(self._pending, session)]
         return message
-
-    @property
-    def quiesced(self) -> bool:
-        return not self._pending

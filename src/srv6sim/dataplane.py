@@ -24,6 +24,8 @@ from .net_types import (
     Srh,
     decode_inner,
     family_of,
+    prefix_key,
+    prefix_of,
 )
 
 OUTER_HOP_LIMIT = 64
@@ -80,12 +82,6 @@ class SrPolicyEntry:
 
 
 @dataclass(frozen=True)
-class SteeringRule:
-    match: Prefix
-    bsid: IPv6Address
-
-
-@dataclass(frozen=True)
 class Disposition:
     """Result of endpoint processing for one packet."""
 
@@ -103,19 +99,16 @@ class Disposition:
 
 
 class LpmIndex:
-    """Prefix -> value table with longest-prefix match.
+    """Longest-prefix match over a table keyed by ``prefix_key``.
 
     One hash table per (family, prefix length), keyed by the masked network
-    as an int and probed longest first (Waldvogel et al., SIGCOMM 1997). A key
-    may be an address, which stands for its host prefix.
+    as an int and probed longest first (Waldvogel et al., SIGCOMM 1997).
     """
 
     def __init__(self, table: dict):
         by_len: dict[tuple[int, int], dict[int, tuple]] = {}
-        for prefix, value in table.items():
-            plen = getattr(prefix, "prefixlen", prefix.max_prefixlen)
-            entries = by_len.setdefault((prefix.version, plen), {})
-            entries[int(getattr(prefix, "network_address", prefix))] = (prefix, value)
+        for key, value in table.items():
+            by_len.setdefault((6 if key & 1 else 4, key >> 1 & 0xFF), {})[key >> 9] = (key, value)
         self._probes: dict[int, list] = {4: [], 6: []}  # longest length first
         for (version, plen), entries in sorted(by_len.items(), reverse=True):
             width = 32 if version == 4 else 128
@@ -123,10 +116,10 @@ class LpmIndex:
             self._probes[version].append((mask, entries))
 
     def lookup(self, addr: Addr, among=None):
-        """``(prefix, value)`` of the longest prefix containing ``addr``, or None.
+        """``(key, value)`` of the longest prefix containing ``addr``, or None.
         With ``among``, shorter prefixes are tried while the value is not in it."""
-        bits = int(addr)
-        for mask, entries in self._probes[addr.version]:
+        bits = addr._ip
+        for mask, entries in self._probes[addr._version]:
             hit = entries.get(bits & mask)
             if hit is not None and (among is None or hit[1] in among):
                 return hit
@@ -144,12 +137,13 @@ class NodeDataplane:
         # hashing an int is not a Python-level call
         self.localsids: dict[int, LocalSidEntry] = {}
         self.policies: dict[int, SrPolicyEntry] = {}
-        self.steering: dict[Prefix, IPv6Address] = {}
-        # bsid._ip -> prefixes steered to it, built at the first remove_policy (a bring-up
-        # has none); lists, as a BSID steers few prefixes and hashing one is slow
-        self._steered: Optional[dict[int, list[Prefix]]] = None
+        # the prefix tables are keyed by ``prefix_key``; ``prefix_of`` gives a key's prefix back
+        self.steering: dict[int, IPv6Address] = {}
+        # bsid._ip -> the prefix keys steered to it, built at the first remove_policy
+        # (a bring-up has none); lists, as a BSID steers few prefixes
+        self._steered: Optional[dict[int, list[int]]] = None
         self.encap_source: Optional[IPv6Address] = None
-        self.fib: dict[Prefix, str] = {}
+        self.fib: dict[int, str] = {}
         self.version = 0  # bumped on every effective mutation
         self._indexes: dict = {}  # table name -> (version, LpmIndex)
 
@@ -182,43 +176,41 @@ class NodeDataplane:
         if self.policies.pop(bsid._ip, None) is not None:
             if self._steered is None:
                 self._steered = {}
-                for prefix, steered_to in self.steering.items():
-                    self._steered.setdefault(steered_to._ip, []).append(prefix)
-            for prefix in self._steered.pop(bsid._ip, ()):
-                del self.steering[prefix]
+                for key, steered_to in self.steering.items():
+                    self._steered.setdefault(steered_to._ip, []).append(key)
+            for key in self._steered.pop(bsid._ip, ()):
+                del self.steering[key]
             self.version += 1
 
-    def _reindex(self, prefix: Prefix, old, new) -> None:
-        """Move ``prefix`` from BSID ``old``'s index entry, None for none, to ``new``'s."""
+    def _reindex(self, key: int, old, new) -> None:
+        """Move steering ``key`` from BSID ``old``'s index entry, None for none, to ``new``'s."""
         if self._steered is not None:
             if old is not None:
-                self._steered[old._ip].remove(prefix)
+                self._steered[old._ip].remove(key)
                 if not self._steered[old._ip]:
                     del self._steered[old._ip]
-            self._steered.setdefault(new._ip, []).append(prefix)
+            self._steered.setdefault(new._ip, []).append(key)
 
-    def install_steering(self, rule: SteeringRule) -> None:
-        """Steer ``rule.match`` to its BSID's policy. Refused, with the dataplane
+    def install_steering(self, match: Prefix, bsid: IPv6Address) -> None:
+        """Steer ``match`` to ``bsid``'s policy. Refused, with the dataplane
         unchanged, for an unknown BSID, a policy of another family, or a node
         without an encap source: ``h_encaps`` relies on all three."""
         if self.encap_source is None:
             raise SimError(f"{self.name}: encap source not configured")
-        policy = self.policies.get(rule.bsid._ip)
+        policy = self.policies.get(bsid._ip)
         if policy is None:
-            raise DanglingPolicyError(
-                f"steering rule {rule.match} references unknown BSID {rule.bsid}"
-            )
-        if policy.family != family_of(rule.match):
+            raise DanglingPolicyError(f"steering rule {match} references unknown BSID {bsid}")
+        if policy.family != family_of(match):
             raise FamilyMismatchError(
-                f"steering prefix {rule.match} does not match policy family "
-                f"{policy.family}"
+                f"steering prefix {match} does not match policy family {policy.family}"
             )
-        previous = self.steering.get(rule.match)
-        if previous is rule.bsid or previous is not None and previous == rule.bsid:
+        key = match.network_address._ip << 9 | match._prefixlen << 1 | (match._version == 6)  # prefix_key
+        previous = self.steering.get(key)
+        if previous is bsid or previous is not None and previous == bsid:
             return
-        self.steering[rule.match] = rule.bsid
+        self.steering[key] = bsid
         self.version += 1
-        self._reindex(rule.match, previous, rule.bsid)
+        self._reindex(key, previous, bsid)
 
     def set_encap_source(self, addr: IPv6Address) -> None:
         if self.encap_source == addr:
@@ -227,9 +219,10 @@ class NodeDataplane:
         self.version += 1
 
     def add_fib_route(self, prefix: Prefix, next_hop: str) -> None:
-        if self.fib.get(prefix) == next_hop:
+        key = prefix_key(prefix)
+        if self.fib.get(key) == next_hop:
             return
-        self.fib[prefix] = next_hop
+        self.fib[key] = next_hop
         self.version += 1
 
     # -- forwarding --------------------------------------------------------
@@ -300,9 +293,13 @@ class NodeDataplane:
 
     def show_steering(self) -> str:
         lines = [f"{self.name} SR steering policies:"]
-        for prefix in sorted(self.steering, key=str):
-            lines.append(f"  {prefix} -> bsid {self.steering[prefix]}")
+        for prefix, bsid in self._steering_rows():
+            lines.append(f"  {prefix} -> bsid {bsid}")
         return "\n".join(lines)
+
+    def _steering_rows(self) -> list[tuple[str, IPv6Address]]:
+        """Each steering rule's prefix text and BSID, sorted by the text."""
+        return sorted((str(prefix_of(key)), bsid) for key, bsid in self.steering.items())
 
     def show_encap_source(self) -> str:
         return f"{self.name} SR encap source: {self.encap_source}"
@@ -322,8 +319,5 @@ class NodeDataplane:
                 {"bsid": str(p.bsid), "family": p.family, "segments": [str(s) for s in p.segments]}
                 for _, p in sorted(self.policies.items())
             ],
-            "steering": [
-                {"prefix": str(p), "bsid": str(self.steering[p])}
-                for p in sorted(self.steering, key=str)
-            ],
+            "steering": [{"prefix": p, "bsid": str(b)} for p, b in self._steering_rows()],
         }

@@ -307,10 +307,10 @@ class PolicyDiff:
 
 
 def diff_policies(old: ConfigMapDoc, new: ConfigMapDoc) -> PolicyDiff:
-    """Diff keyed by (egress_node, traffic); a policy is replaced iff its
+    """Diff keyed by (egress_node._ip, traffic); a policy is replaced iff its
     bsid or segment list changed. Omission means removal."""
-    old_map = {(p.egress_node, p.traffic): p for p in old.policies}
-    new_map = {(p.egress_node, p.traffic): p for p in new.policies}
+    old_map = {(p.egress_node._ip, p.traffic): p for p in old.policies}
+    new_map = {(p.egress_node._ip, p.traffic): p for p in new.policies}
     adds, replaces = [], []
     for key, p in new_map.items():
         was = old_map.get(key)

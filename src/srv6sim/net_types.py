@@ -87,7 +87,18 @@ def parse_prefix(text: str) -> Prefix:
 
 
 def family_of(addr_or_prefix) -> str:
-    return "v4" if addr_or_prefix.version == 4 else "v6"
+    return "v4" if addr_or_prefix._version == 4 else "v6"  # a class attribute, not the property
+
+
+def prefix_key(prefix: Prefix) -> int:
+    """``network << 9 | length << 1 | is IPv6``: a table key that hashes without a
+    Python-level call, and an int, which the collector does not track as it does a tuple."""
+    return prefix.network_address._ip << 9 | prefix._prefixlen << 1 | (prefix._version == 6)
+
+
+def prefix_of(key: int) -> Prefix:
+    """The prefix whose ``prefix_key`` is ``key``."""
+    return (IPv6Network if key & 1 else IPv4Network)((key >> 9, key >> 1 & 0xFF))
 
 
 @dataclass(frozen=True)

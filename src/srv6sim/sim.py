@@ -30,7 +30,7 @@ from .k8s import (
     poll,
     render_configmap_doc,
 )
-from .net_types import InnerPacket, parse_prefix
+from .net_types import InnerPacket, parse_prefix, prefix_key
 from .scenario import Scenario
 from .schema import get, load, section
 from .underlay import Hop, Routes, Topology, TraceRecord, compute_routes, forward
@@ -149,19 +149,18 @@ class Simulation:
 
     def run_to_quiescence(self) -> int:
         """Drain the session bus, one message per step, seeded interleaving."""
+        bus, agents, choice = self.bus, self.agents, self.rng.choice
+        pending, pop, limit = bus.pending_sessions, bus.pop, self.scenario.convergence_steps
         steps = 0
-        while not self.bus.quiesced:
-            sessions = self.bus.pending_sessions()
-            src, dst = self.rng.choice(sessions)
-            message = self.bus.pop((src, dst))
-            agent = self.agents.get(dst)
+        while sessions := pending():
+            session = choice(sessions)
+            message = pop(session)
+            agent = agents.get(session[1])
             if agent is not None:
-                agent.handle_message(src, message)
+                agent.handle_message(session[0], message)
             steps += 1
-            if steps > self.scenario.convergence_steps:
-                raise ConvergenceError(
-                    f"control plane still busy after {steps} steps"
-                )
+            if steps > limit:
+                raise ConvergenceError(f"control plane still busy after {steps} steps")
         return steps
 
     # -- control-plane inputs ---------------------------------------------
@@ -227,11 +226,10 @@ class Simulation:
         first hops are computed once, as the topology is fixed."""
         key = self.metrics["localsid_changes"]
         if key != self._routes[0]:
-            advertised: dict = {r.sid_prefix: r.name for r in self.scenario.routers}
-            for node in self.scenario.nodes:  # an address key stands for its /128
-                advertised[node.infra] = node.name
-                for entry in self.dataplanes[node.name].localsids.values():
-                    advertised[entry.sid] = node.name
+            advertised = {prefix_key(r.sid_prefix): r.name for r in self.scenario.routers}
+            for node in self.scenario.nodes:  # each address by its /128's prefix_key
+                for ip in (node.infra._ip, *self.dataplanes[node.name].localsids):
+                    advertised[ip << 9 | 128 << 1 | 1] = node.name
             routes = self._routes[1]
             first_hop = routes.first_hop if routes is not None else compute_routes(self.topology)
             self._routes = (key, Routes(LpmIndex(advertised), first_hop))

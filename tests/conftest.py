@@ -1,7 +1,7 @@
 import random
 import sys
 from collections import Counter
-from ipaddress import IPv4Address, IPv6Address
+from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,21 +43,38 @@ def address_eq(monkeypatch) -> SimpleNamespace:
     return counter
 
 
-@pytest.fixture
-def address_hash(monkeypatch) -> SimpleNamespace:
-    """Counts ``IPv4Address.__hash__`` and ``IPv6Address.__hash__`` calls in
-    ``.calls``, and by the calling function's file and name in ``.callers``,
-    as in ``("agent.py", "on_step1")``; a dict or set operation counts under
-    the function that runs it. Set ``.calls`` to 0 to start a new count."""
+def _count_hashes(monkeypatch, classes) -> SimpleNamespace:
+    """Counts the ``__hash__`` calls of ``classes`` in ``.calls``, and by the
+    calling function's file and name in ``.callers``, as in
+    ``("agent.py", "on_step1")``; a dict or set operation counts under the
+    function that runs it, and one in a comprehension or a lambda under the
+    function that runs that. Set ``.calls`` to 0 to start a new count."""
     counter = SimpleNamespace(calls=0, callers=Counter())
-    for cls in (IPv4Address, IPv6Address):
+    for cls in classes:
         def counted(a, hash_=cls.__hash__):
             counter.calls += 1
-            code = sys._getframe(1).f_code
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<") and frame.f_back is not None:
+                frame = frame.f_back  # <dictcomp>, <lambda> and the like
+            code = frame.f_code
             counter.callers[Path(code.co_filename).name, code.co_name] += 1
             return hash_(a)
         monkeypatch.setattr(cls, "__hash__", counted)
     return counter
+
+
+@pytest.fixture
+def address_hash(monkeypatch) -> SimpleNamespace:
+    """Counts ``IPv4Address.__hash__`` and ``IPv6Address.__hash__`` calls, as
+    ``_count_hashes`` does."""
+    return _count_hashes(monkeypatch, (IPv4Address, IPv6Address))
+
+
+@pytest.fixture
+def prefix_hash(monkeypatch) -> SimpleNamespace:
+    """Counts ``IPv4Network.__hash__`` and ``IPv6Network.__hash__`` calls, as
+    ``_count_hashes`` does."""
+    return _count_hashes(monkeypatch, (IPv4Network, IPv6Network))
 
 
 def random_v6(rng: random.Random) -> IPv6Address:

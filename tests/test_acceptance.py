@@ -23,7 +23,6 @@ from srv6sim.dataplane import (
     LocalSidEntry,
     NodeDataplane,
     SrPolicyEntry,
-    SteeringRule,
 )
 from srv6sim.errors import SimError, ValidationError
 from srv6sim.graph import run_vector
@@ -370,9 +369,9 @@ def test_criterion_10_vector_scalar_oracle():
     dp.install_policy(SrPolicyEntry(
         bsid=parse_v6("cafe::3"), segments=(parse_v6("fcee::1"),), family="v6",
     ))
-    dp.install_steering(SteeringRule(parse_prefix("fd90::/64"), parse_v6("cafe::1")))
-    dp.install_steering(SteeringRule(parse_prefix("10.1.0.0/16"), parse_v6("cafe::2")))
-    dp.install_steering(SteeringRule(parse_prefix("fd91::/64"), parse_v6("cafe::3")))
+    dp.install_steering(parse_prefix("fd90::/64"), parse_v6("cafe::1"))
+    dp.install_steering(parse_prefix("10.1.0.0/16"), parse_v6("cafe::2"))
+    dp.install_steering(parse_prefix("fd91::/64"), parse_v6("cafe::3"))
     dp.add_fib_route(parse_prefix("fcff::/16"), "uplink")  # fcee::1 has no route
 
     rng = random.Random(1010)

@@ -20,7 +20,7 @@ from srv6sim.errors import ModeMismatchError, UnknownNodeError, ValidationError
 from srv6sim.k8s import IpPool, IpamAllocator, parse_configmap_doc
 from srv6sim.net_types import parse_prefix, parse_v6
 from srv6sim.scenario import NodeConfig, RouterConfig, Scenario, load_scenario
-from srv6sim.sim import Simulation
+from srv6sim.sim import Simulation, load_configmap_docs
 
 INFRA_A = parse_v6("fd10::1000")
 INFRA_B = parse_v6("fd11::1000")
@@ -163,7 +163,7 @@ def test_configmap_mode_ignores_step2(scenarios_dir):
     assert sim.metrics["step2_sent"] == sim.metrics["step2_received"] == 0
     with pytest.raises(ModeMismatchError, match="inject requires bgp mode"):
         sim.inject(policy_for_b())
-    assert sim.bus.quiesced and sim.metrics["step2_received"] == 0
+    assert not sim.bus.pending_sessions() and sim.metrics["step2_received"] == 0
     assert sim.state_dump() == before
 
 
@@ -295,3 +295,31 @@ def test_installs_hash_no_address(monkeypatch, address_hash, scenarios_dir):
     assert address_hash.calls > 0  # the counter counts
     assert [caller for caller in address_hash.callers
             if caller[0] in ("agent.py", "dataplane.py")] == []
+
+
+def test_installs_hash_no_prefix(monkeypatch, prefix_hash, scenarios_dir):
+    """No function of ``agent.py`` or ``dataplane.py`` hashes a prefix: the
+    steering and FIB tables are keyed by ``prefix_key``'s integers."""
+    _inject_every_policy_file(monkeypatch, scenarios_dir)
+    assert [caller for caller in prefix_hash.callers
+            if caller[0] in ("agent.py", "dataplane.py")] == []
+    hash(parse_prefix("fd90::/64"))  # the counter counts
+    assert prefix_hash.callers["test_agent.py", "test_installs_hash_no_prefix"] == 1
+
+
+@pytest.mark.parametrize("fanout", ["per-node", "single-map"])
+def test_configmap_bring_up_and_apply_hash_no_address_or_prefix(
+        fanout, address_hash, prefix_hash, scenarios_dir):
+    """A configmap bring-up and an apply hash no address and no prefix in
+    ``agent.py``, ``dataplane.py`` or ``diff_policies``, whose maps are keyed
+    by ``(egress_node._ip, traffic)``."""
+    text = (scenarios_dir / "full_cm.yaml").read_text()
+    text = text.replace("configmap_fanout: per-node", f"configmap_fanout: {fanout}")
+    sim = Simulation(load_scenario(text)).start()
+    assert sim.scenario.configmap_fanout == fanout
+    modified = (scenarios_dir / "configmap_worker2_modified.yaml").read_text()
+    assert sim.apply_configmaps(load_configmap_docs(modified))
+    assert address_hash.calls > 0  # the counter counts: the readers hash addresses
+    hashed = address_hash.callers + prefix_hash.callers
+    assert [caller for caller in hashed if caller[0] in ("agent.py", "dataplane.py")
+            or caller == ("k8s.py", "diff_policies")] == []

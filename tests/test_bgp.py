@@ -168,9 +168,9 @@ def test_session_bus_fifo_per_pair():
     assert bus.pending_sessions() == [("a", "b"), ("a", "c")]
     assert bus.pop(("a", "b")) == "m1"
     assert bus.pop(("a", "b")) == "m2"
-    assert not bus.quiesced
+    assert bus.pending_sessions()
     assert bus.pop(("a", "c")) == "m3"
-    assert bus.quiesced
+    assert not bus.pending_sessions()
 
 
 def test_step1_update_is_plain_data():

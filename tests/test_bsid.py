@@ -23,11 +23,10 @@ from srv6sim.dataplane import (
     BEHAVIOR_END_DT6,
     NodeDataplane,
     SrPolicyEntry,
-    SteeringRule,
 )
 from srv6sim.errors import ValidationError
 from srv6sim.k8s import parse_configmap_doc
-from srv6sim.net_types import family_of, parse_prefix, parse_v6
+from srv6sim.net_types import family_of, parse_prefix, parse_v6, prefix_of
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
 
@@ -38,16 +37,17 @@ FAMILIES = ("v4", "v6")
 
 
 def steered_inverse(steering: dict) -> dict:
-    """BSID integer -> the prefixes steered to it, each counted once."""
+    """BSID integer -> the prefix keys steered to it, each counted once."""
     inverse: dict = {}
-    for prefix, bsid in steering.items():
-        inverse.setdefault(bsid._ip, Counter())[prefix] += 1
+    for key, bsid in steering.items():
+        inverse.setdefault(bsid._ip, Counter())[key] += 1
     return inverse
 
 
 def assert_steering_points_at_its_family(dp: NodeDataplane) -> None:
     """Every steering rule points at an installed policy of its own family."""
-    for prefix, bsid in dp.steering.items():
+    for key, bsid in dp.steering.items():
+        prefix = prefix_of(key)
         assert bsid._ip in dp.policies and dp.policies[bsid._ip].family == family_of(prefix), (
             dp.name, prefix, bsid)
 
@@ -69,9 +69,9 @@ class LinearDataplane(NodeDataplane):
 
     def remove_policy(self, bsid: IPv6Address) -> None:
         if self.policies.pop(bsid._ip, None) is not None:
-            dangling = [p for p, b in self.steering.items() if b == bsid]
-            for prefix in dangling:
-                del self.steering[prefix]
+            dangling = [key for key, b in self.steering.items() if b == bsid]
+            for key in dangling:
+                del self.steering[key]
             self.version += 1
 
 
@@ -95,7 +95,7 @@ def _apply(dp: NodeDataplane, op) -> None:
         policy = dp.policies.get(b._ip)
         if policy is not None and policy.family == family_of(a):
             # a fresh, equal BSID object: the index must not rely on identity
-            dp.install_steering(SteeringRule(a, IPv6Address(int(b))))
+            dp.install_steering(a, IPv6Address(int(b)))
     else:
         getattr(dp, name)(a)
 
@@ -129,7 +129,7 @@ def test_bsid_swap_touches_only_its_own_rules(address_eq):
             dp.install_policy(SrPolicyEntry(bsid=bsid, segments=(parse_v6("fcff:3::1"),),
                                             family="v6"))
             for j in range(2):
-                dp.install_steering(SteeringRule(parse_prefix(f"fd90:{i:x}:{j}::/64"), bsid))
+                dp.install_steering(parse_prefix(f"fd90:{i:x}:{j}::/64"), bsid)
         dp.remove_policy(parse_v6("cafe::1f3"))  # the index is built here, once
         return dp
 
@@ -137,7 +137,7 @@ def test_bsid_swap_touches_only_its_own_rules(address_eq):
         old, new = parse_v6("cafe::7"), parse_v6("cafe:1::7")
         dp.install_policy(replace(dp.policies[old._ip], bsid=new))
         for j in range(2):
-            dp.install_steering(SteeringRule(parse_prefix(f"fd90:7:{j}::/64"), new))
+            dp.install_steering(parse_prefix(f"fd90:7:{j}::/64"), new)
         dp.remove_policy(old)
 
     counts = {}
@@ -148,7 +148,7 @@ def test_bsid_swap_touches_only_its_own_rules(address_eq):
         swap(dp)
         counts[cls] = address_eq.calls
         assert len(dp.steering) == 998 and len(dp.policies) == 499
-        assert set(steered_inverse(dp.steering)[parse_v6("cafe:1::7")._ip]) == {
+        assert set(map(prefix_of, steered_inverse(dp.steering)[parse_v6("cafe:1::7")._ip])) == {
             parse_prefix("fd90:7:0::/64"), parse_prefix("fd90:7:1::/64")}
         assert_index_is_inverse(dp)
     assert counts[NodeDataplane] <= 10

@@ -20,7 +20,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from srv6sim.dataplane import Behavior, LocalSidEntry, SrPolicyEntry, SteeringRule
+from srv6sim.dataplane import Behavior, LocalSidEntry, SrPolicyEntry
 from srv6sim.errors import DanglingPolicyError, FamilyMismatchError, SimError
 from srv6sim.graph import run_vector
 from srv6sim.net_types import InnerPacket, family_of, parse_addr, parse_prefix, parse_v6
@@ -112,7 +112,7 @@ class DatapathMachine(RuleBasedStateMachine):
     @rule(node=st.sampled_from(NODES), prefix=st.sampled_from(PREFIXES),
           bsid=st.sampled_from(BSIDS))
     def install_steering(self, node, prefix, bsid):
-        self._mutate(node, "install_steering", SteeringRule(prefix, bsid))
+        self._mutate(node, "install_steering", prefix, bsid)
 
     @rule(node=st.sampled_from(NODES), addr=st.sampled_from(ENCAP_SOURCES))
     def set_encap_source(self, node, addr):

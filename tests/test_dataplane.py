@@ -5,7 +5,6 @@ from srv6sim.dataplane import (
     LocalSidEntry,
     NodeDataplane,
     SrPolicyEntry,
-    SteeringRule,
 )
 from srv6sim.errors import DanglingPolicyError, FamilyMismatchError, SimError, ValidationError
 from srv6sim.k8s import parse_configmap_doc
@@ -19,8 +18,8 @@ def make_headend():
     dp.set_encap_source(parse_v6("fd10::1000"))
     dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::1"),
                                     segments=(S1, S2, S3), family="v6"))
-    dp.install_steering(SteeringRule(match=parse_prefix("fd90::/64"),
-                                     bsid=parse_v6("cafe::1")))
+    dp.install_steering(match=parse_prefix("fd90::/64"),
+                                     bsid=parse_v6("cafe::1"))
     return dp
 
 
@@ -101,8 +100,8 @@ def test_steering_is_lpm_and_family_scoped():
     dp.set_encap_source(parse_v6("fd10::1"))
     dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::a"), segments=(S1,), family="v6"))
     dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::b"), segments=(S2,), family="v6"))
-    dp.install_steering(SteeringRule(parse_prefix("fd90::/32"), parse_v6("cafe::a")))
-    dp.install_steering(SteeringRule(parse_prefix("fd90:0:1::/64"), parse_v6("cafe::b")))
+    dp.install_steering(parse_prefix("fd90::/32"), parse_v6("cafe::a"))
+    dp.install_steering(parse_prefix("fd90:0:1::/64"), parse_v6("cafe::b"))
     assert dp.steer_lookup(parse_addr("fd90:0:1::7")) == parse_v6("cafe::b")
     assert dp.steer_lookup(parse_addr("fd90:0:2::7")) == parse_v6("cafe::a")
     assert dp.steer_lookup(parse_addr("10.0.0.1")) is None
@@ -112,10 +111,10 @@ def test_steering_validation():
     dp = NodeDataplane("n")
     dp.set_encap_source(parse_v6("fd10::1"))
     with pytest.raises(DanglingPolicyError):
-        dp.install_steering(SteeringRule(parse_prefix("fd90::/64"), parse_v6("cafe::9")))
+        dp.install_steering(parse_prefix("fd90::/64"), parse_v6("cafe::9"))
     dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::9"), segments=(S1,), family="v6"))
     with pytest.raises(FamilyMismatchError):
-        dp.install_steering(SteeringRule(parse_prefix("10.0.0.0/24"), parse_v6("cafe::9")))
+        dp.install_steering(parse_prefix("10.0.0.0/24"), parse_v6("cafe::9"))
 
 
 def test_steering_refused_without_encap_source():
@@ -124,7 +123,7 @@ def test_steering_refused_without_encap_source():
     dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::9"), segments=(S1,), family="v6"))
     before = (dp.dump(), dp.version)
     with pytest.raises(SimError, match="n: encap source not configured"):
-        dp.install_steering(SteeringRule(parse_prefix("fd90::/64"), parse_v6("cafe::9")))
+        dp.install_steering(parse_prefix("fd90::/64"), parse_v6("cafe::9"))
     assert (dp.dump(), dp.version) == before and dp.steering == {}
 
 
@@ -140,8 +139,8 @@ def test_install_idempotence_tracked_by_version():
     v = dp.version
     dp.install_policy(SrPolicyEntry(bsid=parse_v6("cafe::1"),
                                     segments=(S1, S2, S3), family="v6"))
-    dp.install_steering(SteeringRule(match=parse_prefix("fd90::/64"),
-                                     bsid=parse_v6("cafe::1")))
+    dp.install_steering(match=parse_prefix("fd90::/64"),
+                                     bsid=parse_v6("cafe::1"))
     dp.set_encap_source(parse_v6("fd10::1000"))
     assert dp.version == v
 

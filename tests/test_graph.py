@@ -7,7 +7,7 @@ import pytest
 import srv6sim.sim
 from srv6sim import dataplane
 from srv6sim.cli import main
-from srv6sim.dataplane import Disposition, NodeDataplane, SrPolicyEntry, SteeringRule
+from srv6sim.dataplane import Disposition, NodeDataplane, SrPolicyEntry
 from srv6sim.graph import VECTOR_MAX, run_vector
 from srv6sim.net_types import (
     InnerPacket,
@@ -36,7 +36,7 @@ def make_dp():
                 family="v6",
             )
         )
-        dp.install_steering(SteeringRule(parse_prefix(match), parse_v6(bsid)))
+        dp.install_steering(parse_prefix(match), parse_v6(bsid))
     dp.add_fib_route(parse_prefix("fcff::/16"), "uplink")
     return dp
 

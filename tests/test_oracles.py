@@ -41,7 +41,6 @@ from srv6sim.dataplane import (
     LpmIndex,
     NodeDataplane,
     SrPolicyEntry,
-    SteeringRule,
 )
 from srv6sim.k8s import (
     SINGLE_MAP_KEY,
@@ -52,7 +51,15 @@ from srv6sim.k8s import (
     render_configmap_doc,
 )
 from srv6sim.graph import run_vector
-from srv6sim.net_types import InnerPacket, OuterPacket, Srh, parse_addr, parse_v6
+from srv6sim.net_types import (
+    InnerPacket,
+    OuterPacket,
+    Srh,
+    parse_addr,
+    parse_v6,
+    prefix_key,
+    prefix_of,
+)
 from srv6sim.scenario import load_scenario
 from srv6sim.schema import YamlLoader
 from srv6sim.sim import Simulation
@@ -69,6 +76,16 @@ def linear_lpm(table: dict, addr):
             if best is None or prefix.prefixlen > best[0].prefixlen:
                 best = (prefix, value)
     return best
+
+
+def keyed(table: dict) -> dict:
+    """A prefix-keyed table as ``LpmIndex`` takes it, keyed by ``prefix_key``."""
+    return {prefix_key(prefix): value for prefix, value in table.items()}
+
+
+def prefixed(table: dict) -> dict:
+    """A dataplane table keyed by ``prefix_key``, keyed by its prefixes again."""
+    return {prefix_of(key): value for key, value in table.items()}
 
 
 WIDTH = {4: 32, 6: 128}
@@ -126,12 +143,13 @@ def test_lpm_index_matches_linear_scan(case):
             table[prefix] = value
         elif op == "remove":
             table.pop(prefix, None)
-        index = LpmIndex(table)
+        index = LpmIndex(keyed(table))
         among = {value for _op, _prefix, value in ops}  # a drawn subset of the values
         for addr in probes + [p.network_address for p in table]:
-            assert index.lookup(addr) == linear_lpm(table, addr), addr
+            want = linear_lpm(table, addr)
+            assert index.lookup(addr) == (want and (prefix_key(want[0]), want[1])), addr
             want = linear_lpm({p: v for p, v in table.items() if v in among}, addr)
-            assert index.lookup(addr, among) == want, addr
+            assert index.lookup(addr, among) == (want and (prefix_key(want[0]), want[1])), addr
 
 
 S1 = IPv6Address("fcff:1::1")
@@ -153,17 +171,17 @@ def test_dataplane_lookups_follow_mutations(case):
         dp.add_fib_route(prefix, str(value))
     for op, prefix, value in [("noop", None, None)] + ops:
         if op == "add":
-            dp.install_steering(SteeringRule(prefix, policies[prefix.version]))
+            dp.install_steering(prefix, policies[prefix.version])
             dp.add_fib_route(prefix, str(value))
         elif op == "remove":  # a policy's removal takes its steering rules with it
             policy = dp.policies[policies[prefix.version]._ip]
             dp.remove_policy(policy.bsid)
             dp.install_policy(policy)
         for addr in probes:
-            expect = linear_lpm(dp.steering, addr)
+            expect = linear_lpm(prefixed(dp.steering), addr)
             assert dp.steer_lookup(addr) == (expect[1] if expect else None)
             if addr.version == 6:
-                expect = linear_lpm(dp.fib, addr)
+                expect = linear_lpm(prefixed(dp.fib), addr)
                 assert dp.fib_lookup(addr) == (expect[1] if expect else None)
 
 
@@ -190,7 +208,7 @@ def test_pending_sessions_match_sorted_scan(ops):
             bus.pop(pending[x % len(pending)])
         expect = sorted(k for k, q in bus.sessions.items() if q)
         assert bus.pending_sessions() == expect
-        assert bus.quiesced == (not expect)
+        assert (not bus.pending_sessions()) == (not expect)
 
 
 def advertised_oracle(sim: Simulation) -> dict:
@@ -220,7 +238,7 @@ def test_cached_routes_match_fresh_computation(ops):
 
     def assert_fresh():
         advertised = advertised_oracle(sim)
-        fresh = Routes(LpmIndex(advertised), compute_routes(sim.topology))
+        fresh = Routes(LpmIndex(keyed(advertised)), compute_routes(sim.topology))
         cached = sim.current_routes()
         for vertex in fresh.first_hop:
             for addr in [p.network_address for p in advertised] + sids:
@@ -961,7 +979,7 @@ def _hdr_step(sim: Simulation, step, original: dict, steering: dict) -> None:
         dp.install_policy(replace(original[arg], segments=tuple(waypoints) + (last,)))
         for match, bsid in steering.items():
             if bsid == arg:
-                dp.install_steering(SteeringRule(match, bsid))
+                dp.install_steering(match, bsid)
 
 
 @settings(max_examples=150, deadline=None)
@@ -973,7 +991,7 @@ def test_stored_encap_header_follows_policy_changes(steps):
     own SRH), and ``ping`` equals the per-packet ``twin_ping`` of a twin."""
     frames, twin = _started("full_cm"), _started("full_cm")
     dp = frames.dataplanes["master"]
-    original, steering = {p.bsid: p for p in dp.policies.values()}, dict(dp.steering)
+    original, steering = {p.bsid: p for p in dp.policies.values()}, prefixed(dp.steering)
     probe = _hdr_vector([(k, False) for k in range(len(HDR_DSTS))])
     for step in steps:
         _hdr_step(frames, step, original, steering)

@@ -347,6 +347,22 @@ def test_cli_apply_scoped_segment_exits_2(tmp_path, capsys):
                                        "no header field carries a zone\n")
 
 
+def test_a_first_segment_at_the_head_end_drops_there():
+    """A tunnel whose first segment is the head-end's own End.DT6 SID: the
+    head-end's FIB finds that SID local, so the walk starts with End.DT there,
+    and with segments left each packet drops as a premature decap."""
+    sim = Simulation(load_scenario(FULL_BGP)).start()
+    update = parse_policy_file((SCENARIOS / "policies" / "worker2-v6.yaml").read_text())
+    dp = sim.dataplanes["master"]
+    own = next(e.sid for e in dp.localsids.values() if e.behavior.kind == "EndDT6")
+    sim.inject(replace(update, segments=(replace(update.segments[-1], sid=own),
+                                         *update.segments[1:])))
+    assert dp.fib_lookup(own) == "local"
+    report = sim.ping("pod-master", "pod-worker2", count=3)
+    assert (report.delivered, report.drop_reasons) == (0, ["premature decap"] * 3)
+    assert [(h.at, h.action) for h in report.traces[0].hops] == [("master", "drop:premature decap")]
+
+
 def test_inject_with_a_non_dt_final_segment_is_refused_before_sending(capsys):
     """An API-built update whose final segment is not End.DT4/DT6 is refused
     with ``parse_policy_file``'s message before anything is sent: the bus,
@@ -358,7 +374,7 @@ def test_inject_with_a_non_dt_final_segment_is_refused_before_sending(capsys):
     before = (sim.state_dump(), list(sim.events), dict(sim.metrics), dict(sim.bus.sessions))
     with pytest.raises(ValidationError, match="^final segment code 1 is not a DT behavior$"):
         sim.inject(bad)
-    assert sim.bus.quiesced
+    assert not sim.bus.pending_sessions()
     assert (sim.state_dump(), sim.events, dict(sim.metrics), sim.bus.sessions) == before
     sim.inject(good)
     assert good.bsid._ip in sim.dataplanes["master"].policies

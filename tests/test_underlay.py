@@ -16,7 +16,7 @@ from srv6sim.dataplane import (
 )
 from srv6sim.errors import ValidationError
 from srv6sim.graph import run_vector
-from srv6sim.net_types import InnerPacket, Srh, parse_addr, parse_prefix, parse_v6
+from srv6sim.net_types import InnerPacket, Srh, parse_addr, parse_prefix, parse_v6, prefix_key
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation
 from srv6sim.underlay import (
@@ -39,8 +39,9 @@ GRID_LINKS = [
 
 
 def routes_of(topo, advertised):
-    """Routes as ``Simulation.current_routes`` builds them."""
-    return Routes(LpmIndex(advertised), compute_routes(topo))
+    """Routes as ``Simulation.current_routes`` builds them, from prefix keys."""
+    return Routes(LpmIndex({prefix_key(p): o for p, o in advertised.items()}),
+                  compute_routes(topo))
 
 
 def make_grid():
