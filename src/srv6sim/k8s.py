@@ -8,17 +8,17 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from ipaddress import IPv6Address
-from operator import attrgetter, is_not
+from operator import attrgetter, is_, is_not
 from typing import Optional
 
 import yaml
 
 from . import schema
 from .errors import ValidationError
-from .net_types import MAX_SEGMENTS, Addr, Prefix, canon
+from .net_types import MAX_SEGMENTS, Addr, Prefix, canon, canon_all
 
 # libyaml's emitter where PyYAML has it, for document heads; it folds long
-# scalars differently from the pure-Python one, see render_configmap_doc.
+# scalars differently from the pure-Python one, see _head_text.
 _FAST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # an IPv6 address's integer (``_ip``) -> its text; an int key, as hashing an address is slow
 v6_text = lru_cache(maxsize=4096)(lambda ip: str(IPv6Address(ip)))
@@ -135,6 +135,13 @@ class PolicyDocEntry:
     segment_list: tuple[IPv6Address, ...]
     traffic: str  # IPv4 | IPv6
 
+    @classmethod
+    def _of(cls, egress_node, bsid, segment_list: tuple, traffic: str) -> PolicyDocEntry:
+        """The entry in one step: the frozen ``__init__`` sets each field by a call."""
+        entry = object.__new__(cls)
+        entry.__dict__.update(egress_node=egress_node, bsid=bsid, segment_list=segment_list, traffic=traffic)
+        return entry
+
     @property
     def family(self) -> str:
         return "v4" if self.traffic == "IPv4" else "v6"
@@ -187,48 +194,43 @@ def parse_configmap_doc(data, path: str = "configmap") -> ConfigMapDoc:
         spelling = "node" if "node" in entry and "egress_node" not in entry else "egress_node"
         egress = schema.address(entry, spelling, where)
         traffic = schema.one_of(entry.get("traffic"), TRAFFIC_KINDS, "traffic", where)
-        policies.append(PolicyDocEntry(
-            egress_node=egress,
-            bsid=schema.address(entry, "bsid", where),
-            segment_list=schema.addresses(entry, "segment_list", where),
-            traffic=traffic,
-        ))
-    if len({(p.egress_node, p.traffic) for p in policies}) < len(policies):
-        keys = set()  # one set per document above; per policy only to locate the duplicate
+        policies.append(PolicyDocEntry._of(egress, schema.address(entry, "bsid", where),
+                                           schema.addresses(entry, "segment_list", where), traffic))
+    keys, bsids = set(), set()  # one set per document below; per policy only to locate a duplicate
+    if len({(p.egress_node._ip, p.traffic) for p in policies}) < len(policies):
         for i, p in enumerate(policies):
             schema.unique((p.egress_node, p.traffic), keys, "policy for", f"{path}.policies[{i}]")
-    if len({p.bsid for p in policies}) < len(policies):  # a BSID names one policy
-        bsids = set()
+    if len({p.bsid._ip for p in policies}) < len(policies):  # a BSID names one policy
         for i, p in enumerate(policies):
             schema.unique(str(p.bsid), bsids, "bsid", f"{path}.policies[{i}].bsid")
     return ConfigMapDoc(node=node, localsids=localsids, policies=tuple(policies))
 
 
 def _typed_doc(doc: ConfigMapDoc) -> Optional[ConfigMapDoc]:
-    """``doc`` with canonical addresses if the reader would return it as it is:
-    fields of their declared types, 1 to 127 segments, unique keys and BSIDs,
-    exactly unscoped ``IPv6Address``es (checked before ``canon`` interns any). Else None."""
+    """``doc`` with canonical addresses (itself, or each entry of it that has them) if the reader
+    would return it as it is: fields of their declared types, 1 to 127 segments, unique keys and
+    BSIDs, exactly unscoped ``IPv6Address``es (checked before ``canon`` interns any). Else None."""
     addrs, entries = [*doc.localsids.values()], []
     for p in doc.policies:
         if (p.traffic not in TRAFFIC_KINDS or not isinstance(p.segment_list, tuple)
                 or not 0 < len(p.segment_list) <= MAX_SEGMENTS):
             return None
-        fields = (p.egress_node, p.bsid, *p.segment_list)
-        entries.append(fields)
-        addrs += fields
+        entries.append((p.egress_node, p.bsid, *p.segment_list))
+        addrs += entries[-1]
     if not (isinstance(doc.node, str) and doc.node != "" and isinstance(doc.policies, tuple)
             and all(k in LOCALSID_KINDS for k in doc.localsids)
             and set(map(type, addrs)) <= _V6 and not any(map(_scope, addrs))
-            and len({(p.egress_node, p.traffic) for p in doc.policies}) == len(entries)
-            and len({p.bsid for p in doc.policies}) == len(entries)):
+            and len({(p.egress_node._ip, p.traffic) for p in doc.policies}) == len(entries)
+            and len({p.bsid._ip for p in doc.policies}) == len(entries)):
         return None
-    policies = []
-    for p, fields in zip(doc.policies, entries):  # an entry of canonical addresses is kept as it is
-        same = tuple(map(canon, fields))
-        policies.append(PolicyDocEntry(*same[:2], same[2:], p.traffic)
+    if all(map(is_, live := canon_all(addrs), addrs)):
+        return doc
+    at, policies = len(doc.localsids), []
+    for p, fields in zip(doc.policies, entries):
+        same, at = live[at:at + len(fields)], at + len(fields)
+        policies.append(PolicyDocEntry._of(same[0], same[1], tuple(same[2:]), p.traffic)
                         if any(map(is_not, same, fields)) else p)
-    return ConfigMapDoc(doc.node, {k: canon(a) for k, a in doc.localsids.items()},
-                        tuple(policies))
+    return ConfigMapDoc(doc.node, dict(zip(doc.localsids, live)), tuple(policies))
 
 
 def _plain(doc: ConfigMapDoc) -> dict:
@@ -268,17 +270,22 @@ def _policies_text(policies: tuple[PolicyDocEntry, ...]) -> str:
     return "".join(items) if policies else "policies: []\n"
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _head_text(node: str, localsids: tuple[tuple[str, int], ...]) -> str:
+    """The head ``{"localsids": ..., "node": ...}`` dumped, from (kind, SID ``_ip``) pairs. Only
+    a long or non-ASCII node name may fold, and libyaml folds it differently."""
+    short = node.isascii() and node.isprintable() and len(node) <= 63
+    head = {"localsids": {k: v6_text(ip) for k, ip in localsids}, "node": node}
+    return yaml.dump(head, Dumper=_FAST_DUMPER if short else yaml.SafeDumper, sort_keys=False,
+                     default_flow_style=False)
+
+
 def render_configmap_doc(doc: ConfigMapDoc) -> str:
     """Serialize a checked document (``parse_configmap_doc``) in the reference
     deployment's field layout: the same text as one ``yaml.dump`` of the whole
-    document. The head is dumped; the policies are written directly."""
-    # Addresses and the fixed kinds (DT4/DT6, IPv4/IPv6) never fold; a long or
-    # non-ASCII node name may, and libyaml folds it differently.
-    node = doc.node
-    short = node.isascii() and node.isprintable() and len(node) <= 63
-    head = {"localsids": {k: v6_text(v._ip) for k, v in doc.localsids.items()}, "node": node}
-    return yaml.dump(head, Dumper=_FAST_DUMPER if short else yaml.SafeDumper, sort_keys=False,
-                     default_flow_style=False) + _policies_text(doc.policies)
+    document. The head is dumped once per node and localSIDs, the policies written directly."""
+    sids = tuple((k, v._ip) for k, v in doc.localsids.items())
+    return _head_text(doc.node, sids) + _policies_text(doc.policies)
 
 
 def configmap_key(node: str) -> str:

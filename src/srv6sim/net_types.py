@@ -58,6 +58,13 @@ def canon(addr: Addr) -> Addr:
     return (ref and ref()) or table.setdefault(addr._ip, addr)
 
 
+def canon_all(addrs: list[Addr]) -> list[Addr]:
+    """``list(map(canon, addrs))`` for unscoped addresses of one class: ``canon`` runs only
+    for a value with no live twin, the others are read from the table by their integers."""
+    get = _canonical[addrs[0].__class__].data.get if addrs else None
+    return [((ref := get(a._ip)) and ref()) or canon(a) for a in addrs]
+
+
 def parse_addr(text: str) -> Addr:
     """Parse a textual IPv4 or IPv6 address into its canonical object."""
     if "%" in text:  # an RFC 4007 zone

@@ -32,7 +32,7 @@ from .k8s import (
 )
 from .net_types import InnerPacket, parse_prefix, prefix_key
 from .scenario import Scenario
-from .schema import get, load, section
+from .schema import get, load, section, unique
 from .underlay import Hop, Routes, Topology, TraceRecord, compute_routes, forward
 
 
@@ -176,8 +176,8 @@ class Simulation:
         self.run_to_quiescence()
 
     def apply_configmaps(self, docs: list[ConfigMapDoc]) -> list[str]:
-        """Check every document, then write them to the store and let every
-        watcher poll. A refused document refuses the apply: nothing is written."""
+        """Check every document, one per node, then write them to the store and
+        let every watcher poll. A refused document refuses the apply: nothing is written."""
         if self.scenario.mode != "configmap":
             raise ModeMismatchError("apply-configmap requires configmap mode")
         for doc in docs:
@@ -188,8 +188,9 @@ class Simulation:
         docs = [parse_configmap_doc(doc, path) for doc, path in zip(docs, paths)]
         # one owner per host route: a localSID new to its node must be no node's infra
         # address or localSID, nor one an earlier document of this apply took
-        owners: dict = {}  # address int -> (node, what it is there); built on first need
+        owners, documented = {}, set()  # owners: address int -> (node, what it is there), built on first need
         for doc, path in zip(docs, paths):
+            unique(doc.node, documented, "configmap for node", path)
             own = self.dataplanes[doc.node].localsids
             for kind, sid in doc.localsids.items():
                 if sid._ip in own:

@@ -10,6 +10,7 @@ gives the same state and the same pings as one of canonical objects.
 
 import gc
 import importlib.util
+import operator
 import re
 import sys
 import weakref
@@ -22,7 +23,7 @@ from srv6sim import net_types
 from srv6sim.bgp import parse_policy_file
 from srv6sim.errors import AddrParseError, ValidationError
 from srv6sim.k8s import ConfigMapDoc, PolicyDocEntry, parse_configmap_doc
-from srv6sim.net_types import canon, parse_addr, parse_prefix, parse_v6
+from srv6sim.net_types import canon, canon_all, parse_addr, parse_prefix, parse_v6
 from srv6sim.scenario import load_scenario
 from srv6sim.sim import Simulation, load_configmap_docs
 
@@ -110,6 +111,36 @@ def test_table_holds_no_strong_reference(cls, value):
     assert value not in net_types._canonical[cls]
 
 
+NEW_V6 = 0x2001_0DB8_7A11_0000_0000_0000_0000_00A1  # values no test parses
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [parse_v6("fcff:3::1"), fresh(parse_v6("fcff:3::1")), IPv6Address(NEW_V6),
+             IPv6Address(NEW_V6), IPv6Address(NEW_V6 + 1), parse_v6("cafe::1c3")],
+    lambda: [parse_addr("172.16.231.1"), IPv4Address("172.16.231.1"), IPv4Address(0xC6336402)],
+    lambda: [],
+], ids=["v6", "v4", "empty"])
+def test_canon_all_returns_the_objects_canon_returns(make):
+    """``canon_all`` is ``list(map(canon, addrs))``, object for object, over
+    canonical objects, fresh twins of them and new values, one given twice."""
+    addrs = make()
+    got = canon_all(addrs)
+    assert len(got) == len(addrs)
+    assert all(map(operator.is_, got, list(map(canon, addrs))))
+
+
+def test_canon_all_calls_canon_only_for_values_with_no_live_twin(monkeypatch):
+    """A value with a live canonical object is read from the table; ``canon``
+    runs once per new value, and its second copy finds the first."""
+    calls = []
+    monkeypatch.setattr(net_types, "canon", lambda a, canon=canon: calls.append(a._ip) or canon(a))
+    known = parse_v6("fcff:3::1")
+    got = canon_all([fresh(known), known, IPv6Address(NEW_V6 + 2), IPv6Address(NEW_V6 + 2),
+                     IPv6Address(NEW_V6 + 3)])
+    assert calls == [NEW_V6 + 2, NEW_V6 + 3]
+    assert got[0] is got[1] is known and got[2] is got[3]
+
+
 # -- identity does not leak -------------------------------------------------
 
 
@@ -185,6 +216,28 @@ def test_bring_up_compares_no_address_with_the_agents_own(address_eq, scenario):
             sim.inject(parse_policy_file(path.read_text()))
         assert sim.metrics["step2_received"]
     assert not address_eq.callers.keys() & {"_is_self", "on_policy", "on_configmap_change"}
+
+
+@pytest.mark.parametrize("fanout", ["per-node", "single-map"])
+def test_apply_of_a_built_document_hashes_no_address(address_hash, fanout):
+    """An apply of a document built from fresh address objects, with one BSID
+    changed, hashes no address: the reader checks uniqueness by the address
+    integers and reads each canonical object from the table by its integer,
+    and the head text is cached by the node name and the localSID integers."""
+    scenario = load_scenario(SCENARIOS / "full_cm.yaml")
+    scenario.configmap_fanout = fanout
+    sim = Simulation(scenario).start()
+    doc = fresh_doc(sim.agents["worker2"].last_doc)
+    first = doc.policies[0]
+    moved = PolicyDocEntry(first.egress_node, IPv6Address("cafe::7a11"), first.segment_list,
+                           first.traffic)
+    address_hash.calls = 0
+    summaries = sim.apply_configmaps([ConfigMapDoc(doc.node, doc.localsids,
+                                                   (moved, *doc.policies[1:]))])
+    assert "worker2: 1 replaced" in summaries
+    assert address_hash.calls == 0, address_hash.callers
+    hash(moved.bsid)  # the counter counts
+    assert address_hash.calls == 1
 
 
 def _gen_module():

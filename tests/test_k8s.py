@@ -1,6 +1,8 @@
 import re
+from dataclasses import replace
 
 import pytest
+import yaml
 
 from srv6sim.errors import ValidationError
 from srv6sim.k8s import (
@@ -139,6 +141,23 @@ def test_parse_render_roundtrip():
     assert doc.localsids["DT4"] == parse_v6("fcdd::aa:34b8:247c:36da:db44")
     assert doc.policies[0].family == "v6"
     assert parse_configmap_doc(render_configmap_doc(doc)) == doc
+
+
+def test_a_second_render_of_a_node_dumps_no_head(monkeypatch):
+    """The head is dumped once per node name and localSIDs: a render of a
+    node whose name and localSIDs are unchanged calls no ``yaml.dump``, and
+    one whose localSIDs changed calls it once."""
+    dumps, dump = [], yaml.dump
+    monkeypatch.setattr(yaml, "dump", lambda *args, **kw: dumps.append(args) or dump(*args, **kw))
+    doc = parse_configmap_doc(DOC_TEXT.replace("node: master", "node: rendered-twice"))
+    text = render_configmap_doc(doc)
+    dumps.clear()
+    assert render_configmap_doc(doc) == text
+    assert render_configmap_doc(replace(doc, policies=doc.policies[1:])).startswith(
+        text[:text.index("policies:")])
+    assert dumps == []
+    render_configmap_doc(replace(doc, localsids={**doc.localsids, "DT6": parse_v6("fcdd::7a11")}))
+    assert len(dumps) == 1
 
 
 def test_parse_accepts_short_node_spelling():

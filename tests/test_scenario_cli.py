@@ -326,6 +326,32 @@ def test_apply_of_one_new_localsid_for_two_nodes_is_refused():
     assert sim.dataplanes["worker2"].localsids[free._ip].sid == free
 
 
+@pytest.mark.parametrize("fanout, key", [("per-node", "srv6-config-worker1"),
+                                         ("single-map", "single-map.worker1")])
+def test_apply_of_two_documents_for_one_node_is_refused(fanout, key):
+    """Two documents for one node used to apply the last and drop the first
+    unseen. They are refused at the second, as ``load_scenario`` refuses two
+    configmaps for one node, and nothing is written."""
+    scenario = load_scenario(FULL_CM)
+    scenario.configmap_fanout = fanout
+    sim = Simulation(scenario).start()
+    doc = sim.agents["worker1"].last_doc
+    before = (_store_versions(sim), sim.state_dump(), list(sim.events))
+    with pytest.raises(ValidationError, match=": duplicate configmap for node 'worker1'$") as exc:
+        sim.apply_configmaps([doc, replace(doc, policies=doc.policies[:1])])
+    assert exc.value.path == key
+    assert (_store_versions(sim), sim.state_dump(), sim.events) == before
+
+
+def test_cli_apply_of_two_documents_for_one_node_exits_2(tmp_path, capsys):
+    path = tmp_path / "worker2-twice.yaml"
+    text = (SCENARIOS / "configmap_worker2_modified.yaml").read_text()
+    path.write_text(f"{text}---\n{text}")
+    assert main(["apply-configmap", "--scenario", FULL_CM, "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: srv6-config-worker2: "
+                                       "duplicate configmap for node 'worker2'\n")
+
+
 def test_cli_apply_of_another_nodes_localsid_exits_2(tmp_path, capsys):
     path = tmp_path / "worker2-takes-worker1-dt6.yaml"
     path.write_text((SCENARIOS / "configmap_worker2_modified.yaml").read_text()
